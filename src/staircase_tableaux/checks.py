@@ -1,0 +1,357 @@
+"""The twelve acceptance checks: the one implementation behind both the
+``verify`` subcommand and ``tests/test_acceptance.py``.
+
+Each check returns a `CheckResult` whose ``measured`` dict names the range it
+actually covered and the values its gate compared.  ``n_max`` picks the
+ranges (`_ranges`); ``n_max = 6`` is the acceptance contract, which the
+acceptance tests spell out, and smaller values shrink the ranges so quick
+runs stay quick.  The enumeration census is walked once per size per process
+and shared by every check that reads it.  Every ``passed`` comes from
+explicit comparisons, so the checks hold under ``python -O``.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, sqrt
+from typing import Any, Callable, Sequence
+
+from .asep import PARAMETER_GRID, verify_steady_state
+from .core import Tableau, statistics
+from .counting import total_count
+from .enumerator import enumerate_all
+from .polyengine import (
+    V_explicit,
+    bivariate_series_check,
+    build_V,
+    build_W,
+    build_c,
+    path_weight_oracle,
+    pgf_A,
+    pgf_B,
+    pole_constants,
+)
+from .sampler import probability_of, sample_statistics
+from .stats import (
+    clt_check,
+    dist_A,
+    dist_B,
+    dist_delta,
+    dist_r,
+    harmonic_pair,
+    moments_A,
+    moments_delta,
+    moments_r,
+    pgf_r,
+)
+
+#: Sizes whose census keeps the tableaux themselves, for the sampler audit.
+_KEEP_MAX = 4
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    measured: dict[str, Any]
+    elapsed_s: float
+
+
+@dataclass(frozen=True)
+class _Ranges:
+    """What each check covers at a given ``n_max``."""
+
+    enum: int
+    count_six: bool
+    sweep: int
+    diag: int
+    tri: int
+    oracle: int
+    audit: int
+    chi_draws: int
+    ks_n: int | None
+    asep: int
+
+
+def _ranges(n_max: int) -> _Ranges:
+    if not 1 <= n_max <= 6:
+        raise ValueError(f"n_max must be in 1..6, got {n_max}")
+    full = n_max == 6
+    return _Ranges(
+        enum=min(n_max, 5),
+        count_six=full,
+        sweep=min(50, max(10, 10 * n_max)),
+        diag=min(200, max(20, 40 * n_max)),
+        tri=min(30, max(8, 6 * n_max)),
+        oracle=min(7, n_max + 2),
+        audit=_KEEP_MAX if full else min(n_max, 3),
+        chi_draws=10**5 if full else 20_000 if n_max >= 4 else 5_000,
+        ks_n=2000 if full else None,
+        asep=min(n_max, 4),
+    )
+
+
+@dataclass(frozen=True)
+class _Census:
+    count: int
+    r_hist: Counter[int]
+    a_hist: Counter[int]
+    b_hist: Counter[int]
+    row_identity_violations: int
+    tableaux: tuple[Tableau, ...]
+
+
+@lru_cache(maxsize=None)
+def _census(n: int) -> _Census:
+    """One statistics walk over every size-n tableau."""
+    r_hist: Counter[int] = Counter()
+    a_hist: Counter[int] = Counter()
+    b_hist: Counter[int] = Counter()
+    violations = 0
+    kept: list[Tableau] = []
+    keep = n <= _KEEP_MAX
+
+    def visit(t: Tableau) -> None:
+        nonlocal violations
+        s = statistics(t)
+        r_hist[s.r] += 1
+        a_hist[s.a_diag] += 1
+        b_hist[s.b_diag] += 1
+        if s.r + s.delta != n:
+            violations += 1
+        if keep:
+            kept.append(t)
+
+    count = enumerate_all(n, visit)
+    return _Census(count, r_hist, a_hist, b_hist, violations, tuple(kept))
+
+
+_Check = Callable[[_Ranges, int], tuple[bool, dict[str, Any]]]
+_REGISTRY: dict[str, _Check] = {}
+
+
+def _check(name: str) -> Callable[[_Check], _Check]:
+    def register(fn: _Check) -> _Check:
+        _REGISTRY[name] = fn
+        return fn
+
+    return register
+
+
+def _verdict(bad: list[Any], **measured: Any) -> tuple[bool, dict[str, Any]]:
+    """Pass iff nothing failed; report the range and the first few failures."""
+    return not bad, {**measured, "failures": bad[:3]}
+
+
+@_check("cardinality")
+def _cardinality(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    counts = {n: _census(n).count for n in range(1, rg.enum + 1)}
+    if rg.count_six:
+        counts[6] = enumerate_all(6)
+    ok = all(c == total_count(n) for n, c in counts.items())
+    return ok, {"counts": {str(n): c for n, c in counts.items()}}
+
+
+@_check("r-histogram")
+def _r_histogram(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    bad = []
+    for n in range(1, rg.enum + 1):
+        total = total_count(n)
+        poly = pgf_r(n)
+        hist = _census(n).r_hist
+        bad += [(n, v) for v in range(n + 1) if hist[v] != poly.coeff(v) * total]
+    return _verdict(bad, max_n=rg.enum)
+
+
+@_check("bernoulli-convolution")
+def _bernoulli(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    bad = []
+    for n in range(1, rg.sweep + 1):
+        d = dist_r(n)
+        if d.offset != 0 or d.probs != pgf_r(n).coeffs:
+            bad.append(n)
+    return _verdict(bad, max_n=rg.sweep)
+
+
+@_check("r-moments")
+def _r_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    bad = []
+    for n in range(1, rg.sweep + 1):
+        h = harmonic_pair(n)
+        want = (h.h1 / 2, h.h1 / 2 - h.h2 / 4)
+        if moments_r(n) != want:
+            bad.append(("r-closed", n))
+        pmf = dist_r(n)
+        if (pmf.mean(), pmf.variance()) != want:
+            bad.append(("r-pmf", n))
+        if moments_delta(n)[0] != n - h.h1 / 2 or dist_delta(n).mean() != n - want[0]:
+            bad.append(("delta-mean", n))
+    return _verdict(bad, max_n=rg.sweep)
+
+
+@_check("row-identity")
+def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    bad = sum(_census(n).row_identity_violations for n in range(1, rg.enum + 1))
+    return bad == 0, {"max_n": rg.enum, "violations": bad}
+
+
+@_check("diagonal-distribution")
+def _diagonal_distribution(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    bad = []
+    for n in range(1, rg.enum + 1):
+        c = _census(n)
+        total = total_count(n)
+        row = build_V(n).rows[n]
+        da, db = dist_A(n), dist_B(n)
+        for m in range(n + 1):
+            want = 2**n * row[m]
+            if (
+                c.a_hist[m] != want
+                or c.b_hist[m] != want
+                or da.p(m) != Fraction(want, total)
+                or db.p(m) != Fraction(want, total)
+            ):
+                bad.append((n, m))
+    return _verdict(bad, max_n=rg.enum)
+
+
+@_check("diagonal-moments")
+def _diagonal_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    rows = build_V(rg.diag).rows
+    bad = []
+    for n in range(1, rg.diag + 1):
+        row = rows[n]
+        total = sum(row)
+        mean = Fraction(sum(m * v for m, v in enumerate(row)), total)
+        second = Fraction(sum(m * m * v for m, v in enumerate(row)), total)
+        var = second - mean * mean
+        if (mean, var) != moments_A(n):
+            bad.append(n)
+        # n = 1 really is (1/2, 1/4); the (n+1)/12 form starts at n = 2.
+        elif n >= 2 and var != Fraction(n + 1, 12):
+            bad.append(n)
+    return _verdict(bad, max_n=rg.diag)
+
+
+@_check("triangle-identities")
+def _triangles(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    small = build_c(rg.oracle)
+    bad: list[tuple[str, int, int]] = [
+        ("oracle", m, l)
+        for m in range(rg.oracle + 1)
+        for l in range(m + 1)
+        if small.entry(m, l) != path_weight_oracle(m, l)
+    ]
+    c, v, w = build_c(rg.tri), build_V(rg.tri), build_W(rg.tri)
+    for n in range(rg.tri + 1):
+        bad += [
+            ("explicit", n, m)
+            for m in range(n + 1)
+            if v.entry(n, m) != V_explicit(n, m)
+        ]
+        bad += [
+            ("whitney", n, k)
+            for k in range(n + 1)
+            if c.entry(n, k)(1) != 2**k * factorial(k) * w.entry(n, k)
+        ]
+    bad += [("pgf", n, 0) for n in range(1, rg.tri + 1) if pgf_B(n) != pgf_A(n)]
+    return _verdict(bad, oracle_max_n=rg.oracle, identity_max_n=rg.tri)
+
+
+@_check("bivariate-series")
+def _series(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    rep = bivariate_series_check(12)
+    poles = pole_constants()
+    ok = rep.ok and poles == (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
+    mismatch = rep.first_mismatch
+    return ok, {
+        "orders_checked": rep.orders_checked,
+        "first_mismatch": None if mismatch is None else mismatch[0],
+        "pole_constants": [str(p) for p in poles],
+    }
+
+
+@_check("sampler-exactness")
+def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    cases = 0
+    bad = []
+    for n in range(1, rg.audit + 1):
+        target = Fraction(1, total_count(n))
+        for t in _census(n).tableaux:
+            cases += 1
+            if probability_of(n, t) != target:
+                bad.append(n)
+    return _verdict(bad, max_n=rg.audit, cases=cases)
+
+
+@_check("sampler-chi-square")
+def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    from scipy.stats import chi2 as chi2_dist
+
+    n, draws = rg.enum, rg.chi_draws
+    hist = Counter(s.r for s in sample_statistics(n, draws, seed))
+    pmf = dist_r(n)
+    chi2 = sum(
+        (hist[v] - draws * float(pmf.p(v))) ** 2 / (draws * float(pmf.p(v)))
+        for v in pmf.support()
+    )
+    p_value = float(chi2_dist.sf(chi2, len(pmf.support()) - 1))
+    measured: dict[str, Any] = {
+        "n": n, "draws": draws, "chi2": chi2, "p_value": p_value,
+        "ks_n": rg.ks_n, "ks_draws": None, "ks": None,
+    }
+    ok = p_value > 1e-3
+    if rg.ks_n is not None:
+        mean, var = moments_A(rg.ks_n)
+        ks_draws = 10**5
+        rep = clt_check(dist_A(rg.ks_n).sample(ks_draws, seed), float(mean), sqrt(var))
+        measured.update(ks_draws=ks_draws, ks=rep.ks_statistic)
+        ok = ok and rep.ks_statistic < 0.01
+    return ok, measured
+
+
+@_check("asep-grid")
+def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    worst = 0.0
+    ok = True
+    for params in PARAMETER_GRID:
+        for n in range(1, rg.asep + 1):
+            rep = verify_steady_state(n, params, tol=1e-10)
+            worst = max(worst, rep.max_deviation)
+            ok = ok and rep.passed
+    exact = verify_steady_state(1, PARAMETER_GRID[0], exact=True).max_deviation
+    ok = ok and worst < 1e-10 and exact == 0.0
+    return ok, {
+        "max_n": rg.asep,
+        "settings": len(PARAMETER_GRID),
+        "max_deviation": worst,
+        "exact_n1_deviation": exact,
+    }
+
+
+CHECK_NAMES: tuple[str, ...] = tuple(_REGISTRY)
+
+
+def verify_suite(
+    n_max: int, seed: int = 0, names: Sequence[str] | None = None
+) -> list[CheckResult]:
+    """Run the checks in ``names`` (default: all, in registry order), each
+    timed, at the ranges ``n_max`` selects; ``seed`` drives the sampled
+    checks."""
+    rg = _ranges(n_max)
+    selected = CHECK_NAMES if names is None else tuple(names)
+    unknown = [name for name in selected if name not in _REGISTRY]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    results = []
+    for name in selected:
+        start = time.perf_counter()
+        passed, measured = _REGISTRY[name](rg, seed)
+        results.append(
+            CheckResult(name, passed, measured, time.perf_counter() - start)
+        )
+    return results

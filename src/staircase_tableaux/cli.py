@@ -2,8 +2,7 @@
 
 Nine subcommands cover counting, streaming enumeration, exact-uniform
 sampling, distribution and moment export, triangle export, the bivariate
-series self-check, ASEP steady-state runs, and an aggregated verification
-suite:
+series self-check, ASEP steady-state runs, and the verification suite:
 
     staircase-tableaux count --n 5
     staircase-tableaux dist --stat a --n 3 --format csv
@@ -17,6 +16,11 @@ byte-identical once ``--no-timestamp`` is passed.  Exact quantities are
 emitted as numerator/denominator string pairs, and integers that may exceed
 2**53 as decimal strings, so payloads survive JSON parsers with double-only
 numbers.
+
+``verify`` runs the check registry of `staircase_tableaux.checks`, the same
+code that ``tests/test_acceptance.py`` runs; ``verify --n-max 6`` covers the
+full acceptance contract, and every check in its report carries the range it
+covered and its ``elapsed_s``.
 """
 
 from __future__ import annotations
@@ -28,37 +32,31 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import factorial
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .asep import (
     ASEPParams,
-    PARAMETER_GRID,
     build_chain,
     partition_functions,
     stationary,
     verify_steady_state,
 )
+from .checks import CHECK_NAMES, verify_suite
 from .core import Tableau, statistics as tableau_statistics, to_line
 from .counting import completions, total_count
 from .enumerator import enumerate_all
 from .polyengine import (
-    V_explicit,
     bivariate_series_check,
     build_V,
     build_W,
-    build_a,
     build_c,
-    path_weight_oracle,
-    pgf_A,
-    pgf_B,
     pole_constants,
 )
-from .sampler import RNG_ID, probability_of, sample_many
+from .sampler import RNG_ID, sample_many
 from .stats import (
     dist_A,
     dist_B,
@@ -68,7 +66,6 @@ from .stats import (
     moments_A,
     moments_delta,
     moments_r,
-    pgf_r,
 )
 
 SCHEMA = "staircase-tableaux/1"
@@ -88,22 +85,6 @@ _MOMENT_FNS = {
     "a": moments_A,
     "b": moments_A,
 }
-
-CHECK_NAMES = (
-    "cardinality",
-    "r-histogram",
-    "bernoulli-convolution",
-    "r-moments",
-    "row-identity",
-    "diagonal-distribution",
-    "diagonal-moments",
-    "triangle-identities",
-    "bivariate-series",
-    "sampler-exactness",
-    "sampler-chi-square",
-    "asep-grid",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -127,260 +108,6 @@ class RunConfig:
     exact: bool = False
     no_timestamp: bool = False
     params: ASEPParams | None = None
-
-
-# --------------------------------------------------------------------------
-# verification suite
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _EnumSummary:
-    n: int
-    count: int
-    r_hist: dict[int, int]
-    a_hist: dict[int, int]
-    b_hist: dict[int, int]
-    row_identity_failures: int
-    tableaux: tuple[Tableau, ...]
-
-
-def _enumeration_summary(n: int) -> _EnumSummary:
-    r_hist: Counter[int] = Counter()
-    a_hist: Counter[int] = Counter()
-    b_hist: Counter[int] = Counter()
-    failures = 0
-    stash: list[Tableau] = []
-    keep = n <= 3
-
-    def visit(t: Tableau) -> None:
-        nonlocal failures
-        s = tableau_statistics(t)
-        r_hist[s.r] += 1
-        a_hist[s.a_diag] += 1
-        b_hist[s.b_diag] += 1
-        if s.r + s.delta != n:
-            failures += 1
-        if keep:
-            stash.append(t)
-
-    count = enumerate_all(n, visit)
-    return _EnumSummary(
-        n, count, dict(r_hist), dict(a_hist), dict(b_hist), failures, tuple(stash)
-    )
-
-
-def verify_suite(
-    n_max: int, seed: int = 0, names: Sequence[str] | None = None
-) -> list[CheckResult]:
-    """Run the cross-module consistency checks and return one result each.
-
-    ``n_max`` bounds the enumeration-backed checks (full statistics up to
-    min(n_max, 5); at n_max = 6 the size-6 count is verified without
-    materializing statistics).  Checks whose natural range is independent of
-    the enumeration (moment formulas, triangle identities, the diagonal-law
-    sweep) scale their bounds with ``n_max`` so small suites stay fast while
-    ``--n-max 5`` exercises the full documented ranges.  Pass ``names`` to
-    run a subset.
-    """
-    if not 1 <= n_max <= 6:
-        raise ValueError(f"n_max must be in 1..6, got {n_max}")
-
-    enum_cap = min(n_max, 5)
-    sweep_cap = min(50, max(10, 10 * n_max))
-    diag_cap = min(200, max(20, 40 * n_max))
-    tri_cap = min(30, max(8, 6 * n_max))
-    oracle_cap = min(7, n_max + 2)
-    chi_draws = 20_000 if n_max >= 4 else 5_000
-
-    summaries: dict[int, _EnumSummary] = {}
-
-    def summary(n: int) -> _EnumSummary:
-        if n not in summaries:
-            summaries[n] = _enumeration_summary(n)
-        return summaries[n]
-
-    def check_cardinality() -> CheckResult:
-        counts: dict[str, int] = {}
-        ok = True
-        for n in range(1, enum_cap + 1):
-            counts[str(n)] = summary(n).count
-            ok = ok and summary(n).count == total_count(n)
-        if n_max == 6:
-            counts["6"] = enumerate_all(6)
-            ok = ok and counts["6"] == total_count(6)
-        return CheckResult("cardinality", ok, {"counts": counts})
-
-    def check_r_histogram() -> CheckResult:
-        ok = True
-        for n in range(1, enum_cap + 1):
-            total = total_count(n)
-            d = dist_r(n)
-            hist = summary(n).r_hist
-            ok = ok and sum(hist.values()) == total
-            ok = ok and all(
-                Fraction(hist.get(v, 0), total) == d.p(v) for v in d.support()
-            )
-        return CheckResult("r-histogram", ok, {"max_n": enum_cap})
-
-    def check_bernoulli() -> CheckResult:
-        ok = True
-        for n in range(1, sweep_cap + 1):
-            d = dist_r(n)
-            coeffs = pgf_r(n).coeffs
-            ok = ok and d.offset == 0 and d.probs == coeffs
-        return CheckResult("bernoulli-convolution", ok, {"max_n": sweep_cap})
-
-    def check_r_moments() -> CheckResult:
-        ok = True
-        for n in range(1, sweep_cap + 1):
-            mean, var = moments_r(n)
-            d = dist_r(n)
-            ok = ok and d.mean() == mean and d.variance() == var
-            ok = ok and dist_delta(n).mean() == n - mean
-        return CheckResult("r-moments", ok, {"max_n": sweep_cap})
-
-    def check_row_identity() -> CheckResult:
-        bad = sum(summary(n).row_identity_failures for n in range(1, enum_cap + 1))
-        return CheckResult("row-identity", bad == 0, {"violations": bad})
-
-    def check_diag_dist() -> CheckResult:
-        ok = True
-        for n in range(1, enum_cap + 1):
-            total = total_count(n)
-            da, db = dist_A(n), dist_B(n)
-            ok = ok and all(
-                Fraction(summary(n).a_hist.get(v, 0), total) == da.p(v)
-                for v in da.support()
-            )
-            ok = ok and all(
-                Fraction(summary(n).b_hist.get(v, 0), total) == db.p(v)
-                for v in db.support()
-            )
-        return CheckResult("diagonal-distribution", ok, {"max_n": enum_cap})
-
-    def check_diag_moments() -> CheckResult:
-        ok = True
-        rows = build_V(diag_cap).rows
-        fact = 1
-        for n in range(1, diag_cap + 1):
-            fact *= 2 * n
-            mean = Fraction(sum(m * v for m, v in enumerate(rows[n])), fact)
-            second = Fraction(sum(m * m * v for m, v in enumerate(rows[n])), fact)
-            want_mean, want_var = moments_A(n)
-            ok = ok and mean == want_mean
-            ok = ok and second - mean * mean == want_var
-        return CheckResult("diagonal-moments", ok, {"max_n": diag_cap})
-
-    def check_triangles() -> CheckResult:
-        ok = True
-        small_c = build_c(oracle_cap)
-        for m in range(oracle_cap + 1):
-            for l in range(m + 1):
-                ok = ok and small_c.entry(m, l) == path_weight_oracle(m, l)
-        big_c = build_c(tri_cap)
-        V = build_V(tri_cap)
-        W = build_W(tri_cap)
-        for n in range(tri_cap + 1):
-            for m in range(n + 1):
-                ok = ok and V.entry(n, m) == V_explicit(n, m)
-            for k in range(n + 1):
-                c1 = big_c.entry(n, k)(Fraction(1))
-                ok = ok and c1 == 2**k * factorial(k) * W.entry(n, k)
-        a = build_a(tri_cap)
-        ok = ok and a.rows == big_c.rows
-        for n in range(1, tri_cap + 1):
-            ok = ok and pgf_B(n) == pgf_A(n)
-        return CheckResult(
-            "triangle-identities",
-            ok,
-            {"oracle_max_n": oracle_cap, "identity_max_n": tri_cap},
-        )
-
-    def check_series() -> CheckResult:
-        rep = bivariate_series_check(12)
-        poles = pole_constants()
-        ok = rep.ok and poles == (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
-        return CheckResult(
-            "bivariate-series", ok, {"orders_checked": rep.orders_checked}
-        )
-
-    def check_sampler_exact() -> CheckResult:
-        cap = min(n_max, 3)
-        cases = 0
-        ok = True
-        for n in range(1, cap + 1):
-            target = Fraction(1, total_count(n))
-            for t in summary(n).tableaux:
-                ok = ok and probability_of(n, t) == target
-                cases += 1
-        return CheckResult("sampler-exactness", ok, {"cases": cases})
-
-    def check_sampler_chi2() -> CheckResult:
-        from scipy.stats import chi2 as chi2_dist
-
-        n = min(n_max, 5)
-        hist: Counter[int] = Counter()
-        for t in sample_many(n, chi_draws, seed):
-            hist[tableau_statistics(t).r] += 1
-        d = dist_r(n)
-        stat = sum(
-            (hist.get(v, 0) - float(d.p(v)) * chi_draws) ** 2
-            / (float(d.p(v)) * chi_draws)
-            for v in d.support()
-        )
-        p_value = float(chi2_dist.sf(stat, len(d.support()) - 1))
-        return CheckResult(
-            "sampler-chi-square",
-            p_value > 1e-3,
-            {"n": n, "draws": chi_draws, "chi2": stat, "p_value": p_value},
-        )
-
-    def check_asep() -> CheckResult:
-        cap = min(n_max, 4)
-        worst = 0.0
-        ok = True
-        for n in range(1, cap + 1):
-            for params in PARAMETER_GRID:
-                rep = verify_steady_state(n, params, tol=1e-10)
-                worst = max(worst, rep.max_deviation)
-                ok = ok and rep.passed
-        exact_zero = (
-            verify_steady_state(1, PARAMETER_GRID[0], exact=True).max_deviation == 0.0
-        )
-        ok = ok and exact_zero
-        return CheckResult(
-            "asep-grid",
-            ok,
-            {"max_n": cap, "max_deviation": worst, "exact_n1_zero": exact_zero},
-        )
-
-    registry: dict[str, Callable[[], CheckResult]] = {
-        "cardinality": check_cardinality,
-        "r-histogram": check_r_histogram,
-        "bernoulli-convolution": check_bernoulli,
-        "r-moments": check_r_moments,
-        "row-identity": check_row_identity,
-        "diagonal-distribution": check_diag_dist,
-        "diagonal-moments": check_diag_moments,
-        "triangle-identities": check_triangles,
-        "bivariate-series": check_series,
-        "sampler-exactness": check_sampler_exact,
-        "sampler-chi-square": check_sampler_chi2,
-        "asep-grid": check_asep,
-    }
-    assert tuple(registry) == CHECK_NAMES
-    selected = CHECK_NAMES if names is None else tuple(names)
-    unknown = [name for name in selected if name not in registry]
-    if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    return [registry[name]() for name in selected]
 
 
 # --------------------------------------------------------------------------
@@ -514,6 +241,8 @@ def _cmd_enumerate(cfg: RunConfig, out: TextIO) -> int:
 
 
 def _cmd_sample(cfg: RunConfig, out: TextIO) -> int:
+    if cfg.count < 1:
+        raise ValueError(f"--count must be at least 1, got {cfg.count}")
     draws = sample_many(cfg.n, cfg.count, cfg.seed)
     if cfg.fmt == "json":
         r_hist: Counter[int] = Counter()
@@ -667,10 +396,7 @@ def _cmd_verify(cfg: RunConfig, out: TextIO) -> int:
     names = None if cfg.suite == "all" else [cfg.suite]
     results = verify_suite(cfg.n_max, seed=cfg.seed, names=names)
     payload = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "measured": r.measured}
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
     _write_json(out, _metadata(cfg, with_seed=True), payload)

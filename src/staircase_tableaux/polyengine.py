@@ -321,49 +321,19 @@ def pgf_A_from_c(n: int) -> Polynomial:
     return Fraction(1, 2**n * factorial(n)) * acc
 
 
-def build_a(n: int) -> TriangleC:
-    """The companion triangle a[m][l]; same recurrence, same values as c.
-
-    Built independently from its own recurrence statement
-    a[m+1][l] = (z + 2l) a[m][l] + (z + 2l - 1) a[m][l-1] with zero
-    out-of-range entries, then asserted equal to the c-triangle entrywise.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    z = Polynomial.x()
-    rows: list[tuple[Polynomial, ...]] = [(Polynomial.one(),)]
-    for m in range(1, n + 1):
-        prev = rows[-1]
-        row = []
-        for l in range(m + 1):
-            acc = Polynomial.zero()
-            if l <= m - 1:
-                acc = acc + (z + 2 * l) * prev[l]
-            if 1 <= l:
-                acc = acc + (z + 2 * l - 1) * prev[l - 1]
-            row.append(acc)
-        rows.append(tuple(row))
-    tri = TriangleC(tuple(rows))
-    c = build_c(n)
-    for m in range(n + 1):
-        for l in range(m + 1):
-            assert tri.entry(m, l) == c.entry(m, l), f"a != c at ({m}, {l})"
-    return tri
-
-
 def pgf_B(n: int) -> Polynomial:
-    """PGF of the diagonal beta/delta count via the a-triangle at z=1:
+    """PGF of the diagonal beta/delta count via the c-triangle at z=1:
 
-        pgf_B(n) = sum_k a[n][k](1) t^k (1-t)^(n-k) / (2**n n!)
+        pgf_B(n) = sum_k c[n][k](1) t^k (1-t)^(n-k) / (2**n n!)
 
     Asserted equal to pgf_A(n): both diagonal statistics share one law.
     """
-    tri = build_a(n)
+    tri = build_c(n)
     t = Polynomial.x()
     acc = Polynomial.zero()
     for k in range(n + 1):
-        ak1 = tri.entry(n, k)(1)
-        acc = acc + ak1 * t**k * (1 - t) ** (n - k)
+        ck1 = tri.entry(n, k)(1)
+        acc = acc + ck1 * t**k * (1 - t) ** (n - k)
     out = Fraction(1, 2**n * factorial(n)) * acc
     assert out == pgf_A(n), "diagonal PGFs must agree"
     return out
@@ -447,6 +417,8 @@ def bivariate_series_check(zorder: int = 12) -> SeriesReport:
     powers beyond the w-truncation cannot reach surviving w-degrees, so the
     truncated comparison is exact.
     """
+    if zorder < 0:
+        raise ValueError(f"need z-order >= 0, got {zorder}")
     worder = zorder
     one_minus_w = Polynomial.of(1, -1)
     half = TruncatedSeries.from_coeffs(

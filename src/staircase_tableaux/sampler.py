@@ -143,6 +143,8 @@ def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
     """`count` independent uniform tableaux from one seeded stream."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
     rng = random.Random(seed)
     return [_grow(rng, n) for _ in range(count)]
 

@@ -32,8 +32,10 @@ class ExactPMF:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        assert sum(self.probs) == 1, "pmf must sum to one"
-        assert all(p >= 0 for p in self.probs)
+        if any(p < 0 for p in self.probs):
+            raise ValueError("pmf must be non-negative")
+        if sum(self.probs) != 1:
+            raise ValueError("pmf must sum to one")
 
     def support(self) -> range:
         return range(self.offset, self.offset + len(self.probs))

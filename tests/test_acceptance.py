@@ -1,48 +1,29 @@
 """Acceptance suite.
 
-One test per advertised guarantee, ordered as in the project checklist; each
-prints a single [PASS]/[FAIL] line with the measured quantity so a bare
-``pytest -v -s tests/test_acceptance.py`` reads as a report.  Everything here
-goes through public entry points only.
+One test per advertised guarantee, ordered as in the project checklist.  Each
+runs its own check from the `staircase_tableaux.checks` registry (the code
+behind ``staircase-tableaux verify``) at ``n_max = 6``, the full contract,
+then asserts on the check's ``measured`` report both the range it covered and
+its numeric gate, so the contract stays written down here.  Each prints a
+single [PASS]/[FAIL] line with the measured quantity so a bare
+``pytest -v -s tests/test_acceptance.py`` reads as a report.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from collections import Counter
-from fractions import Fraction
 
 import pytest
 
-from staircase_tableaux.asep import PARAMETER_GRID, verify_steady_state
-from staircase_tableaux.core import statistics
-from staircase_tableaux.enumerator import enumerate_all
-from staircase_tableaux.polyengine import (
-    V_explicit,
-    bivariate_series_check,
-    build_V,
-    build_W,
-    build_a,
-    build_c,
-    path_weight_oracle,
-    pgf_A,
-    pgf_B,
-    pole_constants,
-)
-from staircase_tableaux.sampler import probability_of, sample_statistics
-from staircase_tableaux.stats import (
-    clt_check,
-    dist_A,
-    dist_r,
-    harmonic_pair,
-    moments_A,
-    moments_delta,
-    moments_r,
-    pgf_r,
-)
+from staircase_tableaux.asep import PARAMETER_GRID
+from staircase_tableaux.checks import CheckResult, verify_suite
 
 SEED = 20250823
+
+
+def _run(name: str) -> CheckResult:
+    (result,) = verify_suite(6, seed=SEED, names=[name])
+    return result
 
 
 def _report(ok: bool, name: str, detail: str) -> None:
@@ -50,222 +31,125 @@ def _report(ok: bool, name: str, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def census():
-    """Single enumeration pass per size up to 5, shared by several criteria."""
-    out = {}
-    for n in range(1, 6):
-        r_hist: Counter = Counter()
-        a_hist: Counter = Counter()
-        b_hist: Counter = Counter()
-        bad_rows = 0
-
-        def visit(t) -> None:
-            nonlocal bad_rows
-            s = statistics(t)
-            r_hist[s.r] += 1
-            a_hist[s.a_diag] += 1
-            b_hist[s.b_diag] += 1
-            if s.r + s.delta != t.n:
-                bad_rows += 1
-
-        count = enumerate_all(n, visit)
-        out[n] = (count, r_hist, a_hist, b_hist, bad_rows)
-    return out
-
-
-def test_c01_cardinality(census):
-    start = time.perf_counter()
-    counts = {n: census[n][0] for n in range(1, 6)}
-    counts[6] = enumerate_all(6)
-    elapsed = time.perf_counter() - start
+def _exact(name: str, label: str, **covered: int) -> None:
+    """Exact checks: the covered range is pinned and nothing may fail."""
+    res = _run(name)
+    m = res.measured
     ok = (
-        all(counts[n] == 4**n * math.factorial(n) for n in range(1, 7))
-        and counts[6] == 2_949_120
-        and elapsed < 60
+        res.passed
+        and all(m[key] == value for key, value in covered.items())
+        and m["failures"] == []
     )
-    _report(ok, "cardinality", f"n=6 count {counts[6]:,} in {elapsed:.2f}s")
+    ranges = " ".join(f"{key}={m[key]}" for key in covered)
+    _report(ok, label, f"{ranges} exact, failures={m['failures']}")
 
 
-def test_c02_r_histogram_matches_generating_polynomial(census):
-    worst = None
-    for n in range(1, 6):
-        total = 4**n * math.factorial(n)
-        poly = pgf_r(n)
-        for v in range(n + 1):
-            expected = poly.coeff(v) * total
-            got = census[n][1].get(v, 0)
-            if got != expected:
-                worst = (n, v, got, expected)
-    _report(worst is None, "r-histogram", f"n<=5 exact, mismatch={worst}")
+def test_c01_cardinality():
+    res = _run("cardinality")
+    counts = res.measured["counts"]
+    ok = (
+        res.passed
+        and counts == {str(n): 4**n * math.factorial(n) for n in range(1, 7)}
+        and counts["6"] == 2_949_120
+        and res.elapsed_s < 60
+    )
+    _report(ok, "cardinality", f"n=6 count {counts['6']:,} in {res.elapsed_s:.2f}s")
+
+
+def test_c02_r_histogram_matches_generating_polynomial():
+    _exact("r-histogram", "r-histogram", max_n=5)
 
 
 def test_c03_bernoulli_convolution_equals_polynomial_coefficients():
-    bad = [
-        (n, v)
-        for n in range(1, 51)
-        for v in range(n + 1)
-        if dist_r(n).p(v) != pgf_r(n).coeff(v)
-    ]
-    _report(not bad, "bernoulli-convolution", f"n<=50, mismatches={bad[:3]}")
+    _exact("bernoulli-convolution", "bernoulli-convolution", max_n=50)
 
 
 def test_c04_r_and_delta_moments_from_pmfs():
-    bad = []
-    for n in range(1, 51):
-        h = harmonic_pair(n)
-        want = (h.h1 / 2, h.h1 / 2 - h.h2 / 4)
-        if moments_r(n) != want:
-            bad.append(("r-closed", n))
-        pmf = dist_r(n)
-        if (pmf.mean(), pmf.variance()) != want:
-            bad.append(("r-pmf", n))
-        if moments_delta(n)[0] != n - h.h1 / 2:
-            bad.append(("delta-mean", n))
-    _report(not bad, "r-moments", f"n<=50, failures={bad[:3]}")
+    _exact("r-moments", "r-moments", max_n=50)
 
 
-def test_c05_rows_split_between_r_and_delta(census):
-    bad = {n: census[n][4] for n in range(1, 6) if census[n][4]}
-    _report(not bad, "row-identity", f"r+delta=n on all tableaux, bad={bad}")
+def test_c05_rows_split_between_r_and_delta():
+    res = _run("row-identity")
+    m = res.measured
+    ok = res.passed and m["max_n"] == 5 and m["violations"] == 0
+    _report(ok, "row-identity", f"r+delta=n on all tableaux, bad={m['violations']}")
 
 
-def test_c06_diagonal_histogram_is_the_v_row(census):
-    worst = None
-    for n in range(1, 6):
-        row = build_V(n).entry
-        for m in range(n + 1):
-            want = 2**n * row(n, m)
-            if census[n][2].get(m, 0) != want or census[n][3].get(m, 0) != want:
-                worst = (n, m)
-    _report(worst is None, "diagonal-distribution", f"A and B, bad={worst}")
+def test_c06_diagonal_histogram_is_the_v_row():
+    _exact("diagonal-distribution", "diagonal-distribution", max_n=5)
 
 
 def test_c07_diagonal_moments_to_two_hundred():
-    tri = build_V(200)
-    bad = []
-    for n in range(1, 201):
-        row = [tri.entry(n, m) for m in range(n + 1)]
-        total = sum(row)
-        mean = Fraction(sum(m * v for m, v in enumerate(row)), total)
-        second = Fraction(sum(m * m * v for m, v in enumerate(row)), total)
-        var = second - mean * mean
-        if (mean, var) != moments_A(n):
-            bad.append(n)
-        # n = 1 really is (1/2, 1/4); the (n+1)/12 form starts at n = 2.
-        if n >= 2 and var != Fraction(n + 1, 12):
-            bad.append(n)
-    _report(not bad, "diagonal-moments", f"n<=200, failures={bad[:5]}")
+    _exact("diagonal-moments", "diagonal-moments", max_n=200)
 
 
 def test_c08_triangle_cross_checks():
-    c = build_c(7)
-    oracle_bad = [
-        (m, l)
-        for m in range(8)
-        for l in range(m + 1)
-        if c.entry(m, l) != path_weight_oracle(m, l)
-    ]
-    v = build_V(30)
-    explicit_bad = [
-        (n, m)
-        for n in range(31)
-        for m in range(n + 1)
-        if v.entry(n, m) != V_explicit(n, m)
-    ]
-    w = build_W(30)
-    c30 = build_c(30)
-    whitney_bad = [
-        (n, k)
-        for n in range(31)
-        for k in range(n + 1)
-        if c30.entry(n, k)(1) != 2**k * math.factorial(k) * w.entry(n, k)
-    ]
-    a30 = build_a(30)
-    a_bad = [
-        (n, k)
-        for n in range(31)
-        for k in range(n + 1)
-        if a30.entry(n, k) != c30.entry(n, k)
-    ]
-    pgf_bad = [n for n in range(1, 31) if pgf_B(n) != pgf_A(n)]
-    ok = not (oracle_bad or explicit_bad or whitney_bad or a_bad or pgf_bad)
-    _report(
-        ok,
-        "triangle-identities",
-        f"oracle={oracle_bad[:2]} explicit={explicit_bad[:2]} "
-        f"whitney={whitney_bad[:2]} a={a_bad[:2]} pgf={pgf_bad[:2]}",
+    _exact(
+        "triangle-identities", "triangle-identities",
+        oracle_max_n=7, identity_max_n=30,
     )
 
 
 def test_c09_bivariate_series_and_pole_constants():
-    report = bivariate_series_check(12)
-    poles = pole_constants()
-    ok = report.ok and poles == (
-        Fraction(1),
-        Fraction(-1, 2),
-        Fraction(1, 6),
+    res = _run("bivariate-series")
+    m = res.measured
+    ok = (
+        res.passed
+        and m["orders_checked"] == 12
+        and m["first_mismatch"] is None
+        and m["pole_constants"] == ["1", "-1/2", "1/6"]
     )
     _report(
         ok,
         "bivariate-series",
-        f"orders={report.orders_checked} mismatch={report.first_mismatch} "
-        f"poles={tuple(map(str, poles))}",
+        f"orders={m['orders_checked']} mismatch={m['first_mismatch']} "
+        f"poles={tuple(m['pole_constants'])}",
     )
 
 
 def test_c10_sampler_weights_are_exactly_uniform():
-    checked = 0
-    worst = None
-    for n in range(1, 5):
-        target = Fraction(1, 4**n * math.factorial(n))
-
-        def visit(t) -> None:
-            nonlocal checked, worst
-            checked += 1
-            if probability_of(t.n, t) != target:
-                worst = t
-
-        enumerate_all(n, visit)
-    ok = worst is None and checked == 4 + 32 + 384 + 6144
-    _report(ok, "sampler-exactness", f"{checked} tableaux, bad={worst}")
+    res = _run("sampler-exactness")
+    m = res.measured
+    ok = (
+        res.passed
+        and m["max_n"] == 4
+        and m["cases"] == 4 + 32 + 384 + 6144
+        and m["failures"] == []
+    )
+    _report(ok, "sampler-exactness", f"{m['cases']} tableaux, bad={m['failures']}")
 
 
 def test_c11_sampled_statistics_match_the_limit_laws():
-    draws = [s.r for s in sample_statistics(5, 10**5, SEED)]
-    pmf = dist_r(5)
-    hist = Counter(draws)
-    chi2 = sum(
-        (hist.get(v, 0) - 10**5 * float(pmf.p(v))) ** 2
-        / (10**5 * float(pmf.p(v)))
-        for v in pmf.support()
+    pytest.importorskip("scipy.stats")
+    res = _run("sampler-chi-square")
+    m = res.measured
+    ok = (
+        res.passed
+        and (m["n"], m["draws"]) == (5, 10**5)
+        and m["p_value"] > 0.001
+        and (m["ks_n"], m["ks_draws"]) == (2000, 10**5)
+        and m["ks"] < 0.01
     )
-    scipy_stats = pytest.importorskip("scipy.stats")
-    p_value = float(scipy_stats.chi2.sf(chi2, len(pmf.support()) - 1))
-
-    big = dist_A(2000)
-    mean, var = moments_A(2000)
-    report = clt_check(big.sample(10**5, SEED), float(mean), math.sqrt(var))
-
-    ok = p_value > 0.001 and report.ks_statistic < 0.01
     _report(
         ok,
         "sampler-statistics",
-        f"chi2={chi2:.3f} p={p_value:.4f}; ks={report.ks_statistic:.5f}",
+        f"chi2={m['chi2']:.3f} p={m['p_value']:.4f}; ks={m['ks']:.5f}",
     )
 
 
 def test_c12_stationary_law_equals_weight_ratios():
-    worst = 0.0
-    for params in PARAMETER_GRID:
-        for n in range(1, 5):
-            rep = verify_steady_state(n, params, tol=1e-10)
-            worst = max(worst, rep.max_deviation)
-    exact = verify_steady_state(1, PARAMETER_GRID[0], exact=True)
-    ok = worst < 1e-10 and exact.max_deviation == 0.0
+    res = _run("asep-grid")
+    m = res.measured
+    ok = (
+        res.passed
+        and m["max_n"] == 4
+        and m["settings"] == len(PARAMETER_GRID)
+        and m["max_deviation"] < 1e-10
+        and m["exact_n1_deviation"] == 0.0
+    )
     _report(
         ok,
         "asep-identity",
-        f"float max dev {worst:.2e} over {len(PARAMETER_GRID)} settings, "
-        f"exact n=1 dev {exact.max_deviation}",
+        f"float max dev {m['max_deviation']:.2e} over {m['settings']} settings, "
+        f"exact n=1 dev {m['exact_n1_deviation']}",
     )

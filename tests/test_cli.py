@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from staircase_tableaux.cli import CHECK_NAMES, main, verify_suite
+import staircase_tableaux
+from staircase_tableaux.checks import CHECK_NAMES, verify_suite
+from staircase_tableaux.cli import main
 from staircase_tableaux.core import from_text, validate
 
 
@@ -99,6 +105,15 @@ def test_sample_json_summarizes_histograms(capsys):
     assert sum(doc["a_diag_histogram"].values()) == 40
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_rejects_count_below_one(capsys, count):
+    code = main(["sample", "--n", "3", "--count", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+
 def test_triangles_csv_has_the_whitney_row(capsys):
     code, out = run(
         capsys, "triangles", "--which", "W", "--n-max", "4", "--no-timestamp"
@@ -116,6 +131,16 @@ def test_series_check_passes(capsys):
     assert code == 0
     assert doc["ok"] is True
     assert doc["pole_constants"] == [["1", "1"], ["-1", "2"], ["1", "6"]]
+
+
+def test_series_check_rejects_negative_z_order(capsys):
+    code = main(["series-check", "--z-order", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: need z-order >= 0, got -1\n"
+    code, out = run(capsys, "series-check", "--z-order", "0")
+    assert code == 0
+    assert out.startswith("ok: True\norders checked: 0\n")
 
 
 # -------------------------------------------------------------------- asep
@@ -166,6 +191,18 @@ def test_verify_single_check_exit_zero(capsys):
     assert doc["passed"] is True
     assert doc["checks"][0]["name"] == "cardinality"
     assert doc["checks"][0]["measured"]["counts"] == {"1": 4, "2": 32}
+    assert doc["checks"][0]["elapsed_s"] >= 0
+
+
+def test_verify_passes_under_optimize_flag():
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "staircase_tableaux", "verify",
+         "--suite", "cardinality", "--n-max", "2"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_verify_suite_function_runs_every_named_check():

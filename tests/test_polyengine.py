@@ -15,7 +15,6 @@ from staircase_tableaux.polyengine import (
     bivariate_series_check,
     build_V,
     build_W,
-    build_a,
     build_c,
     path_weight_oracle,
     pgf_A,
@@ -188,10 +187,6 @@ def test_c_at_one_ties_to_W():
     for n in range(21):
         for k in range(n + 1):
             assert c.entry(n, k)(1) == 2**k * factorial(k) * W.entry(n, k)
-
-
-def test_a_triangle_reproduces_c():
-    assert build_a(10).rows == build_c(10).rows
 
 
 # ------------------------------------------------------------------- PGFs

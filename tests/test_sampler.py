@@ -72,6 +72,12 @@ def test_every_tableau_is_equally_likely(n):
     assert checked == total_count(n)
 
 
+def test_sample_many_rejects_negative_count():
+    assert sample_many(3, 0, seed=1) == []
+    with pytest.raises(ValueError):
+        sample_many(3, -1, seed=1)
+
+
 def test_probability_rejects_invalid_tableaux():
     with pytest.raises(InvalidTableauError):
         probability_of(2, Tableau(2, {(1, 2): GreekSymbol.ALPHA}))

@@ -132,7 +132,7 @@ def test_moments_A_match_pmf(n):
 
 
 def test_exact_pmf_rejects_bad_mass():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ExactPMF(0, (Fraction(1, 2), Fraction(1, 3)))
 
 
