@@ -26,7 +26,6 @@ import numpy as np
 from .core import Tableau, type_word, weight
 from .enumerator import enumerate_all
 
-_MAX_SITES = 12
 _DENSE_LIMIT = 8
 
 
@@ -85,12 +84,10 @@ class ASEPChain:
 
 def build_chain(n: int, params: ASEPParams) -> ASEPChain:
     """Exact row-stochastic transition matrix on all 2**n words."""
-    if not 1 <= n <= _MAX_SITES:
-        raise ValueError(f"need 1 <= n <= {_MAX_SITES}, got {n}")
-    if n > _DENSE_LIMIT:
+    if not 1 <= n <= _DENSE_LIMIT:
         raise ValueError(
-            f"dense matrix capped at n={_DENSE_LIMIT}; larger systems have "
-            "4**n entries and want a sparse treatment"
+            f"need 1 <= n <= {_DENSE_LIMIT}, got {n}: the dense matrix has "
+            "4**n entries; larger systems want a sparse treatment"
         )
     size = 1 << n
     loc = Fraction(1, n + 1)

@@ -41,6 +41,7 @@ from .stats import (
     dist_A,
     dist_B,
     dist_delta,
+    dist_gamma,
     dist_r,
     harmonic_pair,
     moments_A,
@@ -99,6 +100,7 @@ def _ranges(n_max: int) -> _Ranges:
 class _Census:
     count: int
     r_hist: Counter[int]
+    gamma_hist: Counter[int]
     a_hist: Counter[int]
     b_hist: Counter[int]
     row_identity_violations: int
@@ -109,6 +111,7 @@ class _Census:
 def _census(n: int) -> _Census:
     """One statistics walk over every size-n tableau."""
     r_hist: Counter[int] = Counter()
+    gamma_hist: Counter[int] = Counter()
     a_hist: Counter[int] = Counter()
     b_hist: Counter[int] = Counter()
     violations = 0
@@ -119,6 +122,7 @@ def _census(n: int) -> _Census:
         nonlocal violations
         s = statistics(t)
         r_hist[s.r] += 1
+        gamma_hist[s.gamma] += 1
         a_hist[s.a_diag] += 1
         b_hist[s.b_diag] += 1
         if s.r + s.delta != n:
@@ -127,7 +131,9 @@ def _census(n: int) -> _Census:
             kept.append(t)
 
     count = enumerate_all(n, visit)
-    return _Census(count, r_hist, a_hist, b_hist, violations, tuple(kept))
+    return _Census(
+        count, r_hist, gamma_hist, a_hist, b_hist, violations, tuple(kept)
+    )
 
 
 _Check = Callable[[_Ranges, int], tuple[bool, dict[str, Any]]]
@@ -158,12 +164,20 @@ def _cardinality(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("r-histogram")
 def _r_histogram(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """The r histogram against pgf_r, and the gamma histogram against
+    dist_gamma, each scaled by the tableau count."""
     bad = []
     for n in range(1, rg.enum + 1):
         total = total_count(n)
-        poly = pgf_r(n)
-        hist = _census(n).r_hist
-        bad += [(n, v) for v in range(n + 1) if hist[v] != poly.coeff(v) * total]
+        c, poly, gamma = _census(n), pgf_r(n), dist_gamma(n)
+        bad += [
+            ("r", n, v) for v in range(n + 1) if c.r_hist[v] != poly.coeff(v) * total
+        ]
+        bad += [
+            ("gamma", n, v)
+            for v in range(n + 1)
+            if c.gamma_hist[v] != gamma.p(v) * total
+        ]
     return _verdict(bad, max_n=rg.enum)
 
 

@@ -268,8 +268,11 @@ def _cmd_sample(cfg: RunConfig, out: TextIO) -> int:
 def _cmd_dist(cfg: RunConfig, out: TextIO) -> int:
     pmf = _DIST_FNS[cfg.stat](cfg.n)
     rows = [
-        (v, pmf.p(v).numerator, pmf.p(v).denominator) for v in pmf.support()
+        (v, p.numerator, p.denominator) for v, p in zip(pmf.support(), pmf.probs)
     ]
+    # The rows hold every number now; freeing the integer weights before the
+    # payload's decimal strings are built keeps the peak memory down.
+    del pmf
     if cfg.fmt == "csv":
         _write_csv(out, _metadata(cfg), ("value", "numerator", "denominator"), rows)
     elif cfg.fmt == "json":

@@ -5,8 +5,10 @@ of independent Bernoulli variables J_k with P(J_k = 1) = 1/(2k), giving the
 probability generating function prod_k (z + 2k - 1)/(2k) and harmonic-number
 moments.  The beta/delta total is n - r exactly, the alpha/gamma total shares
 its law by transposition, and both diagonal statistics follow the type-B
-Eulerian law V(n, m)/(2**n n!).  Everything except `clt_check` is exact
-rational arithmetic.
+Eulerian law V(n, m)/(2**n n!).  Every law is held as integer weights over
+the one denominator 2**n n! (the coefficients of prod_k (z + 2k - 1), or the
+V row), and `Fraction` appears only where a probability or moment is read
+out.  Everything except `clt_check` is exact.
 """
 
 from __future__ import annotations
@@ -17,55 +19,57 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, lcm
+from math import factorial
 from statistics import NormalDist
 from typing import Sequence
 
-from .polyengine import Polynomial, v_row
+from .polyengine import Polynomial, two_term_step, v_row
 
 
 @dataclass(frozen=True)
 class ExactPMF:
-    """Probability mass on consecutive integers offset..offset+len-1."""
+    """Probability weights[i] / denominator on the value offset + i, with
+    non-negative integer weights summing to the denominator."""
 
     offset: int
-    probs: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.probs):
-            raise ValueError("pmf must be non-negative")
-        if sum(self.probs) != 1:
-            raise ValueError("pmf must sum to one")
+        if any(w < 0 for w in self.weights):
+            raise ValueError("pmf weights must be non-negative")
+        if not sum(self.weights) == self.denominator > 0:
+            raise ValueError("pmf weights must sum to a positive denominator")
 
     def support(self) -> range:
-        return range(self.offset, self.offset + len(self.probs))
+        return range(self.offset, self.offset + len(self.weights))
 
     def p(self, value: int) -> Fraction:
         idx = value - self.offset
-        if 0 <= idx < len(self.probs):
-            return self.probs[idx]
+        if 0 <= idx < len(self.weights):
+            return Fraction(self.weights[idx], self.denominator)
         return Fraction(0)
 
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.denominator) for w in self.weights)
+
     def mean(self) -> Fraction:
-        return sum(
-            (Fraction(v) * p for v, p in zip(self.support(), self.probs)),
-            Fraction(0),
-        )
+        return Fraction(self._moment(1), self.denominator)
 
     def variance(self) -> Fraction:
-        mu = self.mean()
-        return sum(
-            (p * (Fraction(v) - mu) ** 2 for v, p in zip(self.support(), self.probs)),
-            Fraction(0),
-        )
+        d, s1 = self.denominator, self._moment(1)
+        return Fraction(d * self._moment(2) - s1 * s1, d * d)
+
+    def _moment(self, k: int) -> int:
+        """sum_v v**k weight(v), an integer."""
+        return sum(v**k * w for v, w in zip(self.support(), self.weights))
 
     def sample(self, count: int, seed: int) -> list[int]:
-        """Exact inverse-transform draws: an integer uniform below the common
+        """Exact inverse-transform draws: an integer uniform below the
         denominator is bisected into the cumulative weights, so each value is
         hit with exactly its rational probability."""
-        denom = lcm(*(p.denominator for p in self.probs))
-        weights = [int(p * denom) for p in self.probs]
-        return draw_integers(weights, count, seed, offset=self.offset)
+        return draw_integers(self.weights, count, seed, offset=self.offset)
 
 
 def draw_integers(
@@ -106,24 +110,28 @@ def pgf_r(n: int) -> Polynomial:
     return acc
 
 
+def _need_positive(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+
+
 def dist_r(n: int) -> ExactPMF:
     """Law of the AG-row count, via the independent-Bernoulli convolution.
 
-    Deliberately not read off pgf_r: the two routes are compared in tests.
+    Scaling the k-th factor by 2k keeps the weights integral,
+    w'[v] = (2k - 1) w[v] + w[v - 1], over 2**n n!.  Deliberately not read
+    off pgf_r: the two routes are compared in tests.
     """
-    probs = [Fraction(1)]
+    _need_positive(n)
+    weights = [1]
     for k in range(1, n + 1):
-        p = Fraction(1, 2 * k)
-        nxt = [Fraction(0)] * (len(probs) + 1)
-        for v, mass in enumerate(probs):
-            nxt[v] += mass * (1 - p)
-            nxt[v + 1] += mass * p
-        probs = nxt
-    return ExactPMF(0, tuple(probs))
+        weights = two_term_step(weights, lambda v: 2 * k - 1, lambda v: 1)
+    return ExactPMF(0, tuple(weights), 2**n * factorial(n))
 
 
 def moments_r(n: int) -> tuple[Fraction, Fraction]:
     """(mean, variance) = (H_n/2, H_n/2 - H_n^(2)/4)."""
+    _need_positive(n)
     h = harmonic_pair(n)
     return h.h1 / 2, h.h1 / 2 - h.h2 / 4
 
@@ -131,7 +139,7 @@ def moments_r(n: int) -> tuple[Fraction, Fraction]:
 def dist_delta(n: int) -> ExactPMF:
     """Law of the beta/delta total: the reflection n - r."""
     base = dist_r(n)
-    return ExactPMF(0, tuple(reversed(base.probs)))
+    return ExactPMF(0, base.weights[::-1], base.denominator)
 
 
 def dist_gamma(n: int) -> ExactPMF:
@@ -146,9 +154,8 @@ def moments_delta(n: int) -> tuple[Fraction, Fraction]:
 
 def dist_A(n: int) -> ExactPMF:
     """Diagonal alpha/gamma count: V(n, m) / (2**n n!)."""
-    row = v_row(n)
-    denom = 2**n * factorial(n)
-    return ExactPMF(0, tuple(Fraction(v, denom) for v in row))
+    _need_positive(n)
+    return ExactPMF(0, v_row(n), 2**n * factorial(n))
 
 
 def dist_B(n: int) -> ExactPMF:
@@ -163,8 +170,7 @@ def moments_A(n: int) -> tuple[Fraction, Fraction]:
     symbol-class coin, so the variance is 1/4.  (The closed form arrives via
     a second factorial moment that vanishes identically at n = 1.)
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _need_positive(n)
     if n == 1:
         return Fraction(1, 2), Fraction(1, 4)
     return Fraction(n, 2), Fraction(n + 1, 12)

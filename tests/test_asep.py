@@ -81,6 +81,8 @@ def test_chain_size_guards():
         build_chain(0, GENERIC)
     with pytest.raises(ValueError):
         build_chain(9, GENERIC)
+    with pytest.raises(ValueError):
+        build_chain(13, GENERIC)
 
 
 def test_to_numpy_is_row_stochastic():

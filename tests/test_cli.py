@@ -114,6 +114,17 @@ def test_sample_rejects_count_below_one(capsys, count):
     assert captured.err == f"error: --count must be at least 1, got {count}\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("stat", ["r", "delta", "gamma", "a", "b"])
+@pytest.mark.parametrize("command", ["dist", "moments"])
+def test_statistic_laws_reject_n_below_one(capsys, command, stat, n):
+    code = main([command, "--stat", stat, "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: need n >= 1, got {n}\n"
+
+
 def test_triangles_csv_has_the_whitney_row(capsys):
     code, out = run(
         capsys, "triangles", "--which", "W", "--n-max", "4", "--no-timestamp"

@@ -132,8 +132,24 @@ def test_moments_A_match_pmf(n):
 
 
 def test_exact_pmf_rejects_bad_mass():
-    with pytest.raises(ValueError):
-        ExactPMF(0, (Fraction(1, 2), Fraction(1, 3)))
+    for weights, denominator in (((3, 2), 6), ((-1, 2), 1), ((0, 0), 0)):
+        with pytest.raises(ValueError):
+            ExactPMF(0, weights, denominator)
+
+
+def test_exact_pmf_reads_weights_over_the_denominator():
+    d = ExactPMF(2, (1, 3, 2), 6)
+    assert d.probs == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+    assert d.p(3) == Fraction(1, 2) and d.p(5) == 0
+    assert d.mean() == Fraction(19, 6)
+    assert d.variance() == Fraction(17, 36)
+
+
+def test_seeded_draw_streams_are_pinned():
+    # A seed must keep producing the same draws from each law.
+    assert dist_A(50).sample(8, 7) == [28, 23, 22, 29, 26, 27, 27, 23]
+    assert dist_r(9).sample(8, 7) == [1, 1, 1, 3, 0, 0, 2, 0]
+    assert dist_delta(9).sample(8, 7) == [8, 7, 8, 9, 6, 6, 8, 6]
 
 
 def test_draws_are_deterministic_and_in_support():
