@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import Tableau, type_word, weight
-from .enumerator import enumerate_all
+from .enumerator import _ENUM_LIMIT, enumerate_all
 
 _DENSE_LIMIT = 8
 
@@ -173,8 +173,10 @@ def partition_functions(
     n: int, params: ASEPParams
 ) -> tuple[Fraction, dict[str, Fraction]]:
     """(Z_n, per-type Z_sigma) by full enumeration; practical for n <= 6."""
-    if not 1 <= n <= 6:
-        raise ValueError(f"enumeration-backed partition functions need n <= 6, got {n}")
+    if not 1 <= n <= _ENUM_LIMIT:
+        raise ValueError(
+            f"enumeration-backed partition functions need n <= {_ENUM_LIMIT}, got {n}"
+        )
     by_type: dict[str, Fraction] = {
         format(s, f"0{n}b"): Fraction(0) for s in range(1 << n)
     }

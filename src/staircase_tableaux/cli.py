@@ -48,7 +48,7 @@ from .asep import (
 from .checks import CHECK_NAMES, verify_suite
 from .core import Tableau, statistics as tableau_statistics, to_line
 from .counting import completions, total_count
-from .enumerator import enumerate_all
+from .enumerator import _ENUM_LIMIT, enumerate_all
 from .polyengine import (
     bivariate_series_check,
     build_V,
@@ -229,6 +229,8 @@ def _stat_row(n: int, t: Tableau) -> tuple[int, int, int, int, int, int]:
 
 
 def _cmd_enumerate(cfg: RunConfig, out: TextIO) -> int:
+    if not 1 <= cfg.n <= _ENUM_LIMIT:
+        raise ValueError(f"need 1 <= n <= {_ENUM_LIMIT}, got {cfg.n}")
     if cfg.fmt == "csv":
         for key, value in _flatten(_metadata(cfg)):
             out.write(f"# {key}={value}\n")

@@ -12,12 +12,15 @@ Coordinates are (row, column) pairs with rows 1..n numbered top to bottom and
 row i spanning columns 1..n+1-i, so the diagonal box of row i is (i, n+1-i)
 and the diagonal is read NE to SW by increasing row index.  Empty boxes are
 absent from the cell mapping.  A size-0 tableau (no boxes) is admitted as the
-growth root used by the enumerator and the sampler.
+growth root used by the enumerator and the sampler.  Validation happens once
+per tableau: `check_valid`, behind every statistic, marks a tableau that
+passes, and tableaux grown by the enumerator's walk or the sampler are born
+marked, so never validated.  `validate` and `is_valid` always run the rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -70,14 +73,12 @@ class Tableau:
 
     n: int
     cells: Mapping[Cell, GreekSymbol]
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"size must be non-negative, got {self.n}")
         object.__setattr__(self, "cells", dict(self.cells))
-
-    def row_length(self, i: int) -> int:
-        return self.n + 1 - i
 
     def diagonal_cell(self, i: int) -> Cell:
         return (i, self.n + 1 - i)
@@ -236,9 +237,12 @@ def is_valid(t: Tableau) -> bool:
 
 
 def check_valid(t: Tableau) -> None:
-    violations = validate(t)
-    if violations:
-        raise InvalidTableauError(f"invalid tableau: {violations[:3]}")
+    """Raise InvalidTableauError unless `t` is valid; validates `t` at most once."""
+    if not t._checked:
+        violations = validate(t)
+        if violations:
+            raise InvalidTableauError(f"invalid tableau: {violations[:3]}")
+        object.__setattr__(t, "_checked", True)
 
 
 def type_word(t: Tableau) -> TypeWord:

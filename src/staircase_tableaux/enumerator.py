@@ -13,12 +13,15 @@ Boxes of the new column at non-AG rows stay empty (anything there would sit
 left of that row's beta/delta).  Upper boxes are addressed by slot index
 1..r counting AG rows from the bottom.  Every tableau arises from exactly
 one fill sequence, which is what makes the DFS below an exact enumeration
-and gives the sampler its uniformity.
+and gives the sampler its uniformity.  `_place` is the one growth step of the
+walk, `extend` and the sampler; the tableaux the walk and the sampler finish
+are valid by construction, so they are born marked as checked and are never
+validated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable
@@ -34,6 +37,9 @@ from .core import (
 
 _AG = (GreekSymbol.ALPHA, GreekSymbol.GAMMA)
 _BD = (GreekSymbol.BETA, GreekSymbol.DELTA)
+
+#: Largest n of the user-facing exhaustive walks (82,575,360 tableaux at 7).
+_ENUM_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -104,20 +110,39 @@ def legal_fills(r: int) -> tuple[ColumnFill, ...]:
     return tuple(fills)
 
 
+def _place(
+    cells: dict, ag_rows: list[int], bottom_row: int, col: int, fill: ColumnFill
+) -> list[int]:
+    """Write `fill` into column `col`, whose diagonal box is in `bottom_row`;
+    maps the increasing AG rows before the step to those after it."""
+    cells[(bottom_row, col)] = fill.bottom
+    if fill.bottom.is_ag:
+        return ag_rows + [bottom_row]
+    r = len(ag_rows)
+    dropped = set()
+    for k, s in fill.upper:
+        cells[(ag_rows[r - k], col)] = s
+        if s.is_bd:
+            dropped.add(r - k)
+    return [row for pos, row in enumerate(ag_rows) if pos not in dropped]
+
+
+def _grown(n: int, cells: dict) -> Tableau:
+    """A tableau that is valid by construction, marked as checked."""
+    t = Tableau(n, cells)
+    object.__setattr__(t, "_checked", True)
+    return t
+
+
 def extend(t: Tableau, fill: ColumnFill) -> Tableau:
     """Prepend a column filled per `fill`; returns the size n+1 tableau."""
     ag_rows = ag_row_indices(t)
     r = len(ag_rows)
     if any(k > r for k, _ in fill.upper):
         raise ValueError(f"fill references slot beyond the {r} AG rows")
-    n = t.n + 1
-    cells: dict[Cell, GreekSymbol] = {
-        (i, j + 1): s for (i, j), s in t.cells.items()
-    }
-    cells[(n, 1)] = fill.bottom
-    for k, s in fill.upper:
-        cells[(ag_rows[r - k], 1)] = s
-    return Tableau(n, cells)
+    cells = {(i, j + 1): s for (i, j), s in t.cells.items()}
+    _place(cells, ag_rows, t.n + 1, 1, fill)
+    return Tableau(t.n + 1, cells)
 
 
 def split_first_column(t: Tableau) -> tuple[Tableau, ColumnFill]:
@@ -131,7 +156,8 @@ def split_first_column(t: Tableau) -> tuple[Tableau, ColumnFill]:
     if t.n < 1:
         raise InvalidTableauError("size-0 tableau has no first column")
     bottom = t.cells[(t.n, 1)]
-    parent = Tableau(
+    # Stripping column 1 of a valid tableau leaves a valid one.
+    parent = _grown(
         t.n - 1,
         {(i, j - 1): s for (i, j), s in t.cells.items() if j > 1},
     )
@@ -163,32 +189,20 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
         return _count_leaves(n)
 
     count = 0
-    cells: list[tuple[int, int, GreekSymbol]] = []
+    cells: dict[Cell, GreekSymbol] = {}
 
     def rec(m: int, ag_rows: list[int]) -> None:
         nonlocal count
         if m == n:
             count += 1
-            visitor(Tableau(n, {(i, j): s for i, j, s in cells}))
+            visitor(_grown(n, cells))
             return
-        col = n - m
-        r = len(ag_rows)
-        for fill in legal_fills(r):
-            depth = len(cells)
-            cells.append((m + 1, col, fill.bottom))
-            if fill.bottom.is_ag:
-                child = ag_rows + [m + 1]
-            else:
-                dropped = set()
-                for k, s in fill.upper:
-                    cells.append((ag_rows[r - k], col, s))
-                    if s.is_bd:
-                        dropped.add(r - k)
-                child = [
-                    row for pos, row in enumerate(ag_rows) if pos not in dropped
-                ]
-            rec(m + 1, child)
-            del cells[depth:]
+        depth = len(cells)
+        for fill in legal_fills(len(ag_rows)):
+            rec(m + 1, _place(cells, ag_rows, m + 1, n - m, fill))
+            # Dicts pop in reverse insertion order: this undoes the step.
+            while len(cells) > depth:
+                cells.popitem()
 
     rec(0, [])
     return count

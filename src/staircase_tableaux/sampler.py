@@ -1,9 +1,8 @@
 """Exact-uniform sampling of staircase tableaux by weighted column growth.
 
-Columns are drawn left to right... more precisely, the growth order of
-`enumerator` is followed: at each step the move class (Up, or Down(j) split
-into its beta/delta-only and with-alpha/gamma subclasses) is chosen with
-probability
+Columns are drawn right to left, in the growth order of `enumerator`: each
+step prepends one column, and its move class (Up, or Down(j) split into its
+beta/delta-only and with-alpha/gamma subclasses) is chosen with probability
 
     multiplicity(r, move) * N(k-1, r') / N(k, r),
 
@@ -25,14 +24,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .core import (
-    Cell,
-    GreekSymbol,
-    StatVector,
-    Tableau,
-    ag_row_indices,
-    statistics,
-)
+from .core import StatVector, Tableau, ag_row_indices, statistics
 from .counting import (
     Down,
     Up,
@@ -41,12 +33,9 @@ from .counting import (
     multiplicity,
     with_ag_multiplicity,
 )
-from .enumerator import ColumnFill, split_first_column
+from .enumerator import _AG, _BD, ColumnFill, _grown, _place, split_first_column
 
 RNG_ID = "python-random-mt19937"
-
-_AG = (GreekSymbol.ALPHA, GreekSymbol.GAMMA)
-_BD = (GreekSymbol.BETA, GreekSymbol.DELTA)
 
 
 def _class_weights(k: int, r: int) -> tuple[int, list[int]]:
@@ -110,33 +99,17 @@ def _draw_fill(rng: random.Random, k: int, r: int) -> ColumnFill:
 
 
 def _grow(rng: random.Random, n: int) -> Tableau:
-    cells: dict[Cell, GreekSymbol] = {}
+    cells: dict = {}
     ag_rows: list[int] = []
     for m in range(n):
-        k = n - m
-        fill = _draw_fill(rng, k, len(ag_rows))
-        col = n - m
-        cells[(m + 1, col)] = fill.bottom
-        if fill.bottom.is_ag:
-            ag_rows.append(m + 1)
-        else:
-            r = len(ag_rows)
-            dropped = set()
-            for slot, s in fill.upper:
-                cells[(ag_rows[r - slot], col)] = s
-                if s.is_bd:
-                    dropped.add(r - slot)
-            ag_rows = [
-                row for pos, row in enumerate(ag_rows) if pos not in dropped
-            ]
-    return Tableau(n, cells)
+        fill = _draw_fill(rng, n - m, len(ag_rows))
+        ag_rows = _place(cells, ag_rows, m + 1, n - m, fill)
+    return _grown(n, cells)
 
 
 def sample_uniform(n: int, seed: int) -> Tableau:
     """One tableau, uniform over all 4**n n! of size n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return _grow(random.Random(seed), n)
+    return sample_many(n, 1, seed)[0]
 
 
 def sample_many(n: int, count: int, seed: int) -> list[Tableau]:

@@ -83,6 +83,16 @@ def test_enumerate_streams_parseable_tableaux(capsys):
     assert all(validate(from_text(line)) == [] for line in lines)
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("n", ["7", "0"])
+def test_enumerate_rejects_sizes_outside_the_cap(capsys, n, fmt):
+    code = main(["enumerate", "--n", n, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: need 1 <= n <= 6, got {n}\n"
+
+
 def test_sample_draws_parse_and_repeat(capsys):
     code, first = run(capsys, "sample", "--n", "4", "--count", "5", "--seed", "9")
     assert code == 0

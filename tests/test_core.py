@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staircase_tableaux import core
+from staircase_tableaux.asep import PARAMETER_GRID, partition_functions
 from staircase_tableaux.core import (
     GreekSymbol,
     InvalidTableauError,
@@ -20,7 +22,8 @@ from staircase_tableaux.core import (
     validate,
     weight,
 )
-from staircase_tableaux.sampler import sample_uniform
+from staircase_tableaux.enumerator import enumerate_all
+from staircase_tableaux.sampler import sample_statistics, sample_uniform
 
 A, B, G, D = (
     GreekSymbol.ALPHA,
@@ -73,14 +76,64 @@ def test_cell_outside_shape_is_flagged():
     assert any(v.rule == "cell-outside-shape" for v in validate(t))
 
 
-def test_invalid_tableau_raises_on_statistics():
+@pytest.mark.parametrize(
+    "fn", [statistics, type_word, weight], ids=["statistics", "type_word", "weight"]
+)
+def test_invalid_tableau_raises_on_statistics(fn):
     with pytest.raises(InvalidTableauError):
-        statistics(Tableau(2, {(1, 2): A}))
+        fn(Tableau(2, {(1, 2): A}))
 
 
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         Tableau(-1, {})
+
+
+# ------------------------------------------------- validation happens once
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    calls = []
+    real = core.validate
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(core, "validate", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: enumerate_all(3, statistics),
+        lambda: sample_statistics(4, 50, 1),
+        lambda: partition_functions(2, PARAMETER_GRID[0]),
+    ],
+    ids=["walk", "sampler", "partition-functions"],
+)
+def test_grown_tableaux_are_never_validated(validate_calls, run):
+    run()
+    assert validate_calls == []
+
+
+def test_user_built_tableau_is_validated_once(validate_calls):
+    t = Tableau(2, {(1, 2): A, (2, 1): B})
+    statistics(t)
+    type_word(t)
+    weight(t)
+    assert validate_calls == [t]
+
+
+def test_validate_ignores_the_checked_mark(validate_calls):
+    t = sample_uniform(5, 0)
+    assert core.validate(t) == [] and is_valid(t)
+    assert validate_calls == [t, t]
+    bad = Tableau(2, {(1, 2): A})
+    object.__setattr__(bad, "_checked", True)
+    assert core.validate(bad) and not is_valid(bad)
 
 
 # ---------------------------------------------------------------- labeling

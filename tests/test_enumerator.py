@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from math import factorial
 
 import pytest
@@ -172,3 +173,8 @@ def test_walk_order_is_stable():
         "2;1 2 A;2 1 B",
         "2;1 1 B;1 2 A;2 1 B",
     ]
+    digest = hashlib.sha256()
+    enumerate_all(4, lambda t: digest.update((to_line(t) + "\n").encode()))
+    assert digest.hexdigest() == (
+        "7c04c833e5afc7f7983c7c629148378136062885802520dd787a40ff6a99ac25"
+    )

@@ -97,6 +97,78 @@ def test_single_draw_is_the_stream_head():
     assert sample_uniform(6, seed=17) == sample_many(6, 3, seed=17)[0]
 
 
+# Draw streams of the released sampler; a change to any of them changes what
+# a published seed reproduces.
+_PINNED_DRAWS = {
+    (1, 0): [
+        "1;1 1 D",
+        "1;1 1 D",
+        "1;1 1 D",
+        "1;1 1 A",
+    ],
+    (6, 3): [
+        "6;1 4 A;1 6 A;2 4 D;2 5 G;3 4 B;4 1 A;4 2 A;4 3 G;5 2 D;6 1 D",
+        "6;1 3 D;1 6 A;2 5 A;3 1 A;3 4 G;4 3 D;5 2 G;6 1 B",
+        "6;1 1 D;1 5 G;1 6 G;2 5 D;3 4 D;4 2 D;4 3 G;5 2 B;6 1 B",
+        "6;1 2 G;1 6 A;2 1 G;2 5 G;3 1 D;3 4 G;4 3 G;5 2 B;6 1 B",
+    ],
+    (40, 11): [
+        (
+            "40;1 2 A;1 9 A;1 17 A;1 40 G;2 1 A;2 3 A;2 4 A;2 6 G;2 24 A;"
+            "2 39 A;3 1 D;3 34 G;3 38 G;4 6 D;4 8 A;4 37 A;5 6 D;5 12 G;"
+            "5 36 G;6 12 D;6 33 A;6 35 A;7 34 B;8 33 B;9 6 D;9 14 A;9 18 A;"
+            "9 32 A;10 24 D;10 31 A;11 30 G;12 6 D;12 29 A;13 4 B;13 7 A;"
+            "13 28 A;14 14 D;14 27 G;15 5 A;15 26 G;16 24 D;16 25 G;17 24 B;"
+            "18 18 B;18 23 A;19 17 D;19 22 G;20 7 B;20 21 A;21 3 B;21 13 A;"
+            "21 20 G;22 14 D;22 19 A;23 18 B;24 17 B;25 14 B;25 16 G;26 4 B;"
+            "26 15 A;27 14 B;28 13 D;29 12 B;30 11 D;31 7 B;31 10 G;32 9 D;"
+            "33 8 B;34 7 B;35 6 D;36 5 B;37 4 B;38 3 D;39 2 D;40 1 D"
+        ),
+        (
+            "40;1 1 A;1 2 G;1 4 A;1 7 A;1 17 G;1 18 A;1 40 A;2 18 D;2 39 G;"
+            "3 17 B;3 38 G;4 1 B;4 3 G;4 5 G;4 25 A;4 37 A;5 2 D;5 6 G;5 9 A;"
+            "5 36 A;6 4 B;6 14 G;6 26 A;6 35 G;7 2 D;7 34 A;8 17 B;8 33 G;"
+            "9 2 D;9 15 G;9 20 G;9 32 A;10 9 B;10 30 G;10 31 G;11 30 B;"
+            "12 2 B;12 8 A;12 29 G;13 3 D;13 28 A;14 6 B;14 27 G;15 26 D;"
+            "16 25 B;17 18 B;17 24 A;18 23 D;19 6 D;19 22 A;20 1 D;20 12 G;"
+            "20 21 A;21 20 D;22 2 B;22 19 A;23 18 B;24 17 D;25 14 B;25 16 G;"
+            "26 15 D;27 14 D;28 8 B;28 10 G;28 13 G;29 12 B;30 8 D;30 11 G;"
+            "31 10 B;32 9 D;33 8 D;34 7 D;35 6 B;36 5 B;37 4 B;38 3 D;39 2 B;"
+            "40 1 B"
+        ),
+        (
+            "40;1 5 G;1 6 G;1 17 G;1 28 G;1 32 A;1 34 G;1 40 G;2 1 B;2 2 G;"
+            "2 3 G;2 39 A;3 28 D;3 36 G;3 38 A;4 17 D;4 33 G;4 37 G;5 36 D;"
+            "6 17 B;6 35 G;7 34 B;8 33 B;9 32 B;10 5 D;10 31 G;11 28 D;"
+            "11 30 A;12 2 B;12 4 A;12 22 A;12 29 G;13 28 B;14 3 D;14 19 G;"
+            "14 27 G;15 5 D;15 26 G;16 17 D;16 25 A;17 4 B;17 7 G;17 18 A;"
+            "17 24 A;18 1 D;18 12 A;18 23 A;19 22 D;20 5 B;20 21 G;21 6 D;"
+            "21 20 G;22 19 D;23 18 B;24 17 B;25 5 B;25 11 A;25 16 A;26 5 B;"
+            "26 15 A;27 11 D;27 14 A;28 3 B;28 8 A;28 13 G;29 12 B;30 11 D;"
+            "31 3 D;31 10 G;32 7 B;32 9 G;33 8 B;34 7 B;35 6 D;36 5 D;37 4 D;"
+            "38 3 B;39 2 B;40 1 D"
+        ),
+        (
+            "40;1 8 B;1 10 A;1 11 A;1 40 A;2 1 G;2 2 G;2 3 A;2 4 G;2 18 A;"
+            "2 39 G;3 11 B;3 19 A;3 38 A;4 4 B;4 14 G;4 26 A;4 37 G;5 19 D;"
+            "5 22 G;5 36 A;6 3 D;6 7 G;6 16 G;6 35 G;7 11 B;7 13 A;7 23 G;"
+            "7 32 G;7 34 G;8 23 D;8 33 A;9 32 D;10 4 D;10 31 A;11 16 D;"
+            "11 30 G;12 11 B;12 25 G;12 29 A;13 4 B;13 12 A;13 15 A;13 28 A;"
+            "14 15 D;14 27 G;15 26 D;16 25 B;17 1 B;17 24 G;18 23 B;19 22 D;"
+            "20 2 D;20 5 G;20 21 G;21 2 B;21 6 A;21 20 A;22 19 B;23 18 D;"
+            "24 1 B;24 17 G;25 16 B;26 15 B;27 14 D;28 13 B;29 12 D;30 11 B;"
+            "31 10 D;32 1 D;32 9 G;33 8 B;34 7 D;35 6 D;36 5 D;37 4 D;38 3 B;"
+            "39 2 D;40 1 D"
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(_PINNED_DRAWS))
+def test_seeded_draw_streams_are_pinned(n, seed):
+    assert [to_line(t) for t in sample_many(n, 4, seed)] == _PINNED_DRAWS[n, seed]
+
+
 def test_sample_statistics_matches_resampling():
     stats = sample_statistics(4, 6, seed=5)
     tableaux = sample_many(4, 6, seed=5)
