@@ -15,7 +15,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from staircase_tableaux.asep import ASEPParams, PARAMETER_GRID, verify_steady_state
+from staircase_tableaux.asep import (
+    _DENSE_LIMIT,
+    ASEPParams,
+    PARAMETER_GRID,
+    verify_steady_state,
+)
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,8 @@ def parse_args(argv: list[str] | None) -> SweepConfig:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--settings", type=int, default=20,
                     help="number of random parameter settings")
-    ap.add_argument("--n-max", type=int, default=4, choices=range(1, 7))
+    ap.add_argument("--n-max", type=int, default=4,
+                    choices=range(1, _DENSE_LIMIT + 1))
     ap.add_argument("--seed", type=int, default=20250823)
     ap.add_argument("--tol", type=float, default=1e-10)
     args = ap.parse_args(argv)

@@ -11,21 +11,27 @@ stays put, so rows are stochastic by construction.
 The stationary law is proportional to the tableaux partition functions:
 pi(sigma) = Z_sigma / Z_n, with Z_sigma the total weight of the staircase
 tableaux whose type word is sigma evaluated at the chain parameters.
-`verify_steady_state` checks that identity numerically (or exactly, in
-rational mode).
+`partition_functions` computes every Z_sigma by a column-growth transfer DP in
+integers, for n up to the chain's own cap of 8;
+`enumerated_partition_functions` sums over every tableau instead (n <= 6) and
+is the DP's exact oracle.  `verify_steady_state` checks the identity
+numerically (or exactly, in rational mode) and reports the solve's residual
+max |pi P - pi| alongside.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
 
 import numpy as np
 
 from .core import Tableau, type_word, weight
 from .enumerator import _ENUM_LIMIT, enumerate_all
 
+#: Largest n of the dense chain and of the partition-function DP alike.
 _DENSE_LIMIT = 8
 
 
@@ -121,7 +127,8 @@ def build_chain(n: int, params: ASEPParams) -> ASEPChain:
         row[s] += stay
         rows.append(tuple(row))
     chain = ASEPChain(n, params, tuple(rows))
-    assert all(sum(row) == 1 for row in chain.matrix)
+    # Zeros skipped: a row has at most n + 3 nonzero entries.
+    assert all(sum(filter(None, row)) == 1 for row in chain.matrix)
     return chain
 
 
@@ -169,10 +176,98 @@ def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.nda
     return rhs
 
 
+def _slot_tables(
+    r_max: int, a: int, b: int, g: int, d: int, u: int, q: int
+) -> list[tuple[dict[tuple[int, int], int], ...]]:
+    """Weights of the fills of k AG slots above a beta/delta bottom, k <= r_max.
+
+    ``tables[k][0]`` is for slots whose nearest occupied box below reads u
+    (a delta bottom), ``tables[k][1]`` for one that reads q (a beta bottom).
+    Each maps (betas placed, deltas placed) to the summed weight of those
+    fills.  The slots are walked bottom-up: an empty slot takes the label of
+    the nearest occupied box below, a beta makes the slots above read q, a
+    delta makes them read u, and an alpha or gamma is the topmost occupied
+    box, closing the column with u (alpha) or q (gamma) on every slot above.
+    """
+    tables = [({(0, 0): 1}, {(0, 0): 1})]
+    for k in range(1, r_max + 1):
+        below_u, below_q = tables[k - 1]
+        placed = {(0, 0): a * u ** (k - 1) + g * q ** (k - 1)}
+        for (nb, nd), w in below_q.items():
+            placed[nb + 1, nd] = placed.get((nb + 1, nd), 0) + b * w
+        for (nb, nd), w in below_u.items():
+            placed[nb, nd + 1] = placed.get((nb, nd + 1), 0) + d * w
+        rows = []
+        for label, below in ((u, below_u), (q, below_q)):
+            row = dict(placed)
+            for key, w in below.items():  # the lowest slot left empty
+                row[key] = row.get(key, 0) + label * w
+            rows.append(row)
+        tables.append(tuple(rows))
+    return tables
+
+
 def partition_functions(
     n: int, params: ASEPParams
 ) -> tuple[Fraction, dict[str, Fraction]]:
-    """(Z_n, per-type Z_sigma) by full enumeration; practical for n <= 6."""
+    """(Z_n, per-type Z_sigma) by a column-growth transfer DP, for n <= 8.
+
+    Columns are prepended in the walk's order (column n-m gets its diagonal
+    box in row m+1), and prepending one never relabels older boxes, so each
+    tableau's weight is a product of per-column factors.  The state is (type
+    word prefix, AG-row count r, beta-row count); the rows that are not AG
+    rows have beta or delta leftmost, and their boxes in the new column are
+    empty and read u (beta) or q (delta).  An alpha bottom adds alpha u^r and
+    a gamma bottom gamma q^r; a beta or delta bottom adds its symbol times the
+    fills of the r AG slots (`_slot_tables`).  Every rate is scaled to an
+    integer over D, the lcm of their denominators; a size-n tableau has
+    n(n+1)/2 boxes, so each Z_sigma is an integer over D**(n(n+1)/2).
+    """
+    if not 1 <= n <= _DENSE_LIMIT:
+        raise ValueError(f"need 1 <= n <= {_DENSE_LIMIT}, got {n}")
+    rates = (
+        params.alpha, params.beta, params.gamma, params.delta, params.u,
+        params.q,
+    )
+    den = lcm(*(x.denominator for x in rates))
+    a, b, g, d, u, q = (x.numerator * (den // x.denominator) for x in rates)
+    u_pow = [u**k for k in range(n)]
+    q_pow = [q**k for k in range(n)]
+    tables = _slot_tables(n - 1, a, b, g, d, u, q)
+    # (type word so far, leftmost site as the high bit; r; beta rows) -> weight
+    states: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
+    for m in range(n):
+        grown: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+        for (word, r, n_beta), w in states.items():
+            w *= u_pow[n_beta] * q_pow[m - r - n_beta]
+            if not w:
+                continue
+            filled, empty = word << 1 | 1, word << 1
+            grown[filled, r + 1, n_beta] += w * a * u_pow[r]
+            grown[empty, r + 1, n_beta] += w * g * q_pow[r]
+            below_u, below_q = tables[r]
+            w_beta, w_delta = w * b, w * d
+            for (nb, nd), t in below_q.items():
+                grown[empty, r - nb - nd, n_beta + nb + 1] += w_beta * t
+            for (nb, nd), t in below_u.items():
+                grown[filled, r - nb - nd, n_beta + nb] += w_delta * t
+        states = grown
+    sums = [0] * (1 << n)
+    for (word, _, _), w in states.items():
+        sums[word] += w
+    scale = den ** (n * (n + 1) // 2)
+    by_type = {state_bits(s, n): Fraction(z, scale) for s, z in enumerate(sums)}
+    return Fraction(sum(sums), scale), by_type
+
+
+def enumerated_partition_functions(
+    n: int, params: ASEPParams
+) -> tuple[Fraction, dict[str, Fraction]]:
+    """(Z_n, per-type Z_sigma) by full enumeration, for n <= 6.
+
+    The exact oracle for `partition_functions`: it sums the weight monomial of
+    every tableau, so it shares nothing with the DP but the filling rules.
+    """
     if not 1 <= n <= _ENUM_LIMIT:
         raise ValueError(
             f"enumeration-backed partition functions need n <= {_ENUM_LIMIT}, got {n}"
@@ -195,12 +290,31 @@ def partition_functions(
 
 @dataclass(frozen=True)
 class SteadyStateReport:
+    """``max_deviation`` compares pi with Z_sigma / Z_n and decides ``passed``;
+    ``residual`` is the solve's own error max |pi P - pi|, a float in float
+    mode and a Fraction in exact mode."""
+
     n: int
     params: ASEPParams
     max_deviation: float
+    residual: float | Fraction
     tol: float
     passed: bool
     exact: bool
+
+
+def _residual(
+    chain: ASEPChain, pi: list[Fraction] | np.ndarray, exact: bool
+) -> float | Fraction:
+    """max over states of |(pi P)_s - pi_s|."""
+    if not exact:
+        return float(np.max(np.abs(pi @ chain.to_numpy() - pi)))
+    flow = [Fraction(0)] * chain.size
+    for p_from, row in zip(pi, chain.matrix):
+        for s, p in enumerate(row):
+            if p:
+                flow[s] += p_from * p
+    return max(abs(f - p) for f, p in zip(flow, pi))
 
 
 def verify_steady_state(
@@ -221,7 +335,10 @@ def verify_steady_state(
             abs(float(pi[s]) - float(by_type[state_bits(s, n)] / total))
             for s in range(1 << n)
         )
-    return SteadyStateReport(n, params, max_dev, tol, max_dev < tol, exact)
+    return SteadyStateReport(
+        n, params, max_dev, _residual(chain, pi, exact), tol, max_dev < tol,
+        exact,
+    )
 
 
 #: Fixed parameter settings used by the verification suite.  Chosen to cover

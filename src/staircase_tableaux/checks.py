@@ -20,7 +20,12 @@ from functools import lru_cache
 from math import factorial, sqrt
 from typing import Any, Callable, Sequence
 
-from .asep import PARAMETER_GRID, verify_steady_state
+from .asep import (
+    PARAMETER_GRID,
+    enumerated_partition_functions,
+    partition_functions,
+    verify_steady_state,
+)
 from .core import Tableau, statistics
 from .counting import total_count
 from .enumerator import enumerate_all
@@ -76,6 +81,7 @@ class _Ranges:
     chi_draws: int
     ks_n: int | None
     asep: int
+    z_oracle: int
 
 
 def _ranges(n_max: int) -> _Ranges:
@@ -92,7 +98,8 @@ def _ranges(n_max: int) -> _Ranges:
         audit=_KEEP_MAX if full else min(n_max, 3),
         chi_draws=10**5 if full else 20_000 if n_max >= 4 else 5_000,
         ks_n=2000 if full else None,
-        asep=min(n_max, 4),
+        asep=8 if full else min(n_max, 4),
+        z_oracle=min(n_max, 4),
     )
 
 
@@ -330,12 +337,22 @@ def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("asep-grid")
 def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    worst = 0.0
-    ok = True
+    # The DP's Z values must equal the enumeration's exactly, setting by
+    # setting; the chain identity then runs on the DP alone.
+    mismatches = [
+        [k, n]
+        for k, params in enumerate(PARAMETER_GRID)
+        for n in range(1, rg.z_oracle + 1)
+        if partition_functions(n, params)
+        != enumerated_partition_functions(n, params)
+    ]
+    worst = residual = 0.0
+    ok = not mismatches
     for params in PARAMETER_GRID:
         for n in range(1, rg.asep + 1):
             rep = verify_steady_state(n, params, tol=1e-10)
             worst = max(worst, rep.max_deviation)
+            residual = max(residual, rep.residual)
             ok = ok and rep.passed
     exact = verify_steady_state(1, PARAMETER_GRID[0], exact=True).max_deviation
     ok = ok and worst < 1e-10 and exact == 0.0
@@ -343,7 +360,10 @@ def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
         "max_n": rg.asep,
         "settings": len(PARAMETER_GRID),
         "max_deviation": worst,
+        "max_residual": residual,
         "exact_n1_deviation": exact,
+        "z_oracle_max_n": rg.z_oracle,
+        "z_mismatches": mismatches,
     }
 
 

@@ -389,6 +389,7 @@ def _cmd_asep(cfg: RunConfig, out: TextIO) -> int:
         meta,
         {
             "max_deviation": rep.max_deviation,
+            "residual": _rat(rep.residual) if rep.exact else rep.residual,
             "tol": rep.tol,
             "passed": rep.passed,
             "exact": rep.exact,

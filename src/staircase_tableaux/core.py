@@ -37,17 +37,24 @@ class GreekSymbol(Enum):
     @property
     def is_ag(self) -> bool:
         """Alpha/gamma class: the column-restricted symbols."""
-        return self in (GreekSymbol.ALPHA, GreekSymbol.GAMMA)
+        return self in _AG
 
     @property
     def is_bd(self) -> bool:
         """Beta/delta class: the row-restricted symbols."""
-        return self in (GreekSymbol.BETA, GreekSymbol.DELTA)
+        return self in _BD
 
     @property
     def fills_site(self) -> bool:
         """True if the symbol reads as an occupied site in the type word."""
-        return self in (GreekSymbol.ALPHA, GreekSymbol.DELTA)
+        return self in _SITE
+
+
+# Tuples rather than sets: membership then tests identity, while hashing an
+# Enum member is a Python-level call.  The order is the sampler's draw order.
+_AG = (GreekSymbol.ALPHA, GreekSymbol.GAMMA)
+_BD = (GreekSymbol.BETA, GreekSymbol.DELTA)
+_SITE = (GreekSymbol.ALPHA, GreekSymbol.DELTA)
 
 
 class Label(Enum):
@@ -199,6 +206,16 @@ def _rows(t: Tableau) -> dict[int, list[tuple[int, GreekSymbol]]]:
     return rows
 
 
+def _leftmost(t: Tableau) -> dict[int, tuple[int, GreekSymbol]]:
+    """Each row's first occupied box, as row -> (column, symbol)."""
+    first: dict[int, tuple[int, GreekSymbol]] = {}
+    for (i, j), s in t.cells.items():
+        seen = first.get(i)
+        if seen is None or j < seen[0]:
+            first[i] = (j, s)
+    return first
+
+
 def _columns(t: Tableau) -> dict[int, list[tuple[int, GreekSymbol]]]:
     cols: dict[int, list[tuple[int, GreekSymbol]]] = {}
     for (i, j), s in t.cells.items():
@@ -267,8 +284,7 @@ def label_uq(t: Tableau) -> LabeledTableau:
     """
     check_valid(t)
     labels: dict[Cell, Label] = {}
-    for i, entries in _rows(t).items():
-        j0, s0 = entries[0]
+    for i, (j0, s0) in _leftmost(t).items():
         if s0.is_bd:
             lab = Label.U if s0 is GreekSymbol.BETA else Label.Q
             for j in range(1, j0):
@@ -311,26 +327,26 @@ def weight(t: Tableau) -> WeightMonomial:
 
 def ag_row_indices(t: Tableau) -> list[int]:
     """Rows whose leftmost entry is alpha/gamma, in increasing row order."""
-    out = []
-    for i, entries in sorted(_rows(t).items()):
-        if entries[0][1].is_ag:
-            out.append(i)
-    return out
+    return sorted(i for i, (_, s) in _leftmost(t).items() if s in _AG)
 
 
 def statistics(t: Tableau) -> StatVector:
     check_valid(t)
-    n_ag = sum(1 for s in t.cells.values() if s.is_ag)
-    n_bd = len(t.cells) - n_ag
-    a_diag = sum(
-        1 for i in range(1, t.n + 1) if t.cells[t.diagonal_cell(i)].is_ag
-    )
+    n = t.n
+    n_ag = a_diag = 0
+    for (i, j), s in t.cells.items():
+        if s in _AG:
+            n_ag += 1
+            a_diag += i + j == n + 1
+    r = 0
+    for _, s in _leftmost(t).values():
+        r += s in _AG
     sv = StatVector(
-        r=len(ag_row_indices(t)),
-        delta=n_bd,
+        r=r,
+        delta=len(t.cells) - n_ag,
         gamma=n_ag,
         a_diag=a_diag,
-        b_diag=t.n - a_diag,
+        b_diag=n - a_diag,
     )
     assert sv.r + sv.delta == t.n and sv.a_diag + sv.b_diag == t.n
     return sv

@@ -27,6 +27,8 @@ from itertools import product
 from typing import Callable
 
 from .core import (
+    _AG,
+    _BD,
     Cell,
     GreekSymbol,
     InvalidTableauError,
@@ -35,10 +37,9 @@ from .core import (
     check_valid,
 )
 
-_AG = (GreekSymbol.ALPHA, GreekSymbol.GAMMA)
-_BD = (GreekSymbol.BETA, GreekSymbol.DELTA)
-
-#: Largest n of the user-facing exhaustive walks (82,575,360 tableaux at 7).
+#: Largest n of the user-facing exhaustive walks (`enumerate` and the
+#: enumeration oracle for the ASEP partition functions; 82,575,360 tableaux
+#: at 7).
 _ENUM_LIMIT = 6
 
 

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .core import StatVector, Tableau, ag_row_indices, statistics
+from .core import _AG, _BD, StatVector, Tableau, ag_row_indices, statistics
 from .counting import (
     Down,
     Up,
@@ -33,7 +33,7 @@ from .counting import (
     multiplicity,
     with_ag_multiplicity,
 )
-from .enumerator import _AG, _BD, ColumnFill, _grown, _place, split_first_column
+from .enumerator import ColumnFill, _grown, _place, split_first_column
 
 RNG_ID = "python-random-mt19937"
 

@@ -142,14 +142,18 @@ def test_c12_stationary_law_equals_weight_ratios():
     m = res.measured
     ok = (
         res.passed
-        and m["max_n"] == 4
+        and m["max_n"] == 8
         and m["settings"] == len(PARAMETER_GRID)
+        and m["z_oracle_max_n"] == 4
+        and m["z_mismatches"] == []
         and m["max_deviation"] < 1e-10
         and m["exact_n1_deviation"] == 0.0
     )
     _report(
         ok,
         "asep-identity",
-        f"float max dev {m['max_deviation']:.2e} over {m['settings']} settings, "
-        f"exact n=1 dev {m['exact_n1_deviation']}",
+        f"float max dev {m['max_deviation']:.2e} over {m['settings']} settings "
+        f"and n <= {m['max_n']}, exact n=1 dev {m['exact_n1_deviation']}, "
+        f"DP vs enumeration mismatches {m['z_mismatches']} for n <= "
+        f"{m['z_oracle_max_n']}",
     )

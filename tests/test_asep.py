@@ -12,6 +12,7 @@ from staircase_tableaux.asep import (
     PARAMETER_GRID,
     ReducibleChainError,
     build_chain,
+    enumerated_partition_functions,
     partition_functions,
     state_bits,
     stationary,
@@ -142,7 +143,45 @@ def test_per_type_sums_partition_the_total(n):
 
 def test_partition_functions_size_guard():
     with pytest.raises(ValueError):
-        partition_functions(7, GENERIC)
+        partition_functions(9, GENERIC)
+    with pytest.raises(ValueError):
+        partition_functions(0, GENERIC)
+    with pytest.raises(ValueError):
+        enumerated_partition_functions(7, GENERIC)
+
+
+@pytest.mark.parametrize("boundary", [("2/3", "1/5", "3/7", "1/9"), ("1",) * 4])
+def test_closed_form_at_q_equal_u_equal_one(boundary):
+    # Z_n = prod_{j<n} (a + b + g + d + j (a + g)(b + d)) at q = u = 1
+    # (Corteel, Stanley, Stanton, Williams, Trans. AMS 2012); all ones
+    # gives the tableau count 4**n n!.
+    p = ASEPParams.from_strings(*boundary, "1", "1")
+    expected = Fraction(1)
+    for n in range(1, 9):
+        expected *= (
+            p.alpha + p.beta + p.gamma + p.delta
+            + (n - 1) * (p.alpha + p.gamma) * (p.beta + p.delta)
+        )
+        assert partition_functions(n, p)[0] == expected
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        ("0", "1/2", "1/3", "1/4", "1/5", "1/6"),
+        ("1/2", "1/3", "0", "0", "0", "1/4"),
+        ("1/2", "0", "1/3", "1/5", "1/7", "0"),
+        ("0", "0", "0", "0", "1/2", "1/3"),
+        ("1/3", "2/3", "1/5", "2/5", "1/7", "3/7"),
+    ],
+    ids=["alpha0", "gamma-delta-q0", "beta-u0", "boundaries0", "generic"],
+)
+def test_dp_equals_enumeration_oracle(rates):
+    p = ASEPParams.from_strings(*rates)
+    for n in range(1, 5):
+        total, by_type = partition_functions(n, p)
+        assert (total, by_type) == enumerated_partition_functions(n, p)
+        assert all(type(z) is Fraction for z in by_type.values())
 
 
 # ------------------------------------------------------------ steady state
@@ -156,8 +195,17 @@ def test_stationary_law_equals_partition_ratios(n, params):
     assert rep.max_deviation < 1e-10
 
 
+@pytest.mark.parametrize("params", PARAMETER_GRID)
+def test_steady_state_holds_up_to_the_chain_cap(params):
+    for n in range(5, 9):
+        rep = verify_steady_state(n, params, tol=1e-10)
+        assert rep.passed, rep
+        assert type(rep.residual) is float and rep.residual < 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_identity_is_exact_in_rational_mode(n):
     rep = verify_steady_state(n, GENERIC, exact=True)
     assert rep.exact
     assert rep.max_deviation == 0.0
+    assert rep.residual == 0 and type(rep.residual) is Fraction

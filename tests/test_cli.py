@@ -189,6 +189,40 @@ def test_asep_partition_mode_lists_types(capsys):
     assert [e["type"] for e in doc["by_type"]] == ["00", "01", "10", "11"]
 
 
+@pytest.mark.parametrize("mode", ["verify", "partition", "stationary"])
+def test_asep_runs_at_the_cap(capsys, mode):
+    code, out = run(
+        capsys, "asep", "--n", "8", *_PARAMS, "--mode", mode, "--no-timestamp",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    if mode == "verify":
+        assert doc["passed"] is True and doc["residual"] < 1e-12
+    elif mode == "partition":
+        assert len(doc["by_type"]) == 256
+    else:
+        assert len(doc["pi"]) == 256
+
+
+@pytest.mark.parametrize("mode", ["verify", "partition", "stationary"])
+def test_asep_beyond_the_cap_is_a_one_line_error(capsys, mode):
+    code = main(["asep", "--n", "9", *_PARAMS, "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: need 1 <= n <= 8, got 9")
+    assert captured.err.count("\n") == 1
+
+
+def test_asep_exact_verify_prints_a_rational_residual(capsys):
+    code, out = run(
+        capsys, "asep", "--n", "2", *_PARAMS, "--exact", "--no-timestamp",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["residual"] == ["0", "1"]
+
+
 def test_asep_rejects_malformed_rate(capsys):
     code = main(["asep", "--n", "2", "--alpha", "abc", *_PARAMS[2:]])
     assert code == 2

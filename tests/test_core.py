@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import core
-from staircase_tableaux.asep import PARAMETER_GRID, partition_functions
+from staircase_tableaux.asep import PARAMETER_GRID, enumerated_partition_functions
 from staircase_tableaux.core import (
     GreekSymbol,
     InvalidTableauError,
@@ -110,7 +110,7 @@ def validate_calls(monkeypatch):
     [
         lambda: enumerate_all(3, statistics),
         lambda: sample_statistics(4, 50, 1),
-        lambda: partition_functions(2, PARAMETER_GRID[0]),
+        lambda: enumerated_partition_functions(2, PARAMETER_GRID[0]),
     ],
     ids=["walk", "sampler", "partition-functions"],
 )
