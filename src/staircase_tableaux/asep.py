@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -37,7 +38,7 @@ _DENSE_LIMIT = 8
 
 class ReducibleChainError(ValueError):
     """Stationary solve refused: some parameter is zero, so the chain may not
-    visit every state."""
+    visit every state, or the balance system turned out singular."""
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,16 @@ class ASEPChain:
         return 1 << self.n
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(
+        """The matrix as a read-only float array, converted once per chain."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        dense = np.array(
             [[float(p) for p in row] for row in self.matrix], dtype=float
         )
+        dense.flags.writeable = False
+        return dense
 
 
 def build_chain(n: int, params: ASEPParams) -> ASEPChain:
@@ -162,7 +170,10 @@ def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.nda
         pivot = next(
             (r for r in range(col, size) if m[r][col] != 0), None
         )
-        assert pivot is not None, "singular system for an irreducible chain"
+        if pivot is None:
+            raise ReducibleChainError(
+                "singular system: the chain has no unique stationary law"
+            )
         m[col], m[pivot] = m[pivot], m[col]
         rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
         inv = 1 / m[col][col]

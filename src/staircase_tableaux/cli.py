@@ -46,7 +46,7 @@ from .asep import (
     verify_steady_state,
 )
 from .checks import CHECK_NAMES, verify_suite
-from .core import Tableau, statistics as tableau_statistics, to_line
+from .core import StatVector, statistics as tableau_statistics, to_line
 from .counting import completions, total_count
 from .enumerator import _ENUM_LIMIT, enumerate_all
 from .polyengine import (
@@ -56,7 +56,7 @@ from .polyengine import (
     build_c,
     pole_constants,
 )
-from .sampler import RNG_ID, sample_many
+from .sampler import RNG_ID, sample_many, sample_statistics
 from .stats import (
     dist_A,
     dist_B,
@@ -223,8 +223,7 @@ def _cmd_count(cfg: RunConfig, out: TextIO) -> int:
 _STAT_HEADER = ("n", "r", "delta", "gamma", "a_diag", "b_diag")
 
 
-def _stat_row(n: int, t: Tableau) -> tuple[int, int, int, int, int, int]:
-    s = tableau_statistics(t)
+def _stat_row(n: int, s: StatVector) -> tuple[int, int, int, int, int, int]:
     return (n, s.r, s.delta, s.gamma, s.a_diag, s.b_diag)
 
 
@@ -236,7 +235,10 @@ def _cmd_enumerate(cfg: RunConfig, out: TextIO) -> int:
             out.write(f"# {key}={value}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_STAT_HEADER)
-        enumerate_all(cfg.n, lambda t: writer.writerow(_stat_row(cfg.n, t)))
+        enumerate_all(
+            cfg.n,
+            lambda t: writer.writerow(_stat_row(cfg.n, tableau_statistics(t))),
+        )
     else:
         enumerate_all(cfg.n, lambda t: out.write(to_line(t) + "\n"))
     return 0
@@ -245,25 +247,24 @@ def _cmd_enumerate(cfg: RunConfig, out: TextIO) -> int:
 def _cmd_sample(cfg: RunConfig, out: TextIO) -> int:
     if cfg.count < 1:
         raise ValueError(f"--count must be at least 1, got {cfg.count}")
-    draws = sample_many(cfg.n, cfg.count, cfg.seed)
+    if cfg.fmt == "text":
+        for t in sample_many(cfg.n, cfg.count, cfg.seed):
+            out.write(to_line(t) + "\n")
+        return 0
+    # The json and csv reports read only statistics, drawn from the same
+    # stream without building the tableaux.
+    draws = sample_statistics(cfg.n, cfg.count, cfg.seed)
     if cfg.fmt == "json":
-        r_hist: Counter[int] = Counter()
-        a_hist: Counter[int] = Counter()
-        for t in draws:
-            s = tableau_statistics(t)
-            r_hist[s.r] += 1
-            a_hist[s.a_diag] += 1
+        r_hist = Counter(s.r for s in draws)
+        a_hist = Counter(s.a_diag for s in draws)
         payload = {
             "r_histogram": {str(v): r_hist[v] for v in sorted(r_hist)},
             "a_diag_histogram": {str(v): a_hist[v] for v in sorted(a_hist)},
         }
         _write_json(out, _metadata(cfg, with_seed=True), payload)
-    elif cfg.fmt == "csv":
-        rows = [_stat_row(cfg.n, t) for t in draws]
-        _write_csv(out, _metadata(cfg, with_seed=True), _STAT_HEADER, rows)
     else:
-        for t in draws:
-            out.write(to_line(t) + "\n")
+        rows = [_stat_row(cfg.n, s) for s in draws]
+        _write_csv(out, _metadata(cfg, with_seed=True), _STAT_HEADER, rows)
     return 0
 
 

@@ -120,12 +120,14 @@ def _place(
     if fill.bottom.is_ag:
         return ag_rows + [bottom_row]
     r = len(ag_rows)
-    dropped = set()
+    kept = ag_rows.copy()
+    # Slots ascend, so positions r - k descend and each deletion leaves the
+    # positions still to come in place.
     for k, s in fill.upper:
         cells[(ag_rows[r - k], col)] = s
         if s.is_bd:
-            dropped.add(r - k)
-    return [row for pos, row in enumerate(ag_rows) if pos not in dropped]
+            del kept[r - k]
+    return kept
 
 
 def _grown(n: int, cells: dict) -> Tableau:

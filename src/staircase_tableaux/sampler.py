@@ -13,9 +13,25 @@ probability 1/(4**n n!) exactly; `probability_of` certifies this per tableau
 by replaying the branch and multiplying the stage probabilities as exact
 rationals.
 
+The class is drawn lazily.  x is drawn below the closed-form total
+4k (2k+1)**r, and the classes are walked in the order Up, Down(0), Down(1),
+..., each weight made from the previous one by exact integer steps, until
+one covers x.  The Down(j) weights fall off like r/(jk), so the walk almost
+always stops within a few classes.  The power of 2k-1 it stops at is
+(2(k-1)+1)**r', the next column's total up to its small factor, so a column
+costs one big power and a few big-int steps whatever r is.  The slot subset
+is drawn as a lexicographic rank and unranked by bisection.
+
+`sample_statistics` makes the same draws in the same order as `sample_many`
+(`_columns` is their one source) but keeps only the class counts, so it
+builds no `ColumnFill` and no `Tableau`, and a seed gives the same
+`StatVector`s both ways.
+
 All randomness flows through `random.Random` (Mersenne Twister) seeded by the
 caller, consumed only via `randrange`, so draws are reproducible across runs
-and platforms.
+and platforms.  The draw order (class, bottom symbol, subclass, subset rank,
+upper symbols bottom-up) and every `randrange` bound are those of the full
+class-weight table this walk replaced, so every seeded stream is unchanged.
 """
 
 from __future__ import annotations
@@ -23,11 +39,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
-from .core import _AG, _BD, StatVector, Tableau, ag_row_indices, statistics
+from .core import _AG, _BD, StatVector, Tableau, ag_row_indices
+# `sample_statistics` no longer calls `statistics`; the name stays bound
+# because `bench/layers.py` wraps it as `sampler.statistics`.
+from .core import statistics  # noqa: F401
 from .counting import (
     Down,
-    Up,
     bd_only_multiplicity,
     completion_count,
     multiplicity,
@@ -38,73 +57,130 @@ from .enumerator import ColumnFill, _grown, _place, split_first_column
 RNG_ID = "python-random-mt19937"
 
 
-def _class_weights(k: int, r: int) -> tuple[int, list[int]]:
-    """Relative class weights at (k columns left, r AG rows).
+def _draw_class(
+    rng: random.Random, k: int, r: int, scale: int
+) -> tuple[int, int, int, int]:
+    """Draw the move class at (k columns left, r AG rows).
 
-    The common factor 4**(k-1) (k-1)! of N(k-1, .) is dropped, leaving
-    Up: 2 (2k-1)**(r+1) and Down(j): multiplicity * (2k-1)**(r-j); their sum
-    is 4k (2k+1)**r, checked here.
+    `scale` is (2k+1)**r.  The common factor 4**(k-1) (k-1)! of N(k-1, .) is
+    dropped from the class weights, leaving Up: 2 (2k-1)**(r+1) and Down(j):
+    multiplicity(r, Down(j)) * (2k-1)**(r-j), which sum to 4k scale.  x is
+    drawn below that sum and the classes are walked in the order Up, Down(0),
+    Down(1), ..., each weight made from the previous one by exact integer
+    steps, until one covers x.
+
+    Returns (j, C(r, j), C(r, j+1), (2k-1)**r') with j = -1 for Up and r' the
+    AG-row count after the move; the last entry is the next column's `scale`.
     """
     base = 2 * k - 1
-    powers = [1]
-    for _ in range(r + 1):
-        powers.append(powers[-1] * base)
-    weights = [2 * powers[r + 1]]
+    power = base ** (r + 1)
+    x = rng.randrange(4 * k * scale) - 2 * power
+    if x < 0:
+        return -1, 0, 0, power
+    low, high, two = 1, r, 2  # C(r, j), C(r, j+1), 2**(j+1)
     for j in range(r + 1):
-        weights.append(multiplicity(r, Down(j)) * powers[r - j])
-    assert sum(weights) == 4 * k * (2 * k + 1) ** r
-    return sum(weights), weights
+        power //= base
+        x -= two * (2 * high + low) * power
+        if x < 0:
+            return j, low, high, power
+        low, high, two = high, high * (r - j - 1) // (j + 2), 2 * two
+    raise RuntimeError(
+        f"class weights at k={k}, r={r} do not sum to 4k(2k+1)**r"
+    )
 
 
 def _unrank_subset(r: int, size: int, index: int) -> list[int]:
-    """index-th size-subset of {1..r} in lexicographic order."""
+    """index-th size-subset of {1..r} in lexicographic order.
+
+    Each element is found by bisection: with m elements still to pick from
+    {x..r}, C(r-x+1, m) subsets remain, and those whose least element
+    exceeds y number C(r-y, m).
+    """
     out = []
     x = 1
-    for remaining in range(size, 0, -1):
-        while True:
-            after = comb(r - x, remaining - 1)
-            if index < after:
-                out.append(x)
-                x += 1
-                break
-            index -= after
-            x += 1
+    for m in range(size, 0, -1):
+        remaining = comb(r - x + 1, m)
+        target = remaining - index
+        lo, hi = x, r - m + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if comb(r - mid, m) < target:
+                hi = mid
+            else:
+                lo = mid + 1
+        index -= remaining - comb(r - lo + 1, m)
+        out.append(lo)
+        x = lo + 1
     return out
 
 
-def _draw_fill(rng: random.Random, k: int, r: int) -> ColumnFill:
-    total, weights = _class_weights(k, r)
-    x = rng.randrange(total)
-    cls = 0
-    for w in weights:
-        if x < w:
-            break
-        x -= w
-        cls += 1
-    if cls == 0:
-        return ColumnFill(_AG[rng.randrange(2)])
-    j = cls - 1
-    bottom = _BD[rng.randrange(2)]
-    ag_w = with_ag_multiplicity(r, j)
-    bd_w = bd_only_multiplicity(r, j)
-    with_ag = rng.randrange(ag_w + bd_w) < ag_w
+def _columns(
+    rng: random.Random, n: int
+) -> Iterator[tuple[int, int, bool, int, list[int]]]:
+    """All random choices of one size-n draw, column by column in stream
+    order.
+
+    Yields (r, j, with_ag, rank, picks) per column: r is the AG-row count
+    before it; j is -1 for Up and the Down index otherwise; with_ag says
+    whether an alpha/gamma upper entry was drawn; rank is the lexicographic
+    rank of the occupied slot subset; picks are the symbol draws, the bottom
+    box first, then one per occupied slot bottom-up.
+    """
+    randrange = rng.randrange
+    r, scale = 0, 1
+    for k in range(n, 0, -1):
+        j, low, high, scale = _draw_class(rng, k, r, scale)
+        picks = [randrange(2)]
+        if j < 0:
+            yield r, j, False, 0, picks
+            r += 1
+            continue
+        ag_w = high << (j + 2)  # with_ag_multiplicity(r, j)
+        with_ag = randrange(ag_w + (low << (j + 1))) < ag_w
+        if with_ag:
+            rank = randrange(high)
+        else:
+            rank = randrange(low) if j else 0
+        picks += [randrange(2) for _ in range(j + with_ag)]
+        yield r, j, with_ag, rank, picks
+        r -= j
+
+
+def _fill(
+    r: int, j: int, with_ag: bool, rank: int, picks: list[int]
+) -> ColumnFill:
+    """The fill that one column's choices from `_columns` describe."""
+    if j < 0:
+        return ColumnFill(_AG[picks[0]])
+    slots = _unrank_subset(r, j + with_ag, rank)
+    upper = [(s, _BD[b]) for s, b in zip(slots, picks[1:])]
     if with_ag:
-        slots = _unrank_subset(r, j + 1, rng.randrange(comb(r, j + 1)))
-        upper = [(s, _BD[rng.randrange(2)]) for s in slots[:-1]]
-        upper.append((slots[-1], _AG[rng.randrange(2)]))
-    else:
-        slots = _unrank_subset(r, j, rng.randrange(comb(r, j))) if j else []
-        upper = [(s, _BD[rng.randrange(2)]) for s in slots]
-    return ColumnFill(bottom, tuple(upper))
+        upper[-1] = (slots[-1], _AG[picks[-1]])
+    return ColumnFill(_BD[picks[0]], tuple(upper))
 
 
 def _grow(rng: random.Random, n: int) -> Tableau:
     cells: dict = {}
     ag_rows: list[int] = []
-    for m in range(n):
-        fill = _draw_fill(rng, n - m, len(ag_rows))
-        ag_rows = _place(cells, ag_rows, m + 1, n - m, fill)
+    for m, column in enumerate(_columns(rng, n)):
+        ag_rows = _place(cells, ag_rows, m + 1, n - m, _fill(*column))
     return _grown(n, cells)
+
+
+def _grow_statistics(rng: random.Random, n: int) -> StatVector:
+    """`statistics` of the tableau `_grow` would draw from the same stream."""
+    n_bd = n_ag = a_diag = 0
+    for _, j, with_ag, _, _ in _columns(rng, n):
+        if j < 0:
+            n_ag += 1
+            a_diag += 1
+        else:
+            n_bd += j + 1
+            n_ag += with_ag
+    # Each column adds one to r + delta.
+    return StatVector(
+        r=n - n_bd, delta=n_bd, gamma=n_ag, a_diag=a_diag, b_diag=n - a_diag
+    )
 
 
 def sample_uniform(n: int, seed: int) -> Tableau:
@@ -112,22 +188,29 @@ def sample_uniform(n: int, seed: int) -> Tableau:
     return sample_many(n, 1, seed)[0]
 
 
-def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
-    """`count` independent uniform tableaux from one seeded stream."""
+def _stream(n: int, count: int, seed: int) -> random.Random:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
-    rng = random.Random(seed)
+    return random.Random(seed)
+
+
+def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
+    """`count` independent uniform tableaux from one seeded stream."""
+    rng = _stream(n, count, seed)
     return [_grow(rng, n) for _ in range(count)]
 
 
 def sample_statistics(n: int, count: int, seed: int) -> list[StatVector]:
-    return [statistics(t) for t in sample_many(n, count, seed)]
+    """`[statistics(t) for t in sample_many(n, count, seed)]`, drawn without
+    building the tableaux."""
+    rng = _stream(n, count, seed)
+    return [_grow_statistics(rng, n) for _ in range(count)]
 
 
 def _fill_probability(k: int, r: int, fill: ColumnFill) -> Fraction:
-    """Probability that `_draw_fill(rng, k, r)` produces exactly `fill`,
+    """Probability that the column draw at (k, r) produces exactly `fill`,
     accumulated stage by stage (class, subclass, subset, symbols)."""
     total = completion_count(k, r)
     if fill.bottom.is_ag:

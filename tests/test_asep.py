@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from staircase_tableaux.asep import (
+    ASEPChain,
     ASEPParams,
     PARAMETER_GRID,
     ReducibleChainError,
@@ -92,6 +93,14 @@ def test_to_numpy_is_row_stochastic():
     assert np.allclose(m.sum(axis=1), 1.0)
 
 
+def test_to_numpy_converts_once_and_is_read_only():
+    chain = build_chain(3, GENERIC)
+    m = chain.to_numpy()
+    assert chain.to_numpy() is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+
+
 # --------------------------------------------------------------- stationary
 
 
@@ -108,6 +117,16 @@ def test_exact_and_float_solvers_agree():
     approx = stationary(chain)
     assert max(abs(float(e) - a) for e, a in zip(exact, approx)) < 1e-12
     assert sum(exact) == 1
+
+
+def test_singular_exact_system_is_refused():
+    # Every state absorbing: no unique stationary law, although every rate is
+    # positive.  The refusal must not depend on `assert`.
+    identity = tuple(
+        tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)
+    )
+    with pytest.raises(ReducibleChainError):
+        stationary(ASEPChain(2, GENERIC, identity), exact=True)
 
 
 def test_zero_parameter_refuses_to_solve():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import staircase_tableaux
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import main
-from staircase_tableaux.core import from_text, validate
+from staircase_tableaux.core import from_text, statistics, validate
 
 
 def run(capsys, *argv):
@@ -113,6 +114,22 @@ def test_sample_json_summarizes_histograms(capsys):
     assert doc["rng"] == "python-random-mt19937"
     assert sum(doc["r_histogram"].values()) == 40
     assert sum(doc["a_diag_histogram"].values()) == 40
+
+
+def test_sample_statistics_formats_describe_the_text_draws(capsys):
+    argv = ("sample", "--n", "6", "--count", "30", "--seed", "11")
+    _, text = run(capsys, *argv)
+    stats = [statistics(from_text(line)) for line in text.splitlines()]
+    _, csv_out = run(capsys, *argv, "--format", "csv", "--no-timestamp")
+    rows = [line for line in csv_out.splitlines() if not line.startswith("#")]
+    assert rows == ["n,r,delta,gamma,a_diag,b_diag"] + [
+        f"6,{s.r},{s.delta},{s.gamma},{s.a_diag},{s.b_diag}" for s in stats
+    ]
+    _, json_out = run(capsys, *argv, "--format", "json", "--no-timestamp")
+    doc = json.loads(json_out)
+    for key, field in (("r_histogram", "r"), ("a_diag_histogram", "a_diag")):
+        hist = Counter(getattr(s, field) for s in stats)
+        assert doc[key] == {str(v): c for v, c in hist.items()}
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

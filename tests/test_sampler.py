@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from staircase_tableaux.counting import Down, multiplicity, total_count
 from staircase_tableaux.enumerator import enumerate_all
 from staircase_tableaux.sampler import (
     RNG_ID,
-    _class_weights,
+    _draw_class,
     _unrank_subset,
     probability_of,
     sample_many,
@@ -37,17 +38,86 @@ def test_rng_identifier_is_pinned():
 # ------------------------------------------------------------ exact weights
 
 
+def _class_weights(k, r):
+    """Up, Down(0), ..., Down(r) weights with the common factor of N(k-1, .)
+    dropped, built term by term from `multiplicity`."""
+    up = 2 * (2 * k - 1) ** (r + 1)
+    return [up] + [
+        multiplicity(r, Down(j)) * (2 * k - 1) ** (r - j) for j in range(r + 1)
+    ]
+
+
+class _FixedDraw:
+    """Stands in for the stream: every `randrange` returns `x`."""
+
+    def __init__(self, x):
+        self.x = x
+        self.bounds = []
+
+    def randrange(self, bound):
+        self.bounds.append(bound)
+        return self.x
+
+
 @given(k=st.integers(1, 25), r=st.integers(0, 25))
 @settings(max_examples=80)
 def test_class_weights_close_the_telescope(k, r):
-    total, weights = _class_weights(k, r)
-    assert sum(weights) == total == 4 * k * (2 * k + 1) ** r
-    assert weights[0] == 2 * (2 * k - 1) ** (r + 1)
-    for j in range(r + 1):
-        assert weights[1 + j] == multiplicity(r, Down(j)) * (2 * k - 1) ** (r - j)
+    assert sum(_class_weights(k, r)) == 4 * k * (2 * k + 1) ** r
 
 
-@pytest.mark.parametrize("r, size", [(4, 0), (4, 1), (5, 2), (6, 3)])
+def test_class_walk_returns_the_linear_scan_class():
+    for k in range(1, 26):
+        for r in range(26):
+            weights = _class_weights(k, r)
+            total = sum(weights)
+            bounds = [sum(weights[: c + 1]) for c in range(len(weights) - 1)]
+            xs = {0, total - 1}
+            xs.update(x for b in bounds for x in (b - 1, b, b + 1) if x < total)
+            for x in sorted(xs):
+                cls = next(c for c, b in enumerate(bounds + [total]) if x < b)
+                rng = _FixedDraw(x)
+                j, low, high, scale = _draw_class(rng, k, r, (2 * k + 1) ** r)
+                assert rng.bounds == [total]
+                assert j == cls - 1
+                if j >= 0:
+                    assert (low, high) == (comb(r, j), comb(r, j + 1))
+                assert scale == (2 * k - 1) ** (r + 1 if j < 0 else r - j)
+
+
+def test_class_walk_overrun_raises():
+    # No x below the total overruns; x = total stands for weights that do
+    # not add up, and must be refused even under `python -O`.
+    with pytest.raises(RuntimeError):
+        _draw_class(_FixedDraw(4 * 3 * 7**4), 3, 4, 7**4)
+
+
+def _linear_unrank_subset(r, size, index):
+    """index-th size-subset of {1..r}, skipping one candidate at a time."""
+    out = []
+    x = 1
+    for remaining in range(size, 0, -1):
+        while True:
+            after = comb(r - x, remaining - 1)
+            if index < after:
+                out.append(x)
+                x += 1
+                break
+            index -= after
+            x += 1
+    return out
+
+
+@given(data=st.data(), r=st.integers(0, 400))
+@settings(max_examples=200, deadline=None)
+def test_subset_unranking_matches_the_linear_unranking(data, r):
+    size = data.draw(st.integers(0, min(r, 8)))
+    index = data.draw(st.integers(0, comb(r, size) - 1))
+    assert _unrank_subset(r, size, index) == _linear_unrank_subset(r, size, index)
+
+
+@pytest.mark.parametrize(
+    "r, size", [(4, 0), (4, 1), (5, 2), (6, 3), (11, 5), (9, 9), (10, 1)]
+)
 def test_subset_unranking_is_a_lexicographic_bijection(r, size):
     all_subsets = list(combinations(range(1, r + 1), size))
     seen = [tuple(_unrank_subset(r, size, i)) for i in range(len(all_subsets))]
@@ -170,9 +240,23 @@ def test_seeded_draw_streams_are_pinned(n, seed):
 
 
 def test_sample_statistics_matches_resampling():
-    stats = sample_statistics(4, 6, seed=5)
-    tableaux = sample_many(4, 6, seed=5)
-    assert stats == [statistics(t) for t in tableaux]
+    cases = [(4, 6, 5)] + [
+        (n, count, seed)
+        for n, count in [(1, 50), (2, 50), (5, 200), (40, 20), (300, 3)]
+        for seed in (0, 7, 20250823)
+    ]
+    for n, count, seed in cases:
+        stats = sample_statistics(n, count, seed)
+        tableaux = sample_many(n, count, seed)
+        assert stats == [statistics(t) for t in tableaux], (n, count, seed)
+
+
+def test_sample_statistics_rejects_bad_sizes():
+    assert sample_statistics(3, 0, seed=1) == []
+    with pytest.raises(ValueError):
+        sample_statistics(0, 1, seed=1)
+    with pytest.raises(ValueError):
+        sample_statistics(3, -1, seed=1)
 
 
 # ---------------------------------------------------------------- validity
@@ -182,6 +266,11 @@ def test_sample_statistics_matches_resampling():
 @settings(max_examples=60, deadline=None)
 def test_draws_are_valid(n, seed):
     assert validate(sample_uniform(n, seed)) == []
+
+
+def test_a_large_draw_is_valid():
+    t = sample_uniform(2000, seed=3)
+    assert t.n == 2000 and validate(t) == []
 
 
 def test_small_size_draws_cover_the_whole_space():
