@@ -35,6 +35,7 @@ from .polyengine import (
     build_V,
     build_W,
     build_c,
+    c1_rows,
     path_weight_oracle,
     pgf_A,
     pgf_B,
@@ -267,7 +268,7 @@ def _triangles(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
         for l in range(m + 1)
         if small.entry(m, l) != path_weight_oracle(m, l)
     ]
-    c, v, w = build_c(rg.tri), build_V(rg.tri), build_W(rg.tri)
+    c1, v, w = c1_rows(rg.tri), build_V(rg.tri), build_W(rg.tri)
     for n in range(rg.tri + 1):
         bad += [
             ("explicit", n, m)
@@ -277,7 +278,7 @@ def _triangles(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
         bad += [
             ("whitney", n, k)
             for k in range(n + 1)
-            if c.entry(n, k)(1) != 2**k * factorial(k) * w.entry(n, k)
+            if c1[n][k] != 2**k * factorial(k) * w.entry(n, k)
         ]
     bad += [("pgf", n, 0) for n in range(1, rg.tri + 1) if pgf_B(n) != pgf_A(n)]
     return _verdict(bad, oracle_max_n=rg.oracle, identity_max_n=rg.tri)

@@ -53,9 +53,12 @@ from .polyengine import (
     bivariate_series_check,
     build_V,
     build_W,
-    build_c,
+    c1_rows,
     pole_constants,
 )
+# `triangles --which c1` reads `c1_rows`; `build_c` stays bound because
+# `bench/layers.py` wraps it as `cli.build_c`.
+from .polyengine import build_c  # noqa: F401
 from .sampler import RNG_ID, sample_many, sample_statistics
 from .stats import (
     dist_A,
@@ -70,6 +73,16 @@ from .stats import (
 
 SCHEMA = "staircase-tableaux/1"
 SEED_ENV = "STAIRCASE_TABLEAUX_SEED"
+
+# Size caps, checked before any work or output.  Every number a request
+# prints must fit Python's default int-to-str limit of 4300 digits: 4**n n!
+# exceeds it from n = 1309 on, and 2**n n! from n = 1424 on.  The completion
+# table holds O(n**2) such numbers built by O(n**3) big-int products, and a
+# triangle O(n**2), so their caps are lower.
+_COUNT_LIMIT = 1000
+_TABLE_LIMIT = 200
+_DIST_LIMIT = 1000
+_TRIANGLE_LIMIT = 200
 
 _DIST_FNS = {
     "r": dist_r,
@@ -197,6 +210,10 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
 
 
 def _cmd_count(cfg: RunConfig, out: TextIO) -> int:
+    limit = _TABLE_LIMIT if cfg.table else _COUNT_LIMIT
+    if not 0 <= cfg.n <= limit:
+        scope = " with --table" if cfg.table else ""
+        raise ValueError(f"need 0 <= n <= {limit}{scope}, got {cfg.n}")
     total = total_count(cfg.n)
     if cfg.table:
         table = completions(cfg.n)
@@ -269,6 +286,9 @@ def _cmd_sample(cfg: RunConfig, out: TextIO) -> int:
 
 
 def _cmd_dist(cfg: RunConfig, out: TextIO) -> int:
+    # n < 1 is refused, just as early, by the law itself.
+    if cfg.n > _DIST_LIMIT:
+        raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {cfg.n}")
     pmf = _DIST_FNS[cfg.stat](cfg.n)
     rows = [
         (v, p.numerator, p.denominator) for v, p in zip(pmf.support(), pmf.probs)
@@ -315,19 +335,16 @@ def _cmd_moments(cfg: RunConfig, out: TextIO) -> int:
 def _triangle_rows(which: str, n_max: int) -> list[tuple[int, int, str]]:
     if which == "V":
         rows = build_V(n_max).rows
-        return [(n, k, str(v)) for n, row in enumerate(rows) for k, v in enumerate(row)]
-    if which == "W":
+    elif which == "W":
         rows = build_W(n_max).rows
-        return [(n, k, str(v)) for n, row in enumerate(rows) for k, v in enumerate(row)]
-    tri = build_c(n_max)
-    return [
-        (n, k, str(poly(Fraction(1))))
-        for n, row in enumerate(tri.rows)
-        for k, poly in enumerate(row)
-    ]
+    else:
+        rows = c1_rows(n_max)
+    return [(n, k, str(v)) for n, row in enumerate(rows) for k, v in enumerate(row)]
 
 
 def _cmd_triangles(cfg: RunConfig, out: TextIO) -> int:
+    if not 0 <= cfg.n_max <= _TRIANGLE_LIMIT:
+        raise ValueError(f"need 0 <= n-max <= {_TRIANGLE_LIMIT}, got {cfg.n_max}")
     rows = _triangle_rows(cfg.which, cfg.n_max)
     if cfg.fmt == "json":
         payload = {"rows": [list(row) for row in rows]}

@@ -16,6 +16,8 @@ growth root used by the enumerator and the sampler.  Validation happens once
 per tableau: `check_valid`, behind every statistic, marks a tableau that
 passes, and tableaux grown by the enumerator's walk or the sampler are born
 marked, so never validated.  `validate` and `is_valid` always run the rules.
+A tableau's `cells` is a read-only `FrozenCells`, so a marked tableau cannot
+change after its check.
 """
 
 from __future__ import annotations
@@ -74,9 +76,30 @@ class Violation:
     cell: Cell | None
 
 
+class FrozenCells(dict):
+    """A read-only dict of cells: every mutator raises `TypeError`.
+
+    A tableau marked as checked is never validated again, so its cells must
+    not change after the mark.  Reads run at plain-dict speed, and it pickles
+    by rebuilding from a plain dict.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("tableau cells are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple[type, tuple[dict]]:
+        return (FrozenCells, (dict(self),))
+
+
 @dataclass(frozen=True)
 class Tableau:
-    """An immutable staircase filling.  `cells` maps occupied boxes to symbols."""
+    """An immutable staircase filling.  `cells` maps occupied boxes to
+    symbols, read-only."""
 
     n: int
     cells: Mapping[Cell, GreekSymbol]
@@ -85,7 +108,7 @@ class Tableau:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"size must be non-negative, got {self.n}")
-        object.__setattr__(self, "cells", dict(self.cells))
+        object.__setattr__(self, "cells", FrozenCells(self.cells))
 
     def diagonal_cell(self, i: int) -> Cell:
         return (i, self.n + 1 - i)

@@ -15,13 +15,17 @@ alpha/gamma entry topmost.  All arithmetic is exact (Python ints).
 
 The recurrence telescopes to the closed form N(k, r) = 4**k k! (2k+1)**r,
 which `completion_count` uses directly; `completions` builds the table from
-the recurrence so the two routes can be checked against each other.
+the recurrence so the two routes can be checked against each other.  It
+works in plain integers and builds each row of Down multiplicities once,
+so `count --table` costs O(n**2) `multiplicity` calls and O(n**3) big-int
+products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, factorial
+from operator import mul
 from typing import Mapping
 
 
@@ -87,18 +91,23 @@ class CompletionTable:
 
 
 def completions(n: int) -> CompletionTable:
-    """Build the N table from the recurrence (no use of the closed form)."""
+    """Build the N table from the recurrence (no use of the closed form).
+
+    The Down multiplicities depend on r alone, so each row
+    multiplicity(r, Down(j)), j = 0..r, is built once and serves every k.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    entries: dict[tuple[int, int], int] = {}
-    for r in range(n + 1):
-        entries[(0, r)] = 1
+    down = [[multiplicity(r, Down(j)) for j in range(r + 1)] for r in range(n)]
+    prev = [1] * (n + 1)
+    entries = {(0, r): 1 for r in range(n + 1)}
     for k in range(1, n + 1):
-        for r in range(n - k + 1):
-            total = 2 * entries[(k - 1, r + 1)]
-            for j in range(r + 1):
-                total += multiplicity(r, Down(j)) * entries[(k - 1, r - j)]
-            entries[(k, r)] = total
+        # prev[r] = N(k-1, r); the sum pairs Down(j) with N(k-1, r-j).
+        prev = [
+            2 * prev[r + 1] + sum(map(mul, down[r], prev[r::-1]))
+            for r in range(n - k + 1)
+        ]
+        entries.update(((k, r), total) for r, total in enumerate(prev))
     return CompletionTable(n, entries)
 
 

@@ -1,16 +1,24 @@
 """Exact polynomial machinery: coefficient triangles and series identities.
 
-Everything here is exact; coefficients are Python ints or Fractions and no
-floating point appears.  The module hosts three interlocking triangles:
+Everything here is exact and no floating point appears.  The triangles that
+requests and identities read are built in plain integers; `Fraction`
+coefficients (`Polynomial`) appear only where a result is a genuine rational
+(the PGFs, a series mismatch) or where the c-triangle is compared polynomial
+by polynomial with its path oracle.  The module hosts three interlocking
+triangles:
 
 * c-triangle: polynomials c[m][l](z) with c[0][0] = 1 and
       c[m+1][l] = (z + 2l) c[m][l] + (z + 2l - 1) c[m][l-1]
   (out-of-range entries are zero).  Equivalently c[m][l] is a sum over
   lattice paths: an SW step from level l carries weight z + 2l, an SE step
   weight z + 2l + 1, and c[m][l] collects paths with l SE steps among m.
+  At z = 1 the rows are integers, c1[m+1][l] = (2l+1) c1[m][l] +
+  2l c1[m][l-1] (`c1_rows`); the `Polynomial` triangle (`build_c`) is kept
+  for the comparison with the path oracle.
 * V-triangle: type-B Eulerian numbers (OEIS A060187), V(n, 0) = 1 and
       V(n, m) = (2m + 1) V(n-1, m) + (2(n - m) + 1) V(n-1, m-1),
-  symmetric rows summing to 2**n n!.
+  symmetric rows summing to 2**n n!.  `build_V` runs the full recurrence
+  and checks the symmetry; `v_row` steps only the left half and mirrors it.
 * W-triangle: Whitney numbers of the second kind for m=2 (OEIS A039755),
       W(n, k) = (2k + 1) W(n-1, k) + W(n-1, k-1),
   tied to the c-triangle by c[n][k](1) = 2**k k! W(n, k).
@@ -20,16 +28,21 @@ and a truncated bivariate series check of
 
     f(z, w) = (1 - w) e^{(1-w)z/2} / (1 - w e^{(1-w)z}),
 
-whose z^n coefficient must be sum_k V(n, k) w^k / (2**n n!).
+whose z^n coefficient must be sum_k V(n, k) w^k / (2**n n!).  The series is
+expanded in integer w-polynomials scaled by 2**n n!, so it is compared with
+the V rows directly.
+
+Correctness guards raise `RuntimeError` rather than assert, so they hold
+under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 Scalar = Fraction | int
 
@@ -133,9 +146,6 @@ class Polynomial:
             tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
         )
 
-    def truncated(self, order: int) -> Polynomial:
-        return Polynomial(self.coeffs[: order + 1])
-
 
 @dataclass(frozen=True)
 class TriangleC:
@@ -180,13 +190,25 @@ def build_c(n: int) -> TriangleC:
         rows.append(tuple(row))
     tri = TriangleC(tuple(rows))
     # Boundary sanity: pure-SW and pure-SE paths have product form.
+    prod = Polynomial.one()
     for m in range(n + 1):
-        assert tri.entry(m, 0) == z**m
-        prod = Polynomial.one()
-        for j in range(m):
-            prod = prod * (z + 2 * j + 1)
-        assert tri.entry(m, m) == prod
+        if tri.entry(m, 0) != z**m or tri.entry(m, m) != prod:
+            raise RuntimeError(f"c row {m} breaks its product-form boundary")
+        prod = prod * (z + 2 * m + 1)
     return tri
+
+
+def c1_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of the c-triangle at z = 1, in integers:
+    c1[m+1][l] = (2l+1) c1[m][l] + 2l c1[m][l-1]."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    rows: list[tuple[int, ...]] = [(1,)]
+    for _ in range(n):
+        rows.append(
+            tuple(two_term_step(rows[-1], lambda l: 2 * l + 1, lambda l: 2 * l))
+        )
+    return tuple(rows)
 
 
 def path_weight_oracle(m: int, l: int) -> Polynomial:
@@ -217,16 +239,20 @@ def path_weight_oracle(m: int, l: int) -> Polynomial:
 
 
 def build_V(n: int) -> TriangleV:
-    """Type-B Eulerian triangle rows 0..n; symmetry and row sums asserted."""
+    """Type-B Eulerian triangle rows 0..n by the full recurrence; each row's
+    symmetry, sum and leading 1 are checked."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     rows: list[tuple[int, ...]] = [(1,)]
     for m in range(1, n + 1):
         rows.append(tuple(_v_step(rows[-1], m)))
     for m, row in enumerate(rows):
-        assert row == row[::-1], f"V row {m} not symmetric"
-        assert sum(row) == 2**m * factorial(m), f"V row {m} sum wrong"
-        assert row[0] == 1
+        if row != row[::-1]:
+            raise RuntimeError(f"V row {m} is not symmetric")
+        if sum(row) != 2**m * factorial(m):
+            raise RuntimeError(f"V row {m} does not sum to 2**{m} {m}!")
+        if row[0] != 1:
+            raise RuntimeError(f"V row {m} does not start with 1")
     return TriangleV(tuple(rows))
 
 
@@ -247,15 +273,27 @@ def v_row(n: int) -> tuple[int, ...]:
     """Single V row computed with rolling storage; O(n) memory.
 
     Lets the diagonal statistic's exact distribution reach n in the low
-    thousands, where materializing the whole triangle would not fit.
+    thousands, where materializing the whole triangle would not fit.  Rows
+    are symmetric, so only the left half, entries 0..m//2 of row m, is
+    stepped, and the last row is mirrored; `build_V` keeps the full
+    recurrence and checks the symmetry independently.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    row: list[int] = [1]
+    half: list[int] = [1]
     for m in range(1, n + 1):
-        row = _v_step(row, m)
-    assert sum(row) == 2**n * factorial(n)
-    return tuple(row)
+        if m % 2 == 0:
+            # Row m reaches entry m/2, which reads V(m-1, m/2) = V(m-1, m/2 - 1).
+            half.append(half[-1])
+        prev = [0, *half]
+        half = [
+            (2 * l + 1) * prev[l + 1] + (2 * (m - l) + 1) * prev[l]
+            for l in range(len(half))
+        ]
+    row = (*half, *half[n % 2 - 2 :: -1])
+    if sum(row) != 2**n * factorial(n):
+        raise RuntimeError(f"V row {n} does not sum to 2**{n} {n}!")
+    return row
 
 
 def build_W(n: int) -> TriangleW:
@@ -266,7 +304,8 @@ def build_W(n: int) -> TriangleW:
     for _ in range(n):
         rows.append(tuple(two_term_step(rows[-1], lambda k: 2 * k + 1, lambda k: 1)))
     for m, row in enumerate(rows):
-        assert row[0] == 1 and row[-1] == 1
+        if row[0] != 1 or row[-1] != 1:
+            raise RuntimeError(f"W row {m} does not start and end with 1")
     return TriangleW(tuple(rows))
 
 
@@ -291,9 +330,7 @@ def V_explicit(n: int, m: int) -> int:
 
 def pgf_A(n: int) -> Polynomial:
     """PGF of the diagonal alpha/gamma count: sum_m V(n,m) t^m / (2**n n!)."""
-    row = v_row(n)
-    norm = Fraction(1, 2**n * factorial(n))
-    return Polynomial(tuple(norm * v for v in row))
+    return _over_2n_factorial(n, v_row(n))
 
 
 def pgf_A_from_c(n: int) -> Polynomial:
@@ -304,13 +341,17 @@ def pgf_A_from_c(n: int) -> Polynomial:
     Expanding the (t-1) powers reproduces V_explicit term by term once
     c[n][k](1) is identified with 2**k k! W(n, k).
     """
-    tri = build_c(n)
-    t = Polynomial.x()
-    acc = Polynomial.zero()
-    for k in range(n + 1):
-        ck1 = tri.entry(n, k)(1)
-        acc = acc + ck1 * (t - 1) ** (n - k)
-    return Fraction(1, 2**n * factorial(n)) * acc
+    row = c1_rows(n)[n]
+    return _over_2n_factorial(
+        n,
+        [
+            sum(
+                c * comb(n - k, j) * (-1) ** (n - k - j)
+                for k, c in enumerate(row[: n - j + 1])
+            )
+            for j in range(n + 1)
+        ],
+    )
 
 
 def pgf_B(n: int) -> Polynomial:
@@ -318,76 +359,26 @@ def pgf_B(n: int) -> Polynomial:
 
         pgf_B(n) = sum_k c[n][k](1) t^k (1-t)^(n-k) / (2**n n!)
     """
-    tri = build_c(n)
-    t = Polynomial.x()
-    acc = Polynomial.zero()
-    for k in range(n + 1):
-        ck1 = tri.entry(n, k)(1)
-        acc = acc + ck1 * t**k * (1 - t) ** (n - k)
-    return Fraction(1, 2**n * factorial(n)) * acc
+    row = c1_rows(n)[n]
+    return _over_2n_factorial(
+        n,
+        [
+            sum(
+                c * comb(n - k, j - k) * (-1) ** (j - k)
+                for k, c in enumerate(row[: j + 1])
+            )
+            for j in range(n + 1)
+        ],
+    )
+
+
+def _over_2n_factorial(n: int, coeffs: Sequence[int]) -> Polynomial:
+    norm = 2**n * factorial(n)
+    return Polynomial(tuple(Fraction(c, norm) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
 # Truncated bivariate series
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Series in z up to a fixed order whose coefficients are w-polynomials,
-    themselves truncated at `worder`."""
-
-    zcoeffs: tuple[Polynomial, ...]
-    worder: int
-
-    @property
-    def zorder(self) -> int:
-        return len(self.zcoeffs) - 1
-
-    @classmethod
-    def from_coeffs(
-        cls, coeffs: Iterable[Polynomial], zorder: int, worder: int
-    ) -> TruncatedSeries:
-        cs = [c.truncated(worder) for c in coeffs][: zorder + 1]
-        cs += [Polynomial.zero()] * (zorder + 1 - len(cs))
-        return cls(tuple(cs), worder)
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        assert self.zorder == other.zorder and self.worder == other.worder
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.zcoeffs, other.zcoeffs)),
-            self.worder,
-        )
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        assert self.zorder == other.zorder and self.worder == other.worder
-        out = [Polynomial.zero()] * (self.zorder + 1)
-        for i, a in enumerate(self.zcoeffs):
-            if not a:
-                continue
-            for j in range(self.zorder + 1 - i):
-                b = other.zcoeffs[j]
-                if b:
-                    out[i + j] = (out[i + j] + a * b).truncated(self.worder)
-        return TruncatedSeries(tuple(out), self.worder)
-
-    def scaled(self, p: Polynomial) -> TruncatedSeries:
-        return TruncatedSeries(
-            tuple((p * c).truncated(self.worder) for c in self.zcoeffs),
-            self.worder,
-        )
-
-    def exp(self) -> TruncatedSeries:
-        """Series exponential; requires a vanishing constant term."""
-        assert not self.zcoeffs[0], "exp needs zero constant term"
-        one = TruncatedSeries.from_coeffs(
-            [Polynomial.one()], self.zorder, self.worder
-        )
-        result = one
-        term = one
-        for k in range(1, self.zorder + 1):
-            term = (term * self).scaled(Polynomial.of(Fraction(1, k)))
-            result = result + term
-        return result
 
 
 @dataclass(frozen=True)
@@ -401,37 +392,42 @@ def bivariate_series_check(zorder: int = 12) -> SeriesReport:
     """Expand f(z, w) = (1-w) e^{(1-w)z/2} / (1 - w e^{(1-w)z}) and compare
     each z^n coefficient with the V-triangle row divided by 2**n n!.
 
-    The denominator is inverted by the geometric sum over (w e^{(1-w)z})**k;
-    powers beyond the w-truncation cannot reach surviving w-degrees, so the
-    truncated comparison is exact.
+    Every series is held as F_n = 2**n n! [z^n] F, an integer w-polynomial
+    truncated at w-degree `zorder`; a product of series is then the binomial
+    convolution sum_i C(n, i) F_i G_{n-i}.  The numerator scales to
+    N_n = (1-w)^(n+1) and the denominator to D_0 = 1 - w and
+    D_n = -2**n w (1-w)^n, so f D = N gives
+
+        f_n = (N_n - sum_{i<n} C(n, i) f_i D_{n-i}) / (1 - w),
+
+    where dividing by 1 - w is a running sum of coefficients.  Truncating in
+    w commutes with every step, so the comparison with the V row, whose
+    degree n never exceeds the truncation, is exact.
     """
     if zorder < 0:
         raise ValueError(f"need z-order >= 0, got {zorder}")
     worder = zorder
-    one_minus_w = Polynomial.of(1, -1)
-    half = TruncatedSeries.from_coeffs(
-        [Polynomial.zero(), Fraction(1, 2) * one_minus_w], zorder, worder
-    ).exp()
-    full = TruncatedSeries.from_coeffs(
-        [Polynomial.zero(), one_minus_w], zorder, worder
-    ).exp()
-    w_times_e = full.scaled(Polynomial.of(0, 1))
-    geom = TruncatedSeries.from_coeffs(
-        [Polynomial.one()], zorder, worder
-    )
-    term = geom
-    for _ in range(worder):
-        term = term * w_times_e
-        geom = geom + term
-    f = (half * geom).scaled(one_minus_w)
-
+    # (1-w)^k truncated at w-degree worder, for k = 0..zorder + 1.
+    powers = [
+        [(-1) ** l * comb(k, l) for l in range(min(k, worder) + 1)]
+        for k in range(zorder + 2)
+    ]
+    f: list[list[int]] = []
     tri = build_V(zorder)
     for n in range(zorder + 1):
-        norm = Fraction(1, 2**n * factorial(n))
-        want = Polynomial(tuple(norm * v for v in tri.rows[n]))
-        got = f.zcoeffs[n]
-        if got != want:
-            return SeriesReport(False, n, (n, got, want))
+        acc = powers[n + 1] + [0] * (worder + 1 - len(powers[n + 1]))
+        for i in range(n):
+            # Subtract C(n, i) f_i D_{n-i}, where D_{n-i} = -2**(n-i) w (1-w)^(n-i).
+            scale = comb(n, i) << (n - i)
+            for a, x in enumerate(f[i][:worder]):
+                if x:
+                    for b, y in enumerate(powers[n - i][: worder - a]):
+                        acc[a + b + 1] += scale * x * y
+        f.append(list(accumulate(acc)))
+        want = list(tri.rows[n]) + [0] * (worder - n)
+        if f[n] != want:
+            got = _over_2n_factorial(n, f[n])
+            return SeriesReport(False, n, (n, got, _over_2n_factorial(n, want)))
     return SeriesReport(True, zorder, None)
 
 

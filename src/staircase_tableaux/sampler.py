@@ -56,6 +56,10 @@ from .enumerator import ColumnFill, _grown, _place, split_first_column
 
 RNG_ID = "python-random-mt19937"
 
+#: Largest size drawn.  A column costs one power of about n/4 log2(2n) bits,
+#: so a draw grows like n**2.5: 2-3 s at this size, and days at n = 10**6.
+_SAMPLE_LIMIT = 10_000
+
 
 def _draw_class(
     rng: random.Random, k: int, r: int, scale: int
@@ -189,8 +193,8 @@ def sample_uniform(n: int, seed: int) -> Tableau:
 
 
 def _stream(n: int, count: int, seed: int) -> random.Random:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= n <= _SAMPLE_LIMIT:
+        raise ValueError(f"need 1 <= n <= {_SAMPLE_LIMIT}, got {n}")
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
     return random.Random(seed)

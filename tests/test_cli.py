@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,92 @@ def test_series_check_rejects_negative_z_order(capsys):
     code, out = run(capsys, "series-check", "--z-order", "0")
     assert code == 0
     assert out.startswith("ok: True\norders checked: 0\n")
+
+
+# ------------------------------------------------ exact-law output pins
+
+# sha256 of the stdout of `<argv> --no-timestamp` as the Fraction routes
+# printed it; the integer routes for the completion table, the c(1) rows, the
+# half-row V and the scaled series must print the same bytes.
+_PINNED = {
+    "count --n 40 --table --format text":
+        "b4b8c90733533de01797dfddb4d47a64ce914306e5f1e848e898afe44d2ab2e4",
+    "count --n 40 --table --format csv":
+        "2fc419abaa9c64c45c161111f12bfd922e7bc6dfe632002e6e8c747ea5d64b87",
+    "count --n 40 --table --format json":
+        "b357176ef6c9469feea56fd7be94986acce7d6b60768878e914c44b755343a97",
+    "triangles --which c1 --n-max 25 --format text":
+        "301d6c4ff41922e244e9dfe9a7ea3a4923047ac7956bba27f68769ce54b8fe73",
+    "triangles --which c1 --n-max 25 --format csv":
+        "344930bb5b9f196798ed5fbb54293cb981d90df8aea5b085d3e4e0a6ef120c54",
+    "triangles --which c1 --n-max 25 --format json":
+        "b0eb429cb361a52a745bddaf766dc4214cd8b95d37c8d138aa4c42e400657968",
+    "triangles --which V --n-max 25 --format text":
+        "9e949c6bb3f9efc8a933e05a9f2ed1fce16c576c537715a40df714746c8281da",
+    "triangles --which V --n-max 25 --format csv":
+        "a018a33468605f1e0cf6d20aec3a4db1f0e7aa1eb63ff27204a844826563ae21",
+    "triangles --which V --n-max 25 --format json":
+        "7336ed74d5b68dbde4f14917eebc3a90c9408584a1a27b883e1d605d165f4c60",
+    "triangles --which W --n-max 25 --format text":
+        "97189c24ad95e10e09558f695d10241e0016963cb568d7eb71ad272182a0f80f",
+    "triangles --which W --n-max 25 --format csv":
+        "1fea70701ee632b75a2356e18111875391683676d3f5ce6dbd9fb01746a2fca3",
+    "triangles --which W --n-max 25 --format json":
+        "b52768184550336a9cffe6f6ca4cbd012d5647ea5b2afba0233e8136b9b61f88",
+    "dist --stat a --n 300 --format text":
+        "a6594a210bd7fe9e6589277a35b2ca504924ddcfb5954688d8bec33eae012ed1",
+    "dist --stat a --n 300 --format csv":
+        "6bb159da454ef9a5fe3849f14836c20fe9a9340d27edadf5f02f0674f6444273",
+    "dist --stat a --n 300 --format json":
+        "363ce62ac46f4475039b94d603b769533896d875fcc1c4d4d5d404bc97284673",
+    "dist --stat a --n 301 --format text":
+        "00ca6894d757968e61c7fa7f727b55cb42d10fe5fa38c9d4788037e645c7737f",
+    "dist --stat a --n 301 --format csv":
+        "33af251cee10dca06695768eb9327533b626cd937330d887d560fd51bab925f3",
+    "dist --stat a --n 301 --format json":
+        "8e5313851346a8cf236689718c19183adee4b4c3b45edc440878f462f77fa9b2",
+    "series-check --z-order 12 --format text":
+        "23794bc9c569c70fe88d09292bb442720308b2acd0ea6e2f383841665b14057c",
+    "series-check --z-order 12 --format json":
+        "443c53377f11e66f2e9e1e6c30522db044cf9e4e3993ce7e8a6b3f2884d95fec",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_PINNED))
+def test_exact_law_outputs_are_pinned(capsys, argv):
+    code, out = run(capsys, *argv.split(), "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("count --n 1001", "need 0 <= n <= 1000, got 1001"),
+        ("count --n -1", "need 0 <= n <= 1000, got -1"),
+        ("count --n 201 --table --format csv",
+         "need 0 <= n <= 200 with --table, got 201"),
+        ("dist --stat r --n 1500 --format csv", "need 1 <= n <= 1000, got 1500"),
+        ("dist --stat a --n 1001", "need 1 <= n <= 1000, got 1001"),
+        ("sample --n 10001 --count 1", "need 1 <= n <= 10000, got 10001"),
+        ("sample --n 0 --format json", "need 1 <= n <= 10000, got 0"),
+        ("triangles --which c1 --n-max 201", "need 0 <= n-max <= 200, got 201"),
+        ("triangles --which V --n-max -1 --format json",
+         "need 0 <= n-max <= 200, got -1"),
+    ],
+)
+def test_size_caps_refuse_before_any_output(capsys, argv, message):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_count_answers_at_its_cap(capsys):
+    code, out = run(capsys, "count", "--n", "1000")
+    assert code == 0
+    assert int(out) == 4**1000 * factorial(1000)
 
 
 # -------------------------------------------------------------------- asep

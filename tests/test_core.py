@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +136,56 @@ def test_validate_ignores_the_checked_mark(validate_calls):
     bad = Tableau(2, {(1, 2): A})
     object.__setattr__(bad, "_checked", True)
     assert core.validate(bad) and not is_valid(bad)
+
+
+# ------------------------------------------------------- read-only cells
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: c.__setitem__((1, 1), B),
+        lambda c: c.__delitem__((2, 1)),
+        lambda c: c.pop((2, 1)),
+        lambda c: c.popitem(),
+        lambda c: c.clear(),
+        lambda c: c.setdefault((1, 1), B),
+        lambda c: c.update({(1, 1): B}),
+        lambda c: c.__ior__({(1, 1): B}),
+    ],
+    ids=["setitem", "delitem", "pop", "popitem", "clear", "setdefault",
+         "update", "ior"],
+)
+def test_cells_cannot_change_after_the_checked_mark(mutate):
+    t = Tableau(2, {(1, 2): A, (2, 1): B})
+    before = statistics(t)
+    with pytest.raises(TypeError):
+        mutate(t.cells)
+    assert statistics(t) == before and len(t.cells) == 2
+
+
+def test_cells_copy_the_caller_mapping():
+    cells = {(1, 2): A, (2, 1): B}
+    t = Tableau(2, cells)
+    del cells[(2, 1)]
+    assert t.cells == {(1, 2): A, (2, 1): B}
+
+
+def test_pickle_round_trip_keeps_a_read_only_equal_tableau():
+    t = sample_uniform(6, 2)
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+    assert statistics(back) == statistics(t)
+    with pytest.raises(TypeError):
+        back.cells.clear()
+
+
+def test_equality_and_hash_ignore_the_cells_type():
+    cells = {(1, 2): A, (2, 1): B}
+    t = Tableau(2, cells)
+    assert t.cells == cells and cells == t.cells
+    assert t == Tableau(2, dict(reversed(list(cells.items()))))
+    assert hash(t) == hash((2, ((1, 2, "A"), (2, 1, "B"))))
 
 
 # ---------------------------------------------------------------- labeling

@@ -9,6 +9,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staircase_tableaux import counting
 from staircase_tableaux.core import Tableau, statistics
 from staircase_tableaux.counting import (
     Down,
@@ -96,9 +97,25 @@ def test_small_goldens():
 
 
 def test_closed_form_agrees_with_recurrence_table():
-    table = completions(12)
+    table = completions(40)
+    assert len(table.entries) == 41 * 42 // 2
     for (k, r), value in table.entries.items():
         assert value == completion_count(k, r)
+
+
+def test_table_builds_each_multiplicity_row_once(monkeypatch):
+    calls = []
+    real = counting.multiplicity
+
+    def counted(r, move):
+        calls.append((r, move))
+        return real(r, move)
+
+    monkeypatch.setattr(counting, "multiplicity", counted)
+    completions(40)
+    assert Counter(calls) == Counter(
+        (r, Down(j)) for r in range(40) for j in range(r + 1)
+    )
 
 
 def test_table_bounds_and_errors():

@@ -8,14 +8,15 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staircase_tableaux import polyengine
 from staircase_tableaux.polyengine import (
     Polynomial,
-    TruncatedSeries,
     V_explicit,
     bivariate_series_check,
     build_V,
     build_W,
     build_c,
+    c1_rows,
     path_weight_oracle,
     pgf_A,
     pgf_A_from_c,
@@ -67,7 +68,6 @@ def test_coeff_out_of_range_is_zero():
 
 def test_derivative_and_truncation():
     assert P(1, 2, 3).derivative() == P(2, 6)
-    assert P(1, 2, 3, 4).truncated(1) == P(1, 2)
     assert Polynomial.zero().derivative() == Polynomial.zero()
 
 
@@ -169,9 +169,25 @@ def test_V_rows_are_symmetric_and_sum_to_2n_factorial():
         assert sum(row) == 2**n * factorial(n)
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 12])
+@pytest.mark.parametrize("n", range(61))
 def test_v_row_equals_full_triangle_row(n):
     assert v_row(n) == build_V(n).rows[n]
+
+
+@pytest.mark.parametrize(
+    "name, wrap, build",
+    [
+        ("_v_step", lambda f: lambda prev, n: [*f(prev, n)[:-1], 2], build_V),
+        ("factorial", lambda f: lambda n: f(n) + 1, build_V),
+        ("factorial", lambda f: lambda n: f(n) + 1, v_row),
+        ("two_term_step", lambda f: lambda *a: [*f(*a)[:-1], 2], build_W),
+    ],
+    ids=["V-symmetry", "V-sum", "v_row-sum", "W-ends"],
+)
+def test_triangle_guards_raise_without_assert(monkeypatch, name, wrap, build):
+    monkeypatch.setattr(polyengine, name, wrap(getattr(polyengine, name)))
+    with pytest.raises(RuntimeError):
+        build(4)
 
 
 def test_V_explicit_matches_recurrence():
@@ -179,6 +195,13 @@ def test_V_explicit_matches_recurrence():
     for n in range(21):
         for m in range(n + 1):
             assert V_explicit(n, m) == tri.entry(n, m)
+
+
+def test_c1_rows_are_the_c_triangle_at_one():
+    c = build_c(20)
+    assert c1_rows(20) == tuple(
+        tuple(int(p(1)) for p in row) for row in c.rows
+    )
 
 
 def test_c_at_one_ties_to_W():
@@ -225,35 +248,31 @@ def test_pgf_mean_from_derivative():
 # ------------------------------------------------------------------ series
 
 
-def test_series_exp_of_z_gives_inverse_factorials():
-    z = TruncatedSeries.from_coeffs(
-        [Polynomial.zero(), Polynomial.one()], zorder=6, worder=2
-    )
-    e = z.exp()
-    for k in range(7):
-        assert e.zcoeffs[k] == P(Fraction(1, factorial(k)))
-
-
-def test_series_exp_requires_zero_constant_term():
-    s = TruncatedSeries.from_coeffs([Polynomial.one()], zorder=3, worder=1)
-    with pytest.raises(AssertionError):
-        s.exp()
-
-
-def test_series_multiplication_truncates_w_degree():
-    zw = TruncatedSeries.from_coeffs(
-        [Polynomial.zero(), Polynomial.x()], zorder=2, worder=1
-    )
-    sq = zw * zw
-    # z^2 coefficient would be w^2, beyond the w-truncation
-    assert sq.zcoeffs[2] == Polynomial.zero()
-
-
 def test_bivariate_expansion_matches_triangle():
     rep = bivariate_series_check(6)
     assert rep.ok
     assert rep.orders_checked == 6
     assert rep.first_mismatch is None
+
+
+def test_series_mismatch_is_reported_as_polynomials(monkeypatch):
+    real = polyengine.build_V
+
+    def off_by_one(n):
+        rows = [list(row) for row in real(n).rows]
+        rows[4][1] += 1
+        return polyengine.TriangleV(tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(polyengine, "build_V", off_by_one)
+    rep = bivariate_series_check(6)
+    assert not rep.ok and rep.orders_checked == 4
+    n, got, want = rep.first_mismatch
+    norm = 2**4 * factorial(4)
+    assert n == 4
+    assert got == pgf_A(4) and got.coeffs == tuple(
+        Fraction(v, norm) for v in real(4).rows[4]
+    )
+    assert want == got + P(0, Fraction(1, norm))
 
 
 def test_pole_constants_golden():
