@@ -5,8 +5,9 @@ one of n+1 locations uniformly: location 0 toggles site 1 (fill with
 probability alpha when empty, empty with probability gamma when occupied),
 location n toggles site n (empty with probability beta, fill with delta),
 and location i in 1..n-1 swaps an occupied/empty pair across the bond
-(right hop with probability u, left hop with probability q).  Unused mass
-stays put, so rows are stochastic by construction.
+(right hop with probability u, left hop with probability q).  `ASEPChain`
+holds each state's outgoing moves with integer weights over one
+denominator; unused mass stays put, so rows are stochastic by construction.
 
 The stationary law is proportional to the tableaux partition functions:
 pi(sigma) = Z_sigma / Z_n, with Z_sigma the total weight of the staircase
@@ -14,15 +15,16 @@ tableaux whose type word is sigma evaluated at the chain parameters.
 `partition_functions` computes every Z_sigma by a column-growth transfer DP in
 integers, for n up to the chain's own cap of 8;
 `enumerated_partition_functions` sums over every tableau instead (n <= 6) and
-is the DP's exact oracle.  `verify_steady_state` checks the identity
-numerically (or exactly, in rational mode) and reports the solve's residual
+is the DP's exact oracle.  `stationary` solves for the law in floats, or
+returns Z_sigma / Z_n once it passes global balance exactly on the moves.
+`verify_steady_state` checks the identity and reports the residual
 max |pi P - pi| alongside.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -32,13 +34,16 @@ import numpy as np
 from .core import Tableau, type_word, weight
 from .enumerator import _ENUM_LIMIT, enumerate_all
 
-#: Largest n of the dense chain and of the partition-function DP alike.
+#: Largest n of the chain and of the partition-function DP alike; the float
+#: solve is dense in the 2**n states, so larger systems want a sparse one.
 _DENSE_LIMIT = 8
+
+_RATES = ("alpha", "beta", "gamma", "delta", "q", "u")
 
 
 class ReducibleChainError(ValueError):
     """Stationary solve refused: some parameter is zero, so the chain may not
-    visit every state, or the balance system turned out singular."""
+    visit every state and its stationary law need not be unique."""
 
 
 @dataclass(frozen=True)
@@ -51,17 +56,21 @@ class ASEPParams:
     u: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta", "q", "u"):
+        for name in _RATES:
             value = Fraction(getattr(self, name))
             object.__setattr__(self, name, value)
             if not 0 <= value <= 1:
                 raise ValueError(f"{name}={value} outside [0, 1]")
 
     def strictly_positive(self) -> bool:
-        return all(
-            getattr(self, name) > 0
-            for name in ("alpha", "beta", "gamma", "delta", "q", "u")
-        )
+        return all(getattr(self, name) > 0 for name in _RATES)
+
+    def scaled(self) -> tuple[int, list[int]]:
+        """(D, rates times D): the six rates, in field order, as integers over
+        D, the lcm of their denominators."""
+        rates = [getattr(self, name) for name in _RATES]
+        den = lcm(*[x.denominator for x in rates])
+        return den, [x.numerator * (den // x.denominator) for x in rates]
 
     @classmethod
     def from_strings(cls, *values: str) -> ASEPParams:
@@ -75,116 +84,103 @@ def state_bits(state: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class ASEPChain:
+    """The chain on all 2**n words, held as each state's outgoing moves.
+
+    ``moves[s]`` lists (target, weight) pairs, one per target: the step from
+    s to target has probability weight / ``denominator``, where the integer
+    weights share the one denominator (n + 1) D, D the lcm of the rates'
+    denominators.  The mass left over stays put.  The moves derive from
+    (n, params) alone.
+    """
+
     n: int
     params: ASEPParams
-    matrix: tuple[tuple[Fraction, ...], ...]
+    moves: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    denominator: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if not 1 <= n <= _DENSE_LIMIT:
+            raise ValueError(f"need 1 <= n <= {_DENSE_LIMIT}, got {n}")
+        den, (a, b, g, d, q, u) = self.params.scaled()
+        left = 1 << (n - 1)
+        moves = []
+        for s in range(1 << n):
+            # A dict, because at n = 1 both boundaries toggle the one site.
+            out: defaultdict[int, int] = defaultdict(int)
+            out[s ^ left] += g if s & left else a
+            out[s ^ 1] += b if s & 1 else d
+            for i in range(n - 1):
+                bond = (s >> i) & 3  # high bit: the left site of the bond
+                if bond == 0b10:
+                    out[s ^ (3 << i)] += u
+                elif bond == 0b01:
+                    out[s ^ (3 << i)] += q
+            # A tuple of a list: growing one from a generator fragments the
+            # heap enough to raise the peak RSS of many small chains.
+            moves.append(tuple([(t, w) for t, w in out.items() if w]))
+        object.__setattr__(self, "moves", tuple(moves))
+        object.__setattr__(self, "denominator", (n + 1) * den)
 
     @property
     def size(self) -> int:
         return 1 << self.n
 
     def to_numpy(self) -> np.ndarray:
-        """The matrix as a read-only float array, converted once per chain."""
+        """The transition matrix as a read-only float array, built once per
+        chain; each entry is its exact probability rounded once."""
         return self._dense
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        dense = np.array(
-            [[float(p) for p in row] for row in self.matrix], dtype=float
-        )
+        den = self.denominator
+        dense = np.zeros((self.size, self.size))
+        for s, moves in enumerate(self.moves):
+            for t, w in moves:
+                dense[s, t] = w / den
+            dense[s, s] = (den - sum(w for _, w in moves)) / den
         dense.flags.writeable = False
         return dense
 
 
 def build_chain(n: int, params: ASEPParams) -> ASEPChain:
-    """Exact row-stochastic transition matrix on all 2**n words."""
-    if not 1 <= n <= _DENSE_LIMIT:
-        raise ValueError(
-            f"need 1 <= n <= {_DENSE_LIMIT}, got {n}: the dense matrix has "
-            "4**n entries; larger systems want a sparse treatment"
-        )
-    size = 1 << n
-    loc = Fraction(1, n + 1)
-    rows = []
-    for s in range(size):
-        row = [Fraction(0)] * size
-        stay = Fraction(1)
-
-        def hop(target: int, p: Fraction) -> None:
-            nonlocal stay
-            row[target] += loc * p
-            stay -= loc * p
-
-        left = 1 << (n - 1)
-        if s & left:
-            hop(s ^ left, params.gamma)
-        else:
-            hop(s | left, params.alpha)
-        if s & 1:
-            hop(s ^ 1, params.beta)
-        else:
-            hop(s | 1, params.delta)
-        for i in range(1, n):
-            hi = 1 << (n - i)
-            lo = 1 << (n - i - 1)
-            pair = (bool(s & hi), bool(s & lo))
-            if pair == (True, False):
-                hop(s ^ hi ^ lo, params.u)
-            elif pair == (False, True):
-                hop(s ^ hi ^ lo, params.q)
-        row[s] += stay
-        rows.append(tuple(row))
-    chain = ASEPChain(n, params, tuple(rows))
-    # Zeros skipped: a row has at most n + 3 nonzero entries.
-    assert all(sum(filter(None, row)) == 1 for row in chain.matrix)
-    return chain
+    """The chain on all 2**n words, for 1 <= n <= 8."""
+    return ASEPChain(n, params)
 
 
-def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.ndarray:
-    """Solve pi P = pi, sum pi = 1.
-
-    Float mode uses a dense linear solve; exact mode runs Fraction-valued
-    Gaussian elimination and returns rationals (intended for small n).
-    """
-    if not chain.params.strictly_positive():
+def _require_positive(params: ASEPParams) -> None:
+    if not params.strictly_positive():
         raise ReducibleChainError(
             "all six parameters must be strictly positive for a unique "
             "stationary law"
         )
-    size = chain.size
+
+
+def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.ndarray:
+    """The unique law with pi P = pi, sum pi = 1.
+
+    Float mode is one dense linear solve.  Exact mode returns
+    Z_sigma / Z_n, accepted only once it passes global balance exactly on the
+    chain's moves: the rates are strictly positive, so the chain is
+    irreducible and a balanced law is the law.
+    """
+    _require_positive(chain.params)
     if not exact:
-        a = chain.to_numpy().T - np.eye(size)
+        a = chain.to_numpy().T - np.eye(chain.size)
         a[-1, :] = 1.0
-        b = np.zeros(size)
+        b = np.zeros(chain.size)
         b[-1] = 1.0
         return np.linalg.solve(a, b)
-    # (P^T - I) pi = 0 with the last balance equation swapped for sum = 1.
-    m = [
-        [chain.matrix[i][j] - (1 if i == j else 0) for i in range(size)]
-        for j in range(size)
-    ]
-    m[-1] = [Fraction(1)] * size
-    rhs = [Fraction(0)] * size
-    rhs[-1] = Fraction(1)
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if m[r][col] != 0), None
+    pi = _tableau_law(chain.n, chain.params)
+    defect = _residual(chain, pi, exact=True)
+    if defect:
+        raise RuntimeError(
+            f"Z_sigma / Z_n fails global balance on the n = {chain.n} chain "
+            f"at {chain.params}: max |pi P - pi| = {defect}"
         )
-        if pivot is None:
-            raise ReducibleChainError(
-                "singular system: the chain has no unique stationary law"
-            )
-        m[col], m[pivot] = m[pivot], m[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / m[col][col]
-        m[col] = [inv * v for v in m[col]]
-        rhs[col] = inv * rhs[col]
-        for r in range(size):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-                rhs[r] = rhs[r] - factor * rhs[col]
-    return rhs
+    return pi
 
 
 def _slot_tables(
@@ -236,12 +232,7 @@ def partition_functions(
     """
     if not 1 <= n <= _DENSE_LIMIT:
         raise ValueError(f"need 1 <= n <= {_DENSE_LIMIT}, got {n}")
-    rates = (
-        params.alpha, params.beta, params.gamma, params.delta, params.u,
-        params.q,
-    )
-    den = lcm(*(x.denominator for x in rates))
-    a, b, g, d, u, q = (x.numerator * (den // x.denominator) for x in rates)
+    den, (a, b, g, d, q, u) = params.scaled()
     u_pow = [u**k for k in range(n)]
     q_pow = [q**k for k in range(n)]
     tables = _slot_tables(n - 1, a, b, g, d, u, q)
@@ -302,8 +293,9 @@ def enumerated_partition_functions(
 @dataclass(frozen=True)
 class SteadyStateReport:
     """``max_deviation`` compares pi with Z_sigma / Z_n and decides ``passed``;
-    ``residual`` is the solve's own error max |pi P - pi|, a float in float
-    mode and a Fraction in exact mode."""
+    ``residual`` is the law's own error max |pi P - pi|, a float in float
+    mode and a Fraction in exact mode.  In exact mode pi is Z_sigma / Z_n
+    itself, so ``max_deviation`` is that balance defect as a float."""
 
     n: int
     params: ASEPParams
@@ -317,38 +309,44 @@ class SteadyStateReport:
 def _residual(
     chain: ASEPChain, pi: list[Fraction] | np.ndarray, exact: bool
 ) -> float | Fraction:
-    """max over states of |(pi P)_s - pi_s|."""
+    """max over states of |(pi P)_s - pi_s|.  Exact mode reads the moves:
+    each move s -> t carries pi_s w from s to t; the stay mass carries none."""
     if not exact:
         return float(np.max(np.abs(pi @ chain.to_numpy() - pi)))
-    flow = [Fraction(0)] * chain.size
-    for p_from, row in zip(pi, chain.matrix):
-        for s, p in enumerate(row):
-            if p:
-                flow[s] += p_from * p
-    return max(abs(f - p) for f, p in zip(flow, pi))
+    net = [0] * chain.size
+    for s, moves in enumerate(chain.moves):
+        for t, w in moves:
+            net[t] += pi[s] * w
+            net[s] -= pi[s] * w
+    return Fraction(max(map(abs, net))) / chain.denominator
+
+
+def _tableau_law(n: int, params: ASEPParams) -> list[Fraction]:
+    """Z_sigma / Z_n, state by state."""
+    total, by_type = partition_functions(n, params)
+    return [by_type[state_bits(s, n)] / total for s in range(1 << n)]
 
 
 def verify_steady_state(
     n: int, params: ASEPParams, tol: float = 1e-10, exact: bool = False
 ) -> SteadyStateReport:
-    """Compare the chain's stationary law against Z_sigma / Z_n."""
+    """Compare the chain's stationary law against Z_sigma / Z_n.
+
+    Float mode solves for the law and compares; exact mode reports the exact
+    balance defect of Z_sigma / Z_n on the chain's moves.
+    """
     chain = build_chain(n, params)
-    pi = stationary(chain, exact=exact)
-    total, by_type = partition_functions(n, params)
+    _require_positive(params)
+    law = _tableau_law(n, params)
     if exact:
-        devs = [
-            abs(pi[s] - by_type[state_bits(s, n)] / total)
-            for s in range(1 << n)
-        ]
-        max_dev = float(max(devs))
+        residual = _residual(chain, law, exact=True)
+        max_dev = float(residual)
     else:
-        max_dev = max(
-            abs(float(pi[s]) - float(by_type[state_bits(s, n)] / total))
-            for s in range(1 << n)
-        )
+        pi = stationary(chain)
+        residual = _residual(chain, pi, exact=False)
+        max_dev = max(abs(float(p) - float(z)) for p, z in zip(pi, law))
     return SteadyStateReport(
-        n, params, max_dev, _residual(chain, pi, exact), tol, max_dev < tol,
-        exact,
+        n, params, max_dev, residual, tol, max_dev < tol, exact
     )
 
 

@@ -339,7 +339,8 @@ def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 @_check("asep-grid")
 def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     # The DP's Z values must equal the enumeration's exactly, setting by
-    # setting; the chain identity then runs on the DP alone.
+    # setting; the chain identity then runs on the DP alone, in floats
+    # against the solve and exactly as a balance certificate.
     mismatches = [
         [k, n]
         for k, params in enumerate(PARAMETER_GRID)
@@ -348,6 +349,7 @@ def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
         != enumerated_partition_functions(n, params)
     ]
     worst = residual = 0.0
+    exact_defect = Fraction(0)
     ok = not mismatches
     for params in PARAMETER_GRID:
         for n in range(1, rg.asep + 1):
@@ -355,14 +357,20 @@ def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
             worst = max(worst, rep.max_deviation)
             residual = max(residual, rep.residual)
             ok = ok and rep.passed
+            # Exact leg: Z_sigma / Z_n must balance the chain's moves exactly.
+            exact_defect = max(
+                exact_defect, verify_steady_state(n, params, exact=True).residual
+            )
     exact = verify_steady_state(1, PARAMETER_GRID[0], exact=True).max_deviation
-    ok = ok and worst < 1e-10 and exact == 0.0
+    ok = ok and worst < 1e-10 and exact == 0.0 and exact_defect == 0
     return ok, {
         "max_n": rg.asep,
         "settings": len(PARAMETER_GRID),
         "max_deviation": worst,
         "max_residual": residual,
         "exact_n1_deviation": exact,
+        "exact_max_n": rg.asep,
+        "exact_max_defect": float(exact_defect),
         "z_oracle_max_n": rg.z_oracle,
         "z_mismatches": mismatches,
     }

@@ -78,11 +78,14 @@ SEED_ENV = "STAIRCASE_TABLEAUX_SEED"
 # prints must fit Python's default int-to-str limit of 4300 digits: 4**n n!
 # exceeds it from n = 1309 on, and 2**n n! from n = 1424 on.  The completion
 # table holds O(n**2) such numbers built by O(n**3) big-int products, and a
-# triangle O(n**2), so their caps are lower.
+# triangle O(n**2), so their caps are lower.  `moments` shares `dist`'s cap.
+# The series check costs about z**4 big-int steps: seconds at z = 100, hours
+# at z = 1000.
 _COUNT_LIMIT = 1000
 _TABLE_LIMIT = 200
 _DIST_LIMIT = 1000
 _TRIANGLE_LIMIT = 200
+_Z_ORDER_LIMIT = 100
 
 _DIST_FNS = {
     "r": dist_r,
@@ -285,10 +288,14 @@ def _cmd_sample(cfg: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _cmd_dist(cfg: RunConfig, out: TextIO) -> int:
+def _check_stat_size(n: int) -> None:
     # n < 1 is refused, just as early, by the law itself.
-    if cfg.n > _DIST_LIMIT:
-        raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {cfg.n}")
+    if n > _DIST_LIMIT:
+        raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {n}")
+
+
+def _cmd_dist(cfg: RunConfig, out: TextIO) -> int:
+    _check_stat_size(cfg.n)
     pmf = _DIST_FNS[cfg.stat](cfg.n)
     rows = [
         (v, p.numerator, p.denominator) for v, p in zip(pmf.support(), pmf.probs)
@@ -312,6 +319,7 @@ def _cmd_dist(cfg: RunConfig, out: TextIO) -> int:
 
 
 def _cmd_moments(cfg: RunConfig, out: TextIO) -> int:
+    _check_stat_size(cfg.n)
     mean, variance = _MOMENT_FNS[cfg.stat](cfg.n)
     if cfg.fmt == "csv":
         rows = [
@@ -358,6 +366,11 @@ def _cmd_triangles(cfg: RunConfig, out: TextIO) -> int:
 
 
 def _cmd_series_check(cfg: RunConfig, out: TextIO) -> int:
+    # z-order < 0 is refused, just as early, by the series check itself.
+    if cfg.z_order > _Z_ORDER_LIMIT:
+        raise ValueError(
+            f"need 0 <= z-order <= {_Z_ORDER_LIMIT}, got {cfg.z_order}"
+        )
     rep = bivariate_series_check(cfg.z_order)
     poles = pole_constants()
     if cfg.fmt == "json":

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from staircase_tableaux import asep
 from staircase_tableaux.asep import (
-    ASEPChain,
     ASEPParams,
     PARAMETER_GRID,
     ReducibleChainError,
@@ -21,6 +22,12 @@ from staircase_tableaux.asep import (
 )
 
 GENERIC = ASEPParams.from_strings("1/3", "2/3", "1/5", "2/5", "1/7", "3/7")
+
+
+def _prob(chain, s, t):
+    """P(s -> t) for t != s, read from the chain's moves."""
+    weight = sum(w for target, w in chain.moves[s] if target == t)
+    return Fraction(weight, chain.denominator)
 
 
 # ---------------------------------------------------------------- parameters
@@ -57,25 +64,33 @@ def test_state_bits_reads_leftmost_site_first():
 def test_rows_sum_to_one_exactly(params):
     for n in (1, 2, 4):
         chain = build_chain(n, params)
-        for row in chain.matrix:
-            assert sum(row) == 1
+        for s in range(chain.size):
+            row = [_prob(chain, s, t) for t in range(chain.size) if t != s]
+            assert all(0 <= p <= 1 for p in row)
+            stay = 1 - sum(row)
+            assert 0 <= stay <= 1
+            assert chain.to_numpy()[s, s] == float(stay)
 
 
 def test_single_site_transition_probabilities():
     chain = build_chain(1, GENERIC)
     half = Fraction(1, 2)
     # state 0: fill from the left (alpha) or from the right (delta)
-    assert chain.matrix[0][1] == half * (GENERIC.alpha + GENERIC.delta)
+    assert _prob(chain, 0, 1) == half * (GENERIC.alpha + GENERIC.delta)
     # state 1: drain to the left (gamma) or over the right edge (beta)
-    assert chain.matrix[1][0] == half * (GENERIC.gamma + GENERIC.beta)
+    assert _prob(chain, 1, 0) == half * (GENERIC.gamma + GENERIC.beta)
+    # one move each, the two boundary weights merged
+    assert [len(moves) for moves in chain.moves] == [1, 1]
 
 
 def test_bond_hops_use_u_and_q():
     chain = build_chain(2, GENERIC)
     third = Fraction(1, 3)
     s10, s01 = 0b10, 0b01
-    assert chain.matrix[s10][s01] == third * GENERIC.u
-    assert chain.matrix[s01][s10] == third * GENERIC.q
+    assert _prob(chain, s10, s01) == third * GENERIC.u
+    assert _prob(chain, s01, s10) == third * GENERIC.q
+    # the float array holds each exact probability rounded once
+    assert chain.to_numpy()[s10, s01] == float(third * GENERIC.u)
 
 
 def test_chain_size_guards():
@@ -119,21 +134,32 @@ def test_exact_and_float_solvers_agree():
     assert sum(exact) == 1
 
 
-def test_singular_exact_system_is_refused():
-    # Every state absorbing: no unique stationary law, although every rate is
-    # positive.  The refusal must not depend on `assert`.
-    identity = tuple(
-        tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)
-    )
-    with pytest.raises(ReducibleChainError):
-        stationary(ASEPChain(2, GENERIC, identity), exact=True)
-
-
 def test_zero_parameter_refuses_to_solve():
     p = ASEPParams.from_strings("0", "1/2", "1/2", "1/2", "1/2", "1/2")
     chain = build_chain(2, p)
     with pytest.raises(ReducibleChainError):
         stationary(chain)
+    with pytest.raises(ReducibleChainError):
+        stationary(chain, exact=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_balance_certificate_rejects_z_from_other_rates(n, monkeypatch):
+    # Z_sigma with q and u swapped is not the chain's law: its balance defect
+    # is nonzero, and exact mode refuses it without relying on `assert`.
+    swapped = replace(GENERIC, q=GENERIC.u, u=GENERIC.q)
+    total, by_type = partition_functions(n, swapped)
+    pi = [by_type[state_bits(s, n)] / total for s in range(1 << n)]
+    chain = build_chain(n, GENERIC)
+    assert asep._residual(chain, pi, exact=True) > 0
+    monkeypatch.setattr(
+        asep, "partition_functions", lambda n, params: (total, by_type)
+    )
+    with pytest.raises(RuntimeError, match="fails global balance"):
+        stationary(chain, exact=True)
+    rep = verify_steady_state(n, GENERIC, exact=True)
+    assert not rep.passed and rep.residual > 0
+    assert rep.max_deviation == float(rep.residual)
 
 
 # --------------------------------------------------------- partition sums

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -253,6 +254,14 @@ def test_exact_law_outputs_are_pinned(capsys, argv):
         ("triangles --which c1 --n-max 201", "need 0 <= n-max <= 200, got 201"),
         ("triangles --which V --n-max -1 --format json",
          "need 0 <= n-max <= 200, got -1"),
+        ("moments --stat r --n 10000", "need 1 <= n <= 1000, got 10000"),
+        ("moments --stat gamma --n 1001 --format json",
+         "need 1 <= n <= 1000, got 1001"),
+        ("moments --stat a --n 100000000000 --format csv",
+         "need 1 <= n <= 1000, got 100000000000"),
+        ("series-check --z-order 101", "need 0 <= z-order <= 100, got 101"),
+        ("series-check --z-order 1000 --format json",
+         "need 0 <= z-order <= 100, got 1000"),
     ],
 )
 def test_size_caps_refuse_before_any_output(capsys, argv, message):
@@ -294,19 +303,27 @@ def test_asep_partition_mode_lists_types(capsys):
     assert [e["type"] for e in doc["by_type"]] == ["00", "01", "10", "11"]
 
 
-@pytest.mark.parametrize("mode", ["verify", "partition", "stationary"])
+@pytest.mark.parametrize(
+    "mode",
+    ["verify", "partition", "stationary", "verify --exact", "stationary --exact"],
+)
 def test_asep_runs_at_the_cap(capsys, mode):
     code, out = run(
-        capsys, "asep", "--n", "8", *_PARAMS, "--mode", mode, "--no-timestamp",
+        capsys, "asep", "--n", "8", *_PARAMS, "--mode", *mode.split(),
+        "--no-timestamp",
     )
     doc = json.loads(out)
     assert code == 0
     if mode == "verify":
         assert doc["passed"] is True and doc["residual"] < 1e-12
+    elif mode == "verify --exact":
+        assert doc["passed"] is True and doc["residual"] == ["0", "1"]
     elif mode == "partition":
         assert len(doc["by_type"]) == 256
     else:
         assert len(doc["pi"]) == 256
+        if mode == "stationary --exact":
+            assert sum(Fraction(*map(int, e["p"])) for e in doc["pi"]) == 1
 
 
 @pytest.mark.parametrize("mode", ["verify", "partition", "stationary"])
@@ -326,6 +343,63 @@ def test_asep_exact_verify_prints_a_rational_residual(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["residual"] == ["0", "1"]
+
+
+# sha256 of the stdout of `asep --n N <_PARAMS> --mode M [--exact]
+# --no-timestamp` as the dense Fraction matrix and its Gaussian elimination
+# printed it; the move-list chain and the certified exact law must print the
+# same bytes.
+_ASEP_PINNED = {
+    "1 verify":
+        "9630edd55c5427944b49afccb07d8f93a9f104bfb65225425b96e475b95a3bcb",
+    "1 stationary":
+        "89bad04ac986d1b3f9b9ebc5dac3a689f2867d3a4ed9d49b86c88e3f8cacc872",
+    "1 partition":
+        "43553d5705aed973c713177e4f6d16756c678bc01b10a5f3a71bcb1aeb1bfcb0",
+    "3 verify":
+        "a6227d2cb69741b0b24352bc4da24e1530dbaad2e383781403e5ec5869db9430",
+    "3 stationary":
+        "6841121c34f8aaba90db7b919233f33f6d179dcf367451a39adf6f1c96c12c7d",
+    "3 partition":
+        "c15001d285013390a0f5426305c2bb99b95178a28b7cf57beb4a375dde9b0a50",
+    "8 verify":
+        "cbac4cdc879ff302a07dbfc752bb7168bf336348875da40b24a3873a63202ff4",
+    "8 stationary":
+        "f3ffe91a2c72bcc8b5ebe5c3933d725ea3f0d9b631bd70bf339e0040b3327261",
+    "8 partition":
+        "853d075d2bed93abb0b0cb2176f9e18215f797826028dc5de25957b32d8fba42",
+    "1 stationary --exact":
+        "804c1cfc3da222bbb3a3211575f3f9f02279cde8d8d88abca2c89f211e960f0d",
+    "2 stationary --exact":
+        "35035fae8abacd870a894b321622db2b47198486c6c5736a56343cb56e436973",
+    "3 stationary --exact":
+        "e4d5765a354f114a5488c244690f93d95e85ad3e38e54cc8cd45a815ae4a833e",
+    "4 stationary --exact":
+        "062552a8acb3085cbae4bd6e3b8cfd86271f279ec82794cf401715c266cd43b2",
+    "5 stationary --exact":
+        "f48b15d1e8148fb6e5f944fc8e04c483dd33a170944a271b01a848bf089ca0bb",
+    "1 verify --exact":
+        "e8dcbb8281ddfbf99d413f5d4ae71739f238b721606c30f06173ea650c2b079c",
+    "2 verify --exact":
+        "154a8dcfe0b742058aa54416be3acc265eafd3ffb10622d65d895f2dc52f3895",
+    "3 verify --exact":
+        "a8ee1d2ae3d3996e6d16f038c4686eb02371737e1f053fc43da6c5f33783a2a8",
+    "4 verify --exact":
+        "fa283a0c4cffcb7b364000fb7be1548fa5c4638175465a808f50a7ef9bb8fcc1",
+    "5 verify --exact":
+        "4cac5afcd981e7acc1f1cc429c12453d600d55acd39872fe1d37987726d7cd40",
+}
+
+
+@pytest.mark.parametrize("case", list(_ASEP_PINNED))
+def test_asep_outputs_are_pinned(capsys, case):
+    n, mode, *exact = case.split()
+    code, out = run(
+        capsys, "asep", "--n", n, *_PARAMS, "--mode", mode, *exact,
+        "--no-timestamp",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ASEP_PINNED[case]
 
 
 def test_asep_rejects_malformed_rate(capsys):
@@ -363,6 +437,19 @@ def test_verify_passes_under_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_asep_exact_passes_under_optimize_flag():
+    # The balance certificate behind the exact law must not rely on `assert`.
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "staircase_tableaux", "asep", "--n", "3",
+         *_PARAMS, "--exact", "--no-timestamp"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["passed"] is True and doc["residual"] == ["0", "1"]
 
 
 def test_verify_suite_function_runs_every_named_check():
