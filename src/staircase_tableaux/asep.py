@@ -173,7 +173,7 @@ def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.nda
         b = np.zeros(chain.size)
         b[-1] = 1.0
         return np.linalg.solve(a, b)
-    pi = _tableau_law(chain.n, chain.params)
+    pi = _tableau_law(chain.n, partition_functions(chain.n, chain.params))
     defect = _residual(chain, pi, exact=True)
     if defect:
         raise RuntimeError(
@@ -321,9 +321,11 @@ def _residual(
     return Fraction(max(map(abs, net))) / chain.denominator
 
 
-def _tableau_law(n: int, params: ASEPParams) -> list[Fraction]:
-    """Z_sigma / Z_n, state by state."""
-    total, by_type = partition_functions(n, params)
+def _tableau_law(
+    n: int, z: tuple[Fraction, dict[str, Fraction]]
+) -> list[Fraction]:
+    """Z_sigma / Z_n, state by state, from `partition_functions`' output."""
+    total, by_type = z
     return [by_type[state_bits(s, n)] / total for s in range(1 << n)]
 
 
@@ -337,7 +339,17 @@ def verify_steady_state(
     """
     chain = build_chain(n, params)
     _require_positive(params)
-    law = _tableau_law(n, params)
+    return _steady_state_report(
+        chain, _tableau_law(n, partition_functions(n, params)), tol, exact
+    )
+
+
+def _steady_state_report(
+    chain: ASEPChain, law: list[Fraction], tol: float, exact: bool
+) -> SteadyStateReport:
+    """`verify_steady_state` against an already computed Z_sigma / Z_n, so a
+    caller running both modes computes Z once.  The rates must be strictly
+    positive."""
     if exact:
         residual = _residual(chain, law, exact=True)
         max_dev = float(residual)
@@ -346,7 +358,7 @@ def verify_steady_state(
         residual = _residual(chain, pi, exact=False)
         max_dev = max(abs(float(p) - float(z)) for p, z in zip(pi, law))
     return SteadyStateReport(
-        n, params, max_dev, residual, tol, max_dev < tol, exact
+        chain.n, chain.params, max_dev, residual, tol, max_dev < tol, exact
     )
 
 

@@ -22,11 +22,14 @@ from typing import Any, Callable, Sequence
 
 from .asep import (
     PARAMETER_GRID,
+    _steady_state_report,
+    _tableau_law,
+    build_chain,
     enumerated_partition_functions,
     partition_functions,
     verify_steady_state,
 )
-from .core import Tableau, statistics
+from .core import Tableau, _read_statistics, statistics
 from .counting import total_count
 from .enumerator import enumerate_all
 from .polyengine import (
@@ -217,8 +220,17 @@ def _r_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("row-identity")
 def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """r + delta = n on the walk's stamps, and each stamp equal to the
+    statistics read off its cells on the tableaux kept (n <= _KEEP_MAX)."""
     bad = sum(_census(n).row_identity_violations for n in range(1, rg.enum + 1))
-    return bad == 0, {"max_n": rg.enum, "violations": bad}
+    stamp_bad = sum(
+        t._stats != _read_statistics(t)
+        for n in range(1, rg.enum + 1)
+        for t in _census(n).tableaux
+    )
+    return bad == 0 and stamp_bad == 0, {
+        "max_n": rg.enum, "violations": bad, "stamp_mismatches": stamp_bad,
+    }
 
 
 @_check("diagonal-distribution")
@@ -340,29 +352,30 @@ def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     # The DP's Z values must equal the enumeration's exactly, setting by
     # setting; the chain identity then runs on the DP alone, in floats
-    # against the solve and exactly as a balance certificate.
-    mismatches = [
-        [k, n]
-        for k, params in enumerate(PARAMETER_GRID)
-        for n in range(1, rg.z_oracle + 1)
-        if partition_functions(n, params)
-        != enumerated_partition_functions(n, params)
-    ]
+    # against the solve and exactly as a balance certificate, both legs on
+    # one Z per (setting, n) (the ranges keep z_oracle <= asep).
+    mismatches = []
     worst = residual = 0.0
     exact_defect = Fraction(0)
-    ok = not mismatches
-    for params in PARAMETER_GRID:
+    ok = True
+    for k, params in enumerate(PARAMETER_GRID):
         for n in range(1, rg.asep + 1):
-            rep = verify_steady_state(n, params, tol=1e-10)
+            z = partition_functions(n, params)
+            if n <= rg.z_oracle and z != enumerated_partition_functions(n, params):
+                mismatches.append([k, n])
+            chain, law = build_chain(n, params), _tableau_law(n, z)
+            rep = _steady_state_report(chain, law, 1e-10, exact=False)
             worst = max(worst, rep.max_deviation)
             residual = max(residual, rep.residual)
             ok = ok and rep.passed
             # Exact leg: Z_sigma / Z_n must balance the chain's moves exactly.
-            exact_defect = max(
-                exact_defect, verify_steady_state(n, params, exact=True).residual
-            )
+            exact_rep = _steady_state_report(chain, law, 1e-10, exact=True)
+            exact_defect = max(exact_defect, exact_rep.residual)
     exact = verify_steady_state(1, PARAMETER_GRID[0], exact=True).max_deviation
-    ok = ok and worst < 1e-10 and exact == 0.0 and exact_defect == 0
+    ok = (
+        ok and not mismatches and worst < 1e-10 and exact == 0.0
+        and exact_defect == 0
+    )
     return ok, {
         "max_n": rg.asep,
         "settings": len(PARAMETER_GRID),

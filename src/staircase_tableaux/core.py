@@ -16,8 +16,11 @@ growth root used by the enumerator and the sampler.  Validation happens once
 per tableau: `check_valid`, behind every statistic, marks a tableau that
 passes, and tableaux grown by the enumerator's walk or the sampler are born
 marked, so never validated.  `validate` and `is_valid` always run the rules.
-A tableau's `cells` is a read-only `FrozenCells`, so a marked tableau cannot
-change after its check.
+Beside the check mark, a tableau the walk yields carries its `StatVector`,
+stamped from counts the walk keeps along the path; `statistics` returns that
+stamp and reads the cells of every other tableau.  A tableau's `cells` is a
+read-only `FrozenCells`, so a marked or stamped tableau cannot change after
+its check.
 """
 
 from __future__ import annotations
@@ -104,6 +107,9 @@ class Tableau:
     n: int
     cells: Mapping[Cell, GreekSymbol]
     _checked: bool = field(default=False, init=False, repr=False, compare=False)
+    _stats: StatVector | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -354,6 +360,14 @@ def ag_row_indices(t: Tableau) -> list[int]:
 
 
 def statistics(t: Tableau) -> StatVector:
+    """The tableau's `StatVector`: its stamp if it has one, else read off
+    the cells."""
+    if t._stats is not None:
+        return t._stats
+    return _read_statistics(t)
+
+
+def _read_statistics(t: Tableau) -> StatVector:
     check_valid(t)
     n = t.n
     n_ag = a_diag = 0

@@ -16,7 +16,10 @@ one fill sequence, which is what makes the DFS below an exact enumeration
 and gives the sampler its uniformity.  `_place` is the one growth step of the
 walk, `extend` and the sampler; the tableaux the walk and the sampler finish
 are valid by construction, so they are born marked as checked and are never
-validated.
+validated.  Beside the check mark, each tableau the visitor walk yields is
+stamped with its `StatVector`, built from three counts the walk keeps along
+the path (the AG rows, the alpha/gamma entries and the diagonal ones) rather
+than read back from the cells.  The sampler's tableaux are not stamped.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .core import (
     Cell,
     GreekSymbol,
     InvalidTableauError,
+    StatVector,
     Tableau,
     ag_row_indices,
     check_valid,
@@ -111,6 +115,16 @@ def legal_fills(r: int) -> tuple[ColumnFill, ...]:
     return tuple(fills)
 
 
+@lru_cache(maxsize=None)
+def _stamped_fills(r: int) -> tuple[tuple[ColumnFill, int, int], ...]:
+    """`legal_fills(r)`, each with the alpha/gamma entries it writes and the
+    alpha/gamma entries it writes on the diagonal (its bottom box)."""
+    return tuple(
+        (f, f.bottom.is_ag + f.has_ag_upper, int(f.bottom.is_ag))
+        for f in legal_fills(r)
+    )
+
+
 def _place(
     cells: dict, ag_rows: list[int], bottom_row: int, col: int, fill: ColumnFill
 ) -> list[int]:
@@ -130,10 +144,13 @@ def _place(
     return kept
 
 
-def _grown(n: int, cells: dict) -> Tableau:
-    """A tableau that is valid by construction, marked as checked."""
+def _grown(n: int, cells: dict, stats: StatVector | None = None) -> Tableau:
+    """A tableau that is valid by construction, marked as checked and, when
+    `stats` is given, stamped with it."""
     t = Tableau(n, cells)
     object.__setattr__(t, "_checked", True)
+    if stats is not None:
+        object.__setattr__(t, "_stats", stats)
     return t
 
 
@@ -181,10 +198,15 @@ def split_first_column(t: Tableau) -> tuple[Tableau, ColumnFill]:
 def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> int:
     """Depth-first walk of the growth tree; every size-n tableau exactly once.
 
-    Returns the leaf count.  With `visitor=None` the tree is still walked leaf
-    by leaf but no Tableau objects are materialized, which keeps the n=6 walk
-    (2,949,120 tableaux) to a few seconds.  Single-threaded; the first-column
-    fills partition the tree if a caller wants to shard the walk.
+    Returns the leaf count.  Each tableau handed to `visitor` is born checked
+    and stamped with its `StatVector`: r is the walk's AG-row count, gamma
+    and a_diag are alpha/gamma counts kept along the path, and delta is the
+    number of cells minus gamma, so r + delta = n stays a real identity.
+    With `visitor=None` no Tableau objects are materialized, and the walk
+    sums leaf counts over the same `legal_fills` branching, memoised on
+    (depth, r): a subtree's leaf count depends on nothing else.
+    Single-threaded; the first-column fills partition the tree if a caller
+    wants to shard the walk.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -193,38 +215,50 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
 
     count = 0
     cells: dict[Cell, GreekSymbol] = {}
+    # Leaves share one frozen StatVector per (r, gamma, cells, a_diag): the
+    # lookup costs a tenth of building one.
+    stamps: dict[tuple[int, int, int, int], StatVector] = {}
 
-    def rec(m: int, ag_rows: list[int]) -> None:
+    def rec(m: int, ag_rows: list[int], n_ag: int, a_diag: int) -> None:
         nonlocal count
         if m == n:
             count += 1
-            visitor(_grown(n, cells))
+            key = (len(ag_rows), n_ag, len(cells), a_diag)
+            stats = stamps.get(key)
+            if stats is None:
+                stats = stamps[key] = StatVector(
+                    key[0], key[2] - n_ag, n_ag, a_diag, n - a_diag
+                )
+            visitor(_grown(n, cells, stats))
             return
         depth = len(cells)
-        for fill in legal_fills(len(ag_rows)):
-            rec(m + 1, _place(cells, ag_rows, m + 1, n - m, fill))
+        for fill, d_ag, d_diag in _stamped_fills(len(ag_rows)):
+            rec(
+                m + 1,
+                _place(cells, ag_rows, m + 1, n - m, fill),
+                n_ag + d_ag,
+                a_diag + d_diag,
+            )
             # Dicts pop in reverse insertion order: this undoes the step.
             while len(cells) > depth:
                 cells.popitem()
 
-    rec(0, [])
+    rec(0, [], 0, 0)
     return count
 
 
 def _count_leaves(n: int) -> int:
-    # Walks the same tree as the visitor path, tracking only the AG-row count
-    # (the branching at each node depends on nothing else).
+    # Sums over the visitor walk's branching, tracking only the AG-row count
+    # (the branching below a node depends on nothing else), so equal
+    # (depth, r) subtrees are counted once.
     deltas: list[list[int]] = [
         [f.r_change for f in legal_fills(r)] for r in range(n)
     ]
 
+    @lru_cache(maxsize=None)
     def rec(m: int, r: int) -> int:
         if m == n:
             return 1
-        total = 0
-        nxt = m + 1
-        for d in deltas[r]:
-            total += rec(nxt, r + d)
-        return total
+        return sum(rec(m + 1, r + d) for d in deltas[r])
 
     return rec(0, 0)

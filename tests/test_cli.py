@@ -87,6 +87,24 @@ def test_enumerate_streams_parseable_tableaux(capsys):
     assert all(validate(from_text(line)) == [] for line in lines)
 
 
+# sha256 of `enumerate --n 4 --format F --no-timestamp` stdout as the walk
+# printed it when every statistic was read off the cells; the walk's stamped
+# statistics must print the same bytes.
+_ENUMERATE_PINNED = {
+    "csv": "30a9c7488c90404778b760c473fde71762b1d6eda7572867466d04ad6c5f4bc7",
+    "text": "7c04c833e5afc7f7983c7c629148378136062885802520dd787a40ff6a99ac25",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_ENUMERATE_PINNED))
+def test_enumerate_outputs_are_pinned(capsys, fmt):
+    code, out = run(
+        capsys, "enumerate", "--n", "4", "--format", fmt, "--no-timestamp"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_PINNED[fmt]
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize("n", ["7", "0"])
 def test_enumerate_rejects_sizes_outside_the_cap(capsys, n, fmt):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,12 @@ from staircase_tableaux.core import (
     validate,
     weight,
 )
-from staircase_tableaux.enumerator import enumerate_all
+from staircase_tableaux.enumerator import (
+    ColumnFill,
+    enumerate_all,
+    extend,
+    split_first_column,
+)
 from staircase_tableaux.sampler import sample_statistics, sample_uniform
 
 A, B, G, D = (
@@ -186,6 +192,48 @@ def test_equality_and_hash_ignore_the_cells_type():
     assert t.cells == cells and cells == t.cells
     assert t == Tableau(2, dict(reversed(list(cells.items()))))
     assert hash(t) == hash((2, ((1, 2, "A"), (2, 1, "B"))))
+
+
+# --------------------------------------------------- walk-stamped statistics
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_stamps_match_the_cells(n):
+    bad = []
+
+    def visit(t):
+        stamp = statistics(t)
+        if t._stats is None or stamp != statistics(Tableau(t.n, dict(t.cells))):
+            bad.append(to_line(t))
+
+    assert enumerate_all(n, visit) == 4**n * factorial(n)
+    assert bad == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Tableau(2, {(1, 2): A, (2, 1): B}),
+        lambda: from_text("2;1 2 A;2 1 B"),
+        lambda: extend(Tableau(1, {(1, 1): A}), ColumnFill(B, ((1, G),))),
+        lambda: split_first_column(sample_uniform(5, 3))[0],
+        lambda: sample_uniform(5, 3),
+    ],
+    ids=["constructor", "from-text", "extend", "split", "sampler"],
+)
+def test_only_the_walk_stamps(build):
+    t = build()
+    statistics(t)
+    assert t._stats is None
+
+
+def test_pickle_round_trip_keeps_the_stamp():
+    walked = []
+    enumerate_all(3, walked.append)
+    for t in walked[::37]:
+        back = pickle.loads(pickle.dumps(t))
+        assert back._stats == t._stats is not None
+        assert statistics(back) == statistics(t) == core._read_statistics(back)
 
 
 # ---------------------------------------------------------------- labeling
