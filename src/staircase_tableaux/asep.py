@@ -23,15 +23,15 @@ max |pi P - pi| alongside.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
 
-from .core import Tableau, type_word, weight
+from .core import Tableau, WeightMonomial, type_word, weight
 from .enumerator import _ENUM_LIMIT, enumerate_all
 
 #: Largest n of the chain and of the partition-function DP alike; the float
@@ -74,7 +74,15 @@ class ASEPParams:
 
     @classmethod
     def from_strings(cls, *values: str) -> ASEPParams:
-        return cls(*(Fraction(v) for v in values))
+        """The six rates from strings such as "1/3", in field order; a zero
+        denominator is a ValueError like any other malformed rate."""
+        rates = []
+        for name, text in zip(_RATES, values, strict=True):
+            try:
+                rates.append(Fraction(text))
+            except ZeroDivisionError:
+                raise ValueError(f"{name}={text} has a zero denominator") from None
+        return cls(*rates)
 
 
 def state_bits(state: int, n: int) -> str:
@@ -269,6 +277,8 @@ def enumerated_partition_functions(
 
     The exact oracle for `partition_functions`: it sums the weight monomial of
     every tableau, so it shares nothing with the DP but the filling rules.
+    The monomials come from one walk per n (`_weight_census`); each distinct
+    one is evaluated once per setting.
     """
     if not 1 <= n <= _ENUM_LIMIT:
         raise ValueError(
@@ -277,17 +287,26 @@ def enumerated_partition_functions(
     by_type: dict[str, Fraction] = {
         format(s, f"0{n}b"): Fraction(0) for s in range(1 << n)
     }
-
-    def visit(t: Tableau) -> None:
-        w = weight(t).evaluate(
+    for (bits, w), count in _weight_census(n):
+        by_type[bits] += count * w.evaluate(
             params.alpha, params.beta, params.gamma, params.delta,
             params.u, params.q,
         )
-        by_type[type_word(t).as_bits()] += w
-
-    enumerate_all(n, visit)
     total = sum(by_type.values(), Fraction(0))
     return total, by_type
+
+
+@lru_cache(maxsize=None)
+def _weight_census(n: int) -> tuple[tuple[tuple[str, WeightMonomial], int], ...]:
+    """How many size-n tableaux have each (type word, weight monomial): one
+    walk per n and process, free of any setting."""
+    census: Counter[tuple[str, WeightMonomial]] = Counter()
+
+    def visit(t: Tableau) -> None:
+        census[type_word(t).as_bits(), weight(t)] += 1
+
+    enumerate_all(n, visit)
+    return tuple(census.items())
 
 
 @dataclass(frozen=True)

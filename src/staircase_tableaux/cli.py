@@ -9,13 +9,18 @@ series self-check, ASEP steady-state runs, and the verification suite:
     staircase-tableaux sample --n 8 --count 3 --seed 11
     staircase-tableaux verify --n-max 5
 
-Every CSV/JSON payload embeds the package version, the resolved seed (with
-its source: flag, the STAIRCASE_TABLEAUX_SEED environment variable, or the
-default), and the effective configuration.  Reruns with identical flags are
-byte-identical once ``--no-timestamp`` is passed.  Exact quantities are
-emitted as numerator/denominator string pairs, and integers that may exceed
-2**53 as decimal strings, so payloads survive JSON parsers with double-only
-numbers.
+Each subparser names its handler (``_cmd_<subcommand>``) and its default
+format; the handler reads the parsed namespace directly.  `main` resolves the
+seed for the subcommands that take ``--seed`` (``sample``, ``verify``) and
+parses the rates for ``asep``, then calls the handler.
+
+Every CSV/JSON payload embeds the package version, the effective
+configuration and, for ``sample`` and ``verify``, the resolved seed with its
+source: flag, the STAIRCASE_TABLEAUX_SEED environment variable, or the
+default.  Reruns with identical flags are byte-identical once
+``--no-timestamp`` is passed.  Exact quantities are emitted as
+numerator/denominator string pairs, and integers that may exceed 2**53 as
+decimal strings, so payloads survive JSON parsers with double-only numbers.
 
 ``verify`` runs the check registry of `staircase_tableaux.checks`, the same
 code that ``tests/test_acceptance.py`` runs; ``verify --n-max 6`` covers the
@@ -32,16 +37,18 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .asep import (
+    _RATES,
     ASEPParams,
     build_chain,
     partition_functions,
+    state_bits,
     stationary,
     verify_steady_state,
 )
@@ -102,69 +109,42 @@ _MOMENT_FNS = {
     "b": moments_A,
 }
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one subcommand plus every flag it may consult."""
-
-    subcommand: str
-    n: int | None = None
-    n_max: int | None = None
-    seed: int = 0
-    seed_source: str = "default"
-    count: int | None = None
-    stat: str | None = None
-    which: str | None = None
-    mode: str | None = None
-    suite: str | None = None
-    fmt: str = "text"
-    out: str | None = None
-    tol: float = 1e-10
-    z_order: int = 12
-    table: bool = False
-    exact: bool = False
-    no_timestamp: bool = False
-    params: ASEPParams | None = None
-
-
 # --------------------------------------------------------------------------
 # output plumbing
+
+# The flags a payload's ``config`` may report, in this order; a subcommand
+# reports those it has, skipping unset options and false switches.
+_CONFIG_KEYS = (
+    "n", "n_max", "count", "stat", "which", "mode", "suite",
+    "z_order", "table", "exact", "tol", "params",
+)
 
 
 def _rat(x: Fraction) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
-def _metadata(cfg: RunConfig, with_seed: bool = False) -> dict[str, Any]:
+def _metadata(args: argparse.Namespace) -> dict[str, Any]:
     config: dict[str, Any] = {}
-    for key in ("n", "n_max", "count", "stat", "which", "mode", "suite"):
-        value = getattr(cfg, key)
-        if value is not None:
-            config[key] = value
-    if cfg.subcommand == "series-check":
-        config["z_order"] = cfg.z_order
-    if cfg.table:
-        config["table"] = True
-    if cfg.exact:
-        config["exact"] = True
-    if cfg.subcommand == "asep":
-        config["tol"] = cfg.tol
-    if cfg.params is not None:
-        config["params"] = {
-            name: str(getattr(cfg.params, name))
-            for name in ("alpha", "beta", "gamma", "delta", "q", "u")
-        }
-    config["format"] = cfg.fmt
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key, None)
+        if value is None or value is False:
+            continue
+        if key == "params":
+            value = {name: str(getattr(value, name)) for name in _RATES}
+        config[key] = value
+    config["format"] = args.fmt
     meta: dict[str, Any] = {
         "schema": SCHEMA,
         "version": __version__,
-        "command": cfg.subcommand,
+        "command": args.subcommand,
         "config": config,
     }
-    if with_seed:
-        meta["seed"] = cfg.seed
-        meta["seed_source"] = cfg.seed_source
+    if getattr(args, "seed", None) is not None:
+        meta["seed"] = args.seed
+        meta["seed_source"] = args.seed_source
         meta["rng"] = RNG_ID
-    if not cfg.no_timestamp:
+    if not args.no_timestamp:
         meta["generated_at"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
@@ -209,30 +189,31 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each reads the parsed namespace and returns the exit
+# status
 
 
-def _cmd_count(cfg: RunConfig, out: TextIO) -> int:
-    limit = _TABLE_LIMIT if cfg.table else _COUNT_LIMIT
-    if not 0 <= cfg.n <= limit:
-        scope = " with --table" if cfg.table else ""
-        raise ValueError(f"need 0 <= n <= {limit}{scope}, got {cfg.n}")
-    total = total_count(cfg.n)
-    if cfg.table:
-        table = completions(cfg.n)
+def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+    limit = _TABLE_LIMIT if args.table else _COUNT_LIMIT
+    if not 0 <= args.n <= limit:
+        scope = " with --table" if args.table else ""
+        raise ValueError(f"need 0 <= n <= {limit}{scope}, got {args.n}")
+    total = total_count(args.n)
+    if args.table:
+        table = completions(args.n)
         rows = [(k, r, str(table.count(k, r))) for k, r in sorted(table.entries)]
     else:
         rows = []
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload: dict[str, Any] = {"total": str(total)}
-        if cfg.table:
+        if args.table:
             payload["table"] = [list(row) for row in rows]
-        _write_json(out, _metadata(cfg), payload)
-    elif cfg.fmt == "csv":
-        if cfg.table:
-            _write_csv(out, _metadata(cfg), ("k", "r", "count"), rows)
+        _write_json(out, _metadata(args), payload)
+    elif args.fmt == "csv":
+        if args.table:
+            _write_csv(out, _metadata(args), ("k", "r", "count"), rows)
         else:
-            _write_csv(out, _metadata(cfg), ("n", "total"), [(cfg.n, str(total))])
+            _write_csv(out, _metadata(args), ("n", "total"), [(args.n, str(total))])
     else:
         for k, r, value in rows:
             out.write(f"{k}\t{r}\t{value}\n")
@@ -247,44 +228,44 @@ def _stat_row(n: int, s: StatVector) -> tuple[int, int, int, int, int, int]:
     return (n, s.r, s.delta, s.gamma, s.a_diag, s.b_diag)
 
 
-def _cmd_enumerate(cfg: RunConfig, out: TextIO) -> int:
-    if not 1 <= cfg.n <= _ENUM_LIMIT:
-        raise ValueError(f"need 1 <= n <= {_ENUM_LIMIT}, got {cfg.n}")
-    if cfg.fmt == "csv":
-        for key, value in _flatten(_metadata(cfg)):
+def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
+    n = args.n
+    if not 1 <= n <= _ENUM_LIMIT:
+        raise ValueError(f"need 1 <= n <= {_ENUM_LIMIT}, got {n}")
+    if args.fmt == "csv":
+        for key, value in _flatten(_metadata(args)):
             out.write(f"# {key}={value}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_STAT_HEADER)
         enumerate_all(
-            cfg.n,
-            lambda t: writer.writerow(_stat_row(cfg.n, tableau_statistics(t))),
+            n, lambda t: writer.writerow(_stat_row(n, tableau_statistics(t)))
         )
     else:
-        enumerate_all(cfg.n, lambda t: out.write(to_line(t) + "\n"))
+        enumerate_all(n, lambda t: out.write(to_line(t) + "\n"))
     return 0
 
 
-def _cmd_sample(cfg: RunConfig, out: TextIO) -> int:
-    if cfg.count < 1:
-        raise ValueError(f"--count must be at least 1, got {cfg.count}")
-    if cfg.fmt == "text":
-        for t in sample_many(cfg.n, cfg.count, cfg.seed):
+def _cmd_sample(args: argparse.Namespace, out: TextIO) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.fmt == "text":
+        for t in sample_many(args.n, args.count, args.seed):
             out.write(to_line(t) + "\n")
         return 0
     # The json and csv reports read only statistics, drawn from the same
     # stream without building the tableaux.
-    draws = sample_statistics(cfg.n, cfg.count, cfg.seed)
-    if cfg.fmt == "json":
+    draws = sample_statistics(args.n, args.count, args.seed)
+    if args.fmt == "json":
         r_hist = Counter(s.r for s in draws)
         a_hist = Counter(s.a_diag for s in draws)
         payload = {
             "r_histogram": {str(v): r_hist[v] for v in sorted(r_hist)},
             "a_diag_histogram": {str(v): a_hist[v] for v in sorted(a_hist)},
         }
-        _write_json(out, _metadata(cfg, with_seed=True), payload)
+        _write_json(out, _metadata(args), payload)
     else:
-        rows = [_stat_row(cfg.n, s) for s in draws]
-        _write_csv(out, _metadata(cfg, with_seed=True), _STAT_HEADER, rows)
+        rows = [_stat_row(args.n, s) for s in draws]
+        _write_csv(out, _metadata(args), _STAT_HEADER, rows)
     return 0
 
 
@@ -294,45 +275,45 @@ def _check_stat_size(n: int) -> None:
         raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {n}")
 
 
-def _cmd_dist(cfg: RunConfig, out: TextIO) -> int:
-    _check_stat_size(cfg.n)
-    pmf = _DIST_FNS[cfg.stat](cfg.n)
+def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
+    _check_stat_size(args.n)
+    pmf = _DIST_FNS[args.stat](args.n)
     rows = [
         (v, p.numerator, p.denominator) for v, p in zip(pmf.support(), pmf.probs)
     ]
     # The rows hold every number now; freeing the integer weights before the
     # payload's decimal strings are built keeps the peak memory down.
     del pmf
-    if cfg.fmt == "csv":
-        _write_csv(out, _metadata(cfg), ("value", "numerator", "denominator"), rows)
-    elif cfg.fmt == "json":
+    if args.fmt == "csv":
+        _write_csv(out, _metadata(args), ("value", "numerator", "denominator"), rows)
+    elif args.fmt == "json":
         payload = {
             "pmf": [
                 {"value": v, "p": [str(num), str(den)]} for v, num, den in rows
             ]
         }
-        _write_json(out, _metadata(cfg), payload)
+        _write_json(out, _metadata(args), payload)
     else:
         for v, num, den in rows:
             out.write(f"{v}\t{num}/{den}\n")
     return 0
 
 
-def _cmd_moments(cfg: RunConfig, out: TextIO) -> int:
-    _check_stat_size(cfg.n)
-    mean, variance = _MOMENT_FNS[cfg.stat](cfg.n)
-    if cfg.fmt == "csv":
+def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
+    _check_stat_size(args.n)
+    mean, variance = _MOMENT_FNS[args.stat](args.n)
+    if args.fmt == "csv":
         rows = [
             ("mean", mean.numerator, mean.denominator),
             ("variance", variance.numerator, variance.denominator),
         ]
         _write_csv(
-            out, _metadata(cfg), ("quantity", "numerator", "denominator"), rows
+            out, _metadata(args), ("quantity", "numerator", "denominator"), rows
         )
-    elif cfg.fmt == "json":
+    elif args.fmt == "json":
         _write_json(
             out,
-            _metadata(cfg),
+            _metadata(args),
             {"mean": _rat(mean), "variance": _rat(variance)},
         )
     else:
@@ -350,37 +331,39 @@ def _triangle_rows(which: str, n_max: int) -> list[tuple[int, int, str]]:
     return [(n, k, str(v)) for n, row in enumerate(rows) for k, v in enumerate(row)]
 
 
-def _cmd_triangles(cfg: RunConfig, out: TextIO) -> int:
-    if not 0 <= cfg.n_max <= _TRIANGLE_LIMIT:
-        raise ValueError(f"need 0 <= n-max <= {_TRIANGLE_LIMIT}, got {cfg.n_max}")
-    rows = _triangle_rows(cfg.which, cfg.n_max)
-    if cfg.fmt == "json":
+def _cmd_triangles(args: argparse.Namespace, out: TextIO) -> int:
+    if not 0 <= args.n_max <= _TRIANGLE_LIMIT:
+        raise ValueError(
+            f"need 0 <= n-max <= {_TRIANGLE_LIMIT}, got {args.n_max}"
+        )
+    rows = _triangle_rows(args.which, args.n_max)
+    if args.fmt == "json":
         payload = {"rows": [list(row) for row in rows]}
-        _write_json(out, _metadata(cfg), payload)
-    elif cfg.fmt == "text":
+        _write_json(out, _metadata(args), payload)
+    elif args.fmt == "text":
         for n, k, value in rows:
             out.write(f"{n}\t{k}\t{value}\n")
     else:
-        _write_csv(out, _metadata(cfg), ("n", "k", "value"), rows)
+        _write_csv(out, _metadata(args), ("n", "k", "value"), rows)
     return 0
 
 
-def _cmd_series_check(cfg: RunConfig, out: TextIO) -> int:
+def _cmd_series_check(args: argparse.Namespace, out: TextIO) -> int:
     # z-order < 0 is refused, just as early, by the series check itself.
-    if cfg.z_order > _Z_ORDER_LIMIT:
+    if args.z_order > _Z_ORDER_LIMIT:
         raise ValueError(
-            f"need 0 <= z-order <= {_Z_ORDER_LIMIT}, got {cfg.z_order}"
+            f"need 0 <= z-order <= {_Z_ORDER_LIMIT}, got {args.z_order}"
         )
-    rep = bivariate_series_check(cfg.z_order)
+    rep = bivariate_series_check(args.z_order)
     poles = pole_constants()
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "ok": rep.ok,
             "orders_checked": rep.orders_checked,
             "first_mismatch": rep.first_mismatch,
             "pole_constants": [_rat(p) for p in poles],
         }
-        _write_json(out, _metadata(cfg), payload)
+        _write_json(out, _metadata(args), payload)
     else:
         out.write(f"ok: {rep.ok}\n")
         out.write(f"orders checked: {rep.orders_checked}\n")
@@ -388,25 +371,18 @@ def _cmd_series_check(cfg: RunConfig, out: TextIO) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_asep(cfg: RunConfig, out: TextIO) -> int:
-    params = cfg.params
-    n = cfg.n
-    meta = _metadata(cfg)
-    if cfg.mode == "stationary":
-        pi = stationary(build_chain(n, params), exact=cfg.exact)
-        if cfg.exact:
-            entries = [
-                {"state": format(s, f"0{n}b"), "p": _rat(pi[s])}
-                for s in range(1 << n)
-            ]
-        else:
-            entries = [
-                {"state": format(s, f"0{n}b"), "p": float(pi[s])}
-                for s in range(1 << n)
-            ]
+def _cmd_asep(args: argparse.Namespace, out: TextIO) -> int:
+    n, params = args.n, args.params
+    meta = _metadata(args)
+    if args.mode == "stationary":
+        pi = stationary(build_chain(n, params), exact=args.exact)
+        p = _rat if args.exact else float
+        entries = [
+            {"state": state_bits(s, n), "p": p(pi[s])} for s in range(1 << n)
+        ]
         _write_json(out, meta, {"pi": entries})
         return 0
-    if cfg.mode == "partition":
+    if args.mode == "partition":
         total, by_type = partition_functions(n, params)
         entries = [
             {"type": bits, "Z": _rat(by_type[bits])}
@@ -414,7 +390,7 @@ def _cmd_asep(cfg: RunConfig, out: TextIO) -> int:
         ]
         _write_json(out, meta, {"Z_total": _rat(total), "by_type": entries})
         return 0
-    rep = verify_steady_state(n, params, tol=cfg.tol, exact=cfg.exact)
+    rep = verify_steady_state(n, params, tol=args.tol, exact=args.exact)
     _write_json(
         out,
         meta,
@@ -429,28 +405,15 @@ def _cmd_asep(cfg: RunConfig, out: TextIO) -> int:
     return 0 if rep.passed else 1
 
 
-def _cmd_verify(cfg: RunConfig, out: TextIO) -> int:
-    names = None if cfg.suite == "all" else [cfg.suite]
-    results = verify_suite(cfg.n_max, seed=cfg.seed, names=names)
+def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+    names = None if args.suite == "all" else [args.suite]
+    results = verify_suite(args.n_max, seed=args.seed, names=names)
     payload = {
         "checks": [asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
-    _write_json(out, _metadata(cfg, with_seed=True), payload)
+    _write_json(out, _metadata(args), payload)
     return 0 if payload["passed"] else 1
-
-
-_DISPATCH: dict[str, Callable[[RunConfig, TextIO], int]] = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "sample": _cmd_sample,
-    "dist": _cmd_dist,
-    "moments": _cmd_moments,
-    "triangles": _cmd_triangles,
-    "series-check": _cmd_series_check,
-    "asep": _cmd_asep,
-    "verify": _cmd_verify,
-}
 
 
 # --------------------------------------------------------------------------
@@ -468,11 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    def add_common(
+        p: argparse.ArgumentParser,
+        handler: Callable[[argparse.Namespace, TextIO], int],
+        formats: tuple[str, ...],
+    ) -> None:
+        """Bind the handler; the first format is the default, and a
+        subcommand without ``--format`` writes JSON."""
+        p.set_defaults(handler=handler)
         if formats:
             p.add_argument(
                 "--format", choices=formats, default=formats[0], dest="fmt"
             )
+        else:
+            p.set_defaults(fmt="json")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument(
             "--no-timestamp",
@@ -483,60 +455,59 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="total tableau count, optionally the N(k, r) table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--table", action="store_true", help="emit the full N(k, r) table")
-    add_common(p, ("text", "csv", "json"))
+    add_common(p, _cmd_count, ("text", "csv", "json"))
 
     p = sub.add_parser("enumerate", help="stream every tableau of a given size")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, ("text", "csv"))
+    add_common(p, _cmd_enumerate, ("text", "csv"))
 
     p = sub.add_parser("sample", help="draw exact-uniform tableaux")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int)
-    add_common(p, ("text", "csv", "json"))
+    add_common(p, _cmd_sample, ("text", "csv", "json"))
 
     p = sub.add_parser("dist", help="exact law of a tableau statistic")
     p.add_argument("--stat", choices=sorted(_DIST_FNS), required=True)
     p.add_argument("--n", type=int, required=True)
-    add_common(p, ("text", "csv", "json"))
+    add_common(p, _cmd_dist, ("text", "csv", "json"))
 
     p = sub.add_parser("moments", help="exact mean and variance of a statistic")
     p.add_argument("--stat", choices=sorted(_MOMENT_FNS), required=True)
     p.add_argument("--n", type=int, required=True)
-    add_common(p, ("text", "csv", "json"))
+    add_common(p, _cmd_moments, ("text", "csv", "json"))
 
     p = sub.add_parser("triangles", help="export the V, W or c(1) triangle")
     p.add_argument("--which", choices=("V", "W", "c1"), required=True)
     p.add_argument("--n-max", type=int, default=8)
-    add_common(p, ("csv", "json", "text"))
+    add_common(p, _cmd_triangles, ("csv", "json", "text"))
 
     p = sub.add_parser("series-check", help="bivariate series self-check")
     p.add_argument("--z-order", type=int, default=12)
-    add_common(p, ("text", "json"))
+    add_common(p, _cmd_series_check, ("text", "json"))
 
     p = sub.add_parser("asep", help="ASEP chain: stationary law, partition sums, verify")
     p.add_argument("--n", type=int, required=True)
-    for name in ("alpha", "beta", "gamma", "delta", "q", "u"):
+    for name in _RATES:
         p.add_argument(f"--{name}", required=True, help=f"rate {name}, e.g. 1/3")
     p.add_argument("--mode", choices=("stationary", "partition", "verify"),
                    default="verify")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--exact", action="store_true", help="rational arithmetic")
-    add_common(p, ())
+    add_common(p, _cmd_asep, ())
 
     p = sub.add_parser("verify", help="run the aggregated verification suite")
     p.add_argument("--suite", choices=("all",) + CHECK_NAMES, default="all")
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--seed", type=int)
-    add_common(p, ())
+    add_common(p, _cmd_verify, ())
 
     return parser
 
 
-def _resolve_seed(args: argparse.Namespace) -> tuple[int, str]:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed, "flag"
+def _resolve_seed(flag: int | None) -> tuple[int, str]:
+    if flag is not None:
+        return flag, "flag"
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
@@ -546,52 +517,20 @@ def _resolve_seed(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "default"
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed, seed_source = _resolve_seed(args)
-    params = None
-    if args.subcommand == "asep":
-        params = ASEPParams.from_strings(
-            args.alpha, args.beta, args.gamma, args.delta, args.q, args.u
-        )
-    return RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        seed=seed,
-        seed_source=seed_source,
-        count=getattr(args, "count", None),
-        stat=getattr(args, "stat", None),
-        which=getattr(args, "which", None),
-        mode=getattr(args, "mode", None),
-        suite=getattr(args, "suite", None),
-        fmt=getattr(
-            args, "fmt", "json" if args.subcommand in ("asep", "verify") else "text"
-        ),
-        out=args.out,
-        tol=getattr(args, "tol", 1e-10),
-        z_order=getattr(args, "z_order", 12),
-        table=getattr(args, "table", False),
-        exact=getattr(args, "exact", False),
-        no_timestamp=args.no_timestamp,
-        params=params,
-    )
-
-
-def run(cfg: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the process exit status."""
-    with _open_out(cfg.out) as out:
-        return _DISPATCH[cfg.subcommand](cfg, out)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Parse ``argv`` and run its subcommand; returns the process exit status,
+    2 with a one-line ``error:`` on stderr for a refused input."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if "seed" in vars(args):
+            args.seed, args.seed_source = _resolve_seed(args.seed)
+        if args.subcommand == "asep":
+            args.params = ASEPParams.from_strings(
+                *(getattr(args, name) for name in _RATES)
+            )
+        with _open_out(args.out) as out:
+            return args.handler(args, out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -309,7 +309,8 @@ def label_uq(t: Tableau) -> LabeledTableau:
     column decides, U under an alpha/delta and Q under a beta/gamma.  The
     nearest-below convention also settles columns containing several symbols.
     Every column ends at an occupied diagonal box, so coverage of all empty
-    boxes is structural; it is asserted anyway.
+    boxes is structural; it is checked anyway, by a `RuntimeError` that holds
+    under ``python -O``.
     """
     check_valid(t)
     labels: dict[Cell, Label] = {}
@@ -325,12 +326,16 @@ def label_uq(t: Tableau) -> LabeledTableau:
             if s is not None:
                 nearest_below = s
             elif (i, j) not in labels:
-                assert nearest_below is not None, "column bottom must be occupied"
+                if nearest_below is None:
+                    raise RuntimeError(f"column {j} has no occupied bottom box")
                 labels[(i, j)] = (
                     Label.U if nearest_below.fills_site else Label.Q
                 )
     n_empty = t.n * (t.n + 1) // 2 - len(t.cells)
-    assert len(labels) == n_empty, "labeling must cover every empty box"
+    if len(labels) != n_empty:
+        raise RuntimeError(
+            f"{len(labels)} labels for {n_empty} empty boxes of a size-{t.n} tableau"
+        )
     return LabeledTableau(t, labels)
 
 
@@ -350,7 +355,10 @@ def weight(t: Tableau) -> WeightMonomial:
         e_u=n_u,
         e_q=n_q,
     )
-    assert w.degree() == t.n * (t.n + 1) // 2
+    if w.degree() != t.n * (t.n + 1) // 2:
+        raise RuntimeError(
+            f"weight of degree {w.degree()} for a size-{t.n} tableau"
+        )
     return w
 
 
@@ -385,7 +393,8 @@ def _read_statistics(t: Tableau) -> StatVector:
         a_diag=a_diag,
         b_diag=n - a_diag,
     )
-    assert sv.r + sv.delta == t.n and sv.a_diag + sv.b_diag == t.n
+    if sv.r + sv.delta != t.n or sv.a_diag + sv.b_diag != t.n:
+        raise RuntimeError(f"statistics {sv} do not split n = {t.n}")
     return sv
 
 

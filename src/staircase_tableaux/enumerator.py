@@ -111,7 +111,8 @@ def legal_fills(r: int) -> tuple[ColumnFill, ...]:
                     for syms in product(_BD, repeat=len(slots) - 1):
                         upper = tuple(zip(slots[:-1], syms)) + ((top, ag),)
                         fills.append(ColumnFill(bottom, upper))
-    assert len(fills) == 4 * 3**r
+    if len(fills) != 4 * 3**r:
+        raise RuntimeError(f"{len(fills)} fills at r = {r}, not 4 * 3**{r}")
     return tuple(fills)
 
 

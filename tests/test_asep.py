@@ -45,6 +45,11 @@ def test_params_outside_unit_interval_rejected(bad):
         ASEPParams.from_strings(bad, "1/2", "1/2", "1/2", "1/2", "1/2")
 
 
+def test_params_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="q=3/0 has a zero denominator"):
+        ASEPParams.from_strings("1/2", "1/2", "1/2", "1/2", "3/0", "1/2")
+
+
 def test_zero_rate_is_storable_but_not_strictly_positive():
     p = ASEPParams.from_strings("0", "1/2", "1/2", "1/2", "1/2", "1/2")
     assert not p.strictly_positive()
@@ -227,6 +232,18 @@ def test_dp_equals_enumeration_oracle(rates):
         total, by_type = partition_functions(n, p)
         assert (total, by_type) == enumerated_partition_functions(n, p)
         assert all(type(z) is Fraction for z in by_type.values())
+
+
+def test_oracle_walks_each_size_once_for_every_setting(monkeypatch):
+    walks = []
+    real = asep.enumerate_all
+    monkeypatch.setattr(
+        asep, "enumerate_all", lambda n, visit: walks.append(n) or real(n, visit)
+    )
+    asep._weight_census.cache_clear()
+    enumerated_partition_functions(3, PARAMETER_GRID[0])
+    enumerated_partition_functions(3, PARAMETER_GRID[1])
+    assert walks == [3]
 
 
 # ------------------------------------------------------------ steady state

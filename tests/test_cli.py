@@ -206,7 +206,10 @@ def test_series_check_rejects_negative_z_order(capsys):
 
 # sha256 of the stdout of `<argv> --no-timestamp` as the Fraction routes
 # printed it; the integer routes for the completion table, the c(1) rows, the
-# half-row V and the scaled series must print the same bytes.
+# half-row V and the scaled series must print the same bytes.  The count,
+# sample, moments and dist cases pin the metadata paths (table, seed, every
+# format) as the front end printed them before its handlers read the parsed
+# arguments directly.
 _PINNED = {
     "count --n 40 --table --format text":
         "b4b8c90733533de01797dfddb4d47a64ce914306e5f1e848e898afe44d2ab2e4",
@@ -248,6 +251,34 @@ _PINNED = {
         "23794bc9c569c70fe88d09292bb442720308b2acd0ea6e2f383841665b14057c",
     "series-check --z-order 12 --format json":
         "443c53377f11e66f2e9e1e6c30522db044cf9e4e3993ce7e8a6b3f2884d95fec",
+    "count --n 5 --format csv":
+        "4e1ae81eac6dc4ab78adcf147f0ef3f9315d8517c19198800b882c2a1704b012",
+    "count --n 5 --format json":
+        "8762a398eb7d5c7db7f6bef71de0d2792653362025b96920a4df12c15f6bb880",
+    "sample --n 5 --count 4 --seed 3 --format csv":
+        "b14d32c577db84db218e9e7864c8f8589407b84acc26c9b01f620e0654c7c8ad",
+    "sample --n 5 --count 4 --seed 3 --format json":
+        "4e77f9e29c5778d009927f393c9f0868b14accde96c13036dbbb657c94e6efb8",
+    "moments --stat r --n 9 --format text":
+        "60e5ceb98efd3e16908776aebb23eae367c5e79f8abd71dd43dcec46d38ab95c",
+    "moments --stat r --n 9 --format csv":
+        "0f8d3695ecb8e819199deddfe165252ba93a969b782563de77bbd55f340c8628",
+    "moments --stat r --n 9 --format json":
+        "1f0e8b9365d382760ca718c5366ff3ab97cc49c61838410c48b95edc6907e051",
+    "moments --stat a --n 9 --format text":
+        "fad28d101ffc7c0953c2240a5b70b925c9c8149fd75df497365b0e4a158e0137",
+    "moments --stat a --n 9 --format csv":
+        "9d562523db308d2a310793087e8d357f77c381e22618a65b15788cc848a4b9b1",
+    "moments --stat a --n 9 --format json":
+        "80c349ed09616cd33ffe36020faab2265ce8a3d5a862c62cd46fec6a4a4e4675",
+    "dist --stat r --n 7 --format json":
+        "92e9a856ee4593d3f63bb0ecd2188f31a57de7ea9bc6796d68b656dd44001ab3",
+    "dist --stat delta --n 7 --format json":
+        "b11bc1521f60e2e39dca94bf431660b0b484333e067109e6687ec4a66a3e95b1",
+    "dist --stat gamma --n 7 --format json":
+        "76b815f41afdf555337f3243c430acaeed4d999aebc49ad5c2b243653ceb21a2",
+    "dist --stat b --n 7 --format json":
+        "c00b9c0880ef2ed2436ce5f0fbfdc300189764650ba3356f1e55429d93664fae",
 }
 
 
@@ -430,6 +461,14 @@ def test_asep_rejects_rate_above_one(capsys):
     assert code == 2
 
 
+def test_asep_zero_denominator_rate_is_a_one_line_error(capsys):
+    code = main(["asep", "--n", "2", "--alpha", "1/0", *_PARAMS[2:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: alpha=1/0 has a zero denominator\n"
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -444,6 +483,40 @@ def test_verify_single_check_exit_zero(capsys):
     assert doc["checks"][0]["name"] == "cardinality"
     assert doc["checks"][0]["measured"]["counts"] == {"1": 4, "2": 32}
     assert doc["checks"][0]["elapsed_s"] >= 0
+
+
+def test_verify_document_is_pinned(capsys):
+    # The whole report of one seeded check as the front end printed it before
+    # its handlers read the parsed arguments directly; only the timings vary.
+    code, out = run(
+        capsys, "verify", "--suite", "cardinality", "--n-max", "2",
+        "--seed", "4", "--no-timestamp",
+    )
+    doc = json.loads(out)
+    for check in doc["checks"]:
+        del check["elapsed_s"]
+    assert code == 0
+    assert doc == {
+        "schema": "staircase-tableaux/1",
+        "version": staircase_tableaux.__version__,
+        "command": "verify",
+        "config": {"n_max": 2, "suite": "cardinality", "format": "json"},
+        "seed": 4,
+        "seed_source": "flag",
+        "rng": "python-random-mt19937",
+        "checks": [
+            {
+                "name": "cardinality",
+                "passed": True,
+                "measured": {"counts": {"1": 4, "2": 32}},
+            }
+        ],
+        "passed": True,
+    }
+    assert list(doc) == [
+        "schema", "version", "command", "config", "seed", "seed_source",
+        "rng", "checks", "passed",
+    ]
 
 
 def test_verify_passes_under_optimize_flag():
@@ -523,6 +596,14 @@ def test_seed_flag_overrides_the_environment(capsys, monkeypatch):
 def test_unparseable_env_seed_is_an_error(capsys, monkeypatch):
     monkeypatch.setenv("STAIRCASE_TABLEAUX_SEED", "not-a-number")
     assert main(["sample", "--n", "2", "--count", "1"]) == 2
+
+
+def test_unparseable_env_seed_is_ignored_without_a_seed_flag(capsys, monkeypatch):
+    # Only `sample` and `verify` take a seed, so only they read the variable.
+    monkeypatch.setenv("STAIRCASE_TABLEAUX_SEED", "abc")
+    code, out = run(capsys, "count", "--n", "3")
+    assert code == 0
+    assert out == "384\n"
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -274,6 +274,27 @@ def test_label_rejects_invalid_input():
         label_uq(Tableau(2, {(1, 2): A}))
 
 
+@pytest.mark.parametrize(
+    "name, wrap, run",
+    [
+        # With validation skipped, column 1 of this tableau has no bottom box.
+        ("check_valid", lambda f: lambda t: None,
+         lambda t: label_uq(Tableau(2, {(1, 2): A}))),
+        # A phantom row left of a beta labels two boxes outside the shape.
+        ("_leftmost", lambda f: lambda t: {**f(t), t.n + 1: (3, B)}, label_uq),
+        ("label_uq", lambda f: lambda t: core.LabeledTableau(t, {}), weight),
+        ("_leftmost", lambda f: lambda t: {}, statistics),
+    ],
+    ids=["label-bottom", "label-cover", "weight-degree", "statistics-split"],
+)
+def test_core_guards_raise_without_assert(monkeypatch, name, wrap, run):
+    t = Tableau(2, {(1, 2): A, (2, 1): B})
+    core.check_valid(t)
+    monkeypatch.setattr(core, name, wrap(getattr(core, name)))
+    with pytest.raises(RuntimeError):
+        run(t)
+
+
 # ----------------------------------------------------------- worked example
 
 _WORKED = """

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staircase_tableaux import enumerator
 from staircase_tableaux.core import (
     GreekSymbol,
     InvalidTableauError,
@@ -41,6 +42,15 @@ def test_fill_count_is_four_times_three_to_r(r):
     fills = legal_fills(r)
     assert len(fills) == 4 * 3**r
     assert len(set(fills)) == len(fills)
+
+
+def test_fill_count_guard_raises_without_assert(monkeypatch):
+    real = enumerator.product
+    monkeypatch.setattr(
+        enumerator, "product", lambda *a, **k: list(real(*a, **k))[1:]
+    )
+    with pytest.raises(RuntimeError):
+        legal_fills.__wrapped__(1)  # past the cache
 
 
 def test_fills_at_r_zero_are_the_four_bottoms():
