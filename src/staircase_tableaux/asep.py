@@ -28,15 +28,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Tableau, WeightMonomial, type_word, weight
 from .enumerator import _ENUM_LIMIT, enumerate_all
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Largest n of the chain and of the partition-function DP alike; the float
 #: solve is dense in the 2**n states, so larger systems want a sparse one.
 _DENSE_LIMIT = 8
+
+#: Largest denominator of a rate given as text.  Every exact output is a
+#: ratio of integers below 4**n n! D**(n(n+1)/2), D the lcm of the six
+#: denominators, so D <= (10**9)**6 keeps it under 4228 digits at n = 12,
+#: inside Python's 4300-digit limit for printing an integer.
+_RATE_DENOMINATOR_LIMIT = 10**9
 
 _RATES = ("alpha", "beta", "gamma", "delta", "q", "u")
 
@@ -75,13 +83,19 @@ class ASEPParams:
     @classmethod
     def from_strings(cls, *values: str) -> ASEPParams:
         """The six rates from strings such as "1/3", in field order; a zero
-        denominator is a ValueError like any other malformed rate."""
+        denominator, or one above `_RATE_DENOMINATOR_LIMIT`, is a ValueError
+        like any other malformed rate."""
         rates = []
         for name, text in zip(_RATES, values, strict=True):
             try:
-                rates.append(Fraction(text))
+                rate = Fraction(text)
             except ZeroDivisionError:
                 raise ValueError(f"{name}={text} has a zero denominator") from None
+            if rate.denominator > _RATE_DENOMINATOR_LIMIT:
+                raise ValueError(
+                    f"{name}={text} has a denominator above {_RATE_DENOMINATOR_LIMIT}"
+                )
+            rates.append(rate)
         return cls(*rates)
 
 
@@ -143,6 +157,8 @@ class ASEPChain:
 
     @cached_property
     def _dense(self) -> np.ndarray:
+        import numpy as np
+
         den = self.denominator
         dense = np.zeros((self.size, self.size))
         for s, moves in enumerate(self.moves):
@@ -176,6 +192,8 @@ def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.nda
     """
     _require_positive(chain.params)
     if not exact:
+        import numpy as np
+
         a = chain.to_numpy().T - np.eye(chain.size)
         a[-1, :] = 1.0
         b = np.zeros(chain.size)
@@ -331,6 +349,8 @@ def _residual(
     """max over states of |(pi P)_s - pi_s|.  Exact mode reads the moves:
     each move s -> t carries pi_s w from s to t; the stay mass carries none."""
     if not exact:
+        import numpy as np
+
         return float(np.max(np.abs(pi @ chain.to_numpy() - pi)))
     net = [0] * chain.size
     for s, moves in enumerate(chain.moves):

@@ -323,9 +323,9 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
 
 def _triangle_rows(which: str, n_max: int) -> list[tuple[int, int, str]]:
     if which == "V":
-        rows = build_V(n_max).rows
+        rows = build_V(n_max)
     elif which == "W":
-        rows = build_W(n_max).rows
+        rows = build_W(n_max)
     else:
         rows = c1_rows(n_max)
     return [(n, k, str(v)) for n, row in enumerate(rows) for k, v in enumerate(row)]
@@ -357,10 +357,14 @@ def _cmd_series_check(args: argparse.Namespace, out: TextIO) -> int:
     rep = bivariate_series_check(args.z_order)
     poles = pole_constants()
     if args.fmt == "json":
+        mismatch = rep.first_mismatch
+        if mismatch is not None:
+            n, got, want = mismatch
+            mismatch = (n, [str(v) for v in got], [str(v) for v in want])
         payload = {
             "ok": rep.ok,
             "orders_checked": rep.orders_checked,
-            "first_mismatch": rep.first_mismatch,
+            "first_mismatch": mismatch,
             "pole_constants": [_rat(p) for p in poles],
         }
         _write_json(out, _metadata(args), payload)

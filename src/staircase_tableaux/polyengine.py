@@ -1,10 +1,10 @@
 """Exact polynomial machinery: coefficient triangles and series identities.
 
-Everything here is exact and no floating point appears.  The triangles that
-requests and identities read are built in plain integers; `Fraction`
-coefficients (`Polynomial`) appear only where a result is a genuine rational
-(the PGFs, a series mismatch) or where the c-triangle is compared polynomial
-by polynomial with its path oracle.  The module hosts three interlocking
+Everything here is exact and no floating point appears.  Every triangle,
+PGF and series coefficient is held in plain integers: a polynomial is a tuple
+of integer coefficients, lowest degree first, multiplied by `convolve`, and a
+law is its integer numerators over the stated denominator 2**n n!.  `Fraction`
+appears only in `pole_constants`.  The module hosts three interlocking
 triangles:
 
 * c-triangle: polynomials c[m][l](z) with c[0][0] = 1 and
@@ -13,7 +13,7 @@ triangles:
   lattice paths: an SW step from level l carries weight z + 2l, an SE step
   weight z + 2l + 1, and c[m][l] collects paths with l SE steps among m.
   At z = 1 the rows are integers, c1[m+1][l] = (2l+1) c1[m][l] +
-  2l c1[m][l-1] (`c1_rows`); the `Polynomial` triangle (`build_c`) is kept
+  2l c1[m][l-1] (`c1_rows`); the z-polynomial triangle (`build_c`) is kept
   for the comparison with the path oracle.
 * V-triangle: type-B Eulerian numbers (OEIS A060187), V(n, 0) = 1 and
       V(n, m) = (2m + 1) V(n-1, m) + (2(n - m) + 1) V(n-1, m-1),
@@ -23,7 +23,8 @@ triangles:
       W(n, k) = (2k + 1) W(n-1, k) + W(n-1, k-1),
   tied to the c-triangle by c[n][k](1) = 2**k k! W(n, k).
 
-On top sit the probability generating functions for the diagonal statistics
+On top sit the probability generating functions for the diagonal statistics,
+as numerators over 2**n n! (the alpha/gamma one is the V row itself, `v_row`),
 and a truncated bivariate series check of
 
     f(z, w) = (1 - w) e^{(1-w)z/2} / (1 - w e^{(1-w)z}),
@@ -44,158 +45,39 @@ from itertools import accumulate, combinations
 from math import comb, factorial
 from typing import Callable, Sequence
 
-Scalar = Fraction | int
+
+def convolve(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Product of two integer polynomials, coefficients lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense univariate polynomial, lowest degree first, exact coefficients."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, *coeffs: Scalar) -> Polynomial:
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @classmethod
-    def zero(cls) -> Polynomial:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> Polynomial:
-        return cls.of(1)
-
-    @classmethod
-    def x(cls) -> Polynomial:
-        return cls.of(0, 1)
-
-    def __post_init__(self) -> None:
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial.of(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(tuple(out))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial.of(other)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> Polynomial:
-        return Polynomial.of(other) + (-self)
-
-    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return Polynomial(tuple(Fraction(other) * c for c in self.coeffs))
-        if not self or not other:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> Polynomial:
-        if k < 0:
-            raise ValueError("negative powers unsupported")
-        result = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def derivative(self) -> Polynomial:
-        return Polynomial(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
-        )
-
-
-@dataclass(frozen=True)
-class TriangleC:
-    rows: tuple[tuple[Polynomial, ...], ...]
-
-    def entry(self, m: int, l: int) -> Polynomial:
-        return self.rows[m][l]
-
-
-@dataclass(frozen=True)
-class TriangleV:
-    rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, n: int, m: int) -> int:
-        return self.rows[n][m]
-
-
-@dataclass(frozen=True)
-class TriangleW:
-    rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, n: int, k: int) -> int:
-        return self.rows[n][k]
-
-
-def build_c(n: int) -> TriangleC:
-    """c-triangle rows 0..n from the two-term recurrence."""
+def build_c(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """c-triangle rows 0..n from the two-term recurrence; c[m][l] is its
+    coefficient tuple in z, lowest degree first, of length m + 1."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    z = Polynomial.x()
-    rows: list[tuple[Polynomial, ...]] = [(Polynomial.one(),)]
+    rows: list[tuple[tuple[int, ...], ...]] = [((1,),)]
     for m in range(1, n + 1):
-        prev = rows[-1]
+        zero = (0,) * m
+        padded = [zero, *rows[-1], zero]
         row = []
         for l in range(m + 1):
-            acc = Polynomial.zero()
-            if l < m:
-                acc = acc + (z + 2 * l) * prev[l]
-            if l >= 1:
-                acc = acc + (z + 2 * l - 1) * prev[l - 1]
-            row.append(acc)
+            sw = convolve((2 * l, 1), padded[l + 1])
+            se = convolve((2 * l - 1, 1), padded[l])
+            row.append(tuple(x + y for x, y in zip(sw, se)))
         rows.append(tuple(row))
-    tri = TriangleC(tuple(rows))
     # Boundary sanity: pure-SW and pure-SE paths have product form.
-    prod = Polynomial.one()
-    for m in range(n + 1):
-        if tri.entry(m, 0) != z**m or tri.entry(m, m) != prod:
+    prod: tuple[int, ...] = (1,)
+    for m, row in enumerate(rows):
+        if row[0] != (0,) * m + (1,) or row[m] != prod:
             raise RuntimeError(f"c row {m} breaks its product-form boundary")
-        prod = prod * (z + 2 * m + 1)
-    return tri
+        prod = convolve(prod, (2 * m + 1, 1))
+    return tuple(rows)
 
 
 def c1_rows(n: int) -> tuple[tuple[int, ...], ...]:
@@ -211,7 +93,7 @@ def c1_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def path_weight_oracle(m: int, l: int) -> Polynomial:
+def path_weight_oracle(m: int, l: int) -> tuple[int, ...]:
     """c[m][l] summed path by path, independent of the recurrence.
 
     Walks every SW/SE path with l SE steps among m, multiplying step weights
@@ -222,23 +104,22 @@ def path_weight_oracle(m: int, l: int) -> Polynomial:
         raise ValueError(f"need 0 <= l <= m, got ({m}, {l})")
     if m > 8:
         raise ValueError("path oracle is exponential; use m <= 8")
-    z = Polynomial.x()
-    total = Polynomial.zero()
+    total = (0,) * (m + 1)
     for se_steps in combinations(range(m), l):
         se = set(se_steps)
         h = 0
-        prod = Polynomial.one()
+        prod: tuple[int, ...] = (1,)
         for step in range(m):
             if step in se:
-                prod = prod * (z + 2 * h + 1)
+                prod = convolve(prod, (2 * h + 1, 1))
                 h += 1
             else:
-                prod = prod * (z + 2 * h)
-        total = total + prod
+                prod = convolve(prod, (2 * h, 1))
+        total = tuple(x + y for x, y in zip(total, prod))
     return total
 
 
-def build_V(n: int) -> TriangleV:
+def build_V(n: int) -> tuple[tuple[int, ...], ...]:
     """Type-B Eulerian triangle rows 0..n by the full recurrence; each row's
     symmetry, sum and leading 1 are checked."""
     if n < 0:
@@ -253,7 +134,7 @@ def build_V(n: int) -> TriangleV:
             raise RuntimeError(f"V row {m} does not sum to 2**{m} {m}!")
         if row[0] != 1:
             raise RuntimeError(f"V row {m} does not start with 1")
-    return TriangleV(tuple(rows))
+    return tuple(rows)
 
 
 def two_term_step(
@@ -296,7 +177,7 @@ def v_row(n: int) -> tuple[int, ...]:
     return row
 
 
-def build_W(n: int) -> TriangleW:
+def build_W(n: int) -> tuple[tuple[int, ...], ...]:
     """Whitney (m=2, second kind) triangle rows 0..n."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -306,75 +187,59 @@ def build_W(n: int) -> TriangleW:
     for m, row in enumerate(rows):
         if row[0] != 1 or row[-1] != 1:
             raise RuntimeError(f"W row {m} does not start and end with 1")
-    return TriangleW(tuple(rows))
+    return tuple(rows)
 
 
-def V_explicit(n: int, m: int) -> int:
-    """Alternating-sum form of V(n, m) through the Whitney numbers:
+def V_explicit(n: int, m: int, w: Sequence[Sequence[int]]) -> int:
+    """Alternating-sum form of V(n, m) through the Whitney rows `w` (rows
+    0..n or more, as `build_W` returns them):
 
         V(n, m) = sum_k 2**k k! W(n, k) C(n-k, m) (-1)**(n-k-m)
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got ({n}, {m})")
-    w = build_W(n)
     total = 0
-    for k in range(n + 1):
-        if n - k < m:
-            continue
+    for k in range(n - m + 1):
         total += (
-            2**k * factorial(k) * w.entry(n, k)
+            2**k * factorial(k) * w[n][k]
             * comb(n - k, m) * (-1) ** (n - k - m)
         )
     return total
 
 
-def pgf_A(n: int) -> Polynomial:
-    """PGF of the diagonal alpha/gamma count: sum_m V(n,m) t^m / (2**n n!)."""
-    return _over_2n_factorial(n, v_row(n))
+def pgf_A_from_c(n: int) -> tuple[int, ...]:
+    """Numerators over 2**n n! of the diagonal alpha/gamma PGF, through the
+    c-triangle at z=1:
 
-
-def pgf_A_from_c(n: int) -> Polynomial:
-    """Second route to the same PGF, through the c-triangle at z=1:
-
-        pgf_A(n) = sum_k c[n][k](1) (t-1)^(n-k) / (2**n n!)
+        sum_m V(n, m) t^m = sum_k c[n][k](1) (t-1)^(n-k)
 
     Expanding the (t-1) powers reproduces V_explicit term by term once
     c[n][k](1) is identified with 2**k k! W(n, k).
     """
     row = c1_rows(n)[n]
-    return _over_2n_factorial(
-        n,
-        [
-            sum(
-                c * comb(n - k, j) * (-1) ** (n - k - j)
-                for k, c in enumerate(row[: n - j + 1])
-            )
-            for j in range(n + 1)
-        ],
+    return tuple(
+        sum(
+            c * comb(n - k, j) * (-1) ** (n - k - j)
+            for k, c in enumerate(row[: n - j + 1])
+        )
+        for j in range(n + 1)
     )
 
 
-def pgf_B(n: int) -> Polynomial:
-    """PGF of the diagonal beta/delta count via the c-triangle at z=1:
+def pgf_B(n: int) -> tuple[int, ...]:
+    """Numerators over 2**n n! of the diagonal beta/delta PGF, via the
+    c-triangle at z=1:
 
-        pgf_B(n) = sum_k c[n][k](1) t^k (1-t)^(n-k) / (2**n n!)
+        sum_k c[n][k](1) t^k (1-t)^(n-k)
     """
     row = c1_rows(n)[n]
-    return _over_2n_factorial(
-        n,
-        [
-            sum(
-                c * comb(n - k, j - k) * (-1) ** (j - k)
-                for k, c in enumerate(row[: j + 1])
-            )
-            for j in range(n + 1)
-        ],
+    return tuple(
+        sum(
+            c * comb(n - k, j - k) * (-1) ** (j - k)
+            for k, c in enumerate(row[: j + 1])
+        )
+        for j in range(n + 1)
     )
-
-
-def _over_2n_factorial(n: int, coeffs: Sequence[int]) -> Polynomial:
-    norm = 2**n * factorial(n)
-    return Polynomial(tuple(Fraction(c, norm) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +248,13 @@ def _over_2n_factorial(n: int, coeffs: Sequence[int]) -> Polynomial:
 
 @dataclass(frozen=True)
 class SeriesReport:
+    """``first_mismatch`` is (n, got, want) for the first order n whose
+    scaled coefficient 2**n n! [z^n] f differs from the V row, both as integer
+    w-rows truncated at w-degree z-order."""
+
     ok: bool
     orders_checked: int
-    first_mismatch: tuple[int, Polynomial, Polynomial] | None
+    first_mismatch: tuple[int, tuple[int, ...], tuple[int, ...]] | None
 
 
 def bivariate_series_check(zorder: int = 12) -> SeriesReport:
@@ -424,10 +293,9 @@ def bivariate_series_check(zorder: int = 12) -> SeriesReport:
                     for b, y in enumerate(powers[n - i][: worder - a]):
                         acc[a + b + 1] += scale * x * y
         f.append(list(accumulate(acc)))
-        want = list(tri.rows[n]) + [0] * (worder - n)
+        want = list(tri[n]) + [0] * (worder - n)
         if f[n] != want:
-            got = _over_2n_factorial(n, f[n])
-            return SeriesReport(False, n, (n, got, _over_2n_factorial(n, want)))
+            return SeriesReport(False, n, (n, tuple(f[n]), tuple(want)))
     return SeriesReport(True, zorder, None)
 
 
@@ -435,13 +303,13 @@ def pole_constants() -> tuple[Fraction, Fraction, Fraction]:
     """(r(0), r'(0), r''(0)) for r(s) = s / (e^s - 1), via series inversion.
 
     (e^s - 1)/s has coefficients 1/(k+1)!; inverting the truncation to order
-    two gives 1 - s/2 + s^2/12, hence the constants (1, -1/2, 1/6).
+    two gives 1 - s/2 + s^2/12, and the k-th derivative at 0 is k! times the
+    s^k coefficient, hence the constants (1, -1/2, 1/6).
     """
     order = 2
     d = [Fraction(1, factorial(k + 1)) for k in range(order + 1)]
     inv = [Fraction(1)]
     for k in range(1, order + 1):
         inv.append(-sum(d[j] * inv[k - j] for j in range(1, k + 1)))
-    series = Polynomial(tuple(inv))
-    d1 = series.derivative()
-    return series(0), d1(0), d1.derivative()(0)
+    r0, r1, r2 = (factorial(k) * c for k, c in enumerate(inv))
+    return r0, r1, r2

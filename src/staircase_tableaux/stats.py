@@ -23,7 +23,7 @@ from math import factorial
 from statistics import NormalDist
 from typing import Sequence
 
-from .polyengine import Polynomial, two_term_step, v_row
+from .polyengine import convolve, two_term_step, v_row
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,14 @@ def harmonic_pair(n: int) -> HarmonicPair:
     return HarmonicPair(h1, h2)
 
 
-def pgf_r(n: int) -> Polynomial:
-    """prod_{k=1..n} (z + 2k - 1) / (2k)."""
+def pgf_r(n: int) -> tuple[int, ...]:
+    """Numerators over 2**n n! of the PGF prod_{k=1..n} (z + 2k - 1) / (2k),
+    lowest degree first: the factors z + 2k - 1 multiplied out by `convolve`."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    acc = Polynomial.one()
+    acc: tuple[int, ...] = (1,)
     for k in range(1, n + 1):
-        acc = acc * Polynomial.of(Fraction(2 * k - 1, 2 * k), Fraction(1, 2 * k))
+        acc = convolve(acc, (2 * k - 1, 1))
     return acc
 
 
@@ -120,7 +121,8 @@ def dist_r(n: int) -> ExactPMF:
 
     Scaling the k-th factor by 2k keeps the weights integral,
     w'[v] = (2k - 1) w[v] + w[v - 1], over 2**n n!.  Deliberately not read
-    off pgf_r: the two routes are compared in tests.
+    off pgf_r: the two routes are compared by the bernoulli-convolution
+    check.
     """
     _need_positive(n)
     weights = [1]

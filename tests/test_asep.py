@@ -50,6 +50,14 @@ def test_params_zero_denominator_is_a_value_error():
         ASEPParams.from_strings("1/2", "1/2", "1/2", "1/2", "3/0", "1/2")
 
 
+def test_params_denominator_cap_is_inclusive():
+    cap = asep._RATE_DENOMINATOR_LIMIT
+    p = ASEPParams.from_strings(f"1/{cap}", "1/2", "1/2", "1/2", "1/2", "1/2")
+    assert p.alpha == Fraction(1, cap)
+    with pytest.raises(ValueError, match=f"beta=1/{cap + 1} has a denominator"):
+        ASEPParams.from_strings("1/2", f"1/{cap + 1}", "1/2", "1/2", "1/2", "1/2")
+
+
 def test_zero_rate_is_storable_but_not_strictly_positive():
     p = ASEPParams.from_strings("0", "1/2", "1/2", "1/2", "1/2", "1/2")
     assert not p.strictly_positive()

@@ -192,6 +192,31 @@ def test_series_check_passes(capsys):
     assert doc["pole_constants"] == [["1", "1"], ["-1", "2"], ["1", "6"]]
 
 
+def test_series_check_json_reports_a_mismatch_as_integer_rows(capsys, monkeypatch):
+    from staircase_tableaux import polyengine
+
+    real = polyengine.build_V
+
+    def off_by_one(n):
+        rows = [list(row) for row in real(n)]
+        rows[4][1] += 1
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(polyengine, "build_V", off_by_one)
+    code, out = run(
+        capsys, "series-check", "--z-order", "6", "--format", "json",
+        "--no-timestamp",
+    )
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["ok"] is False and doc["orders_checked"] == 4
+    assert doc["first_mismatch"] == [
+        4,
+        ["1", "76", "230", "76", "1", "0", "0"],
+        ["1", "77", "230", "76", "1", "0", "0"],
+    ]
+
+
 def test_series_check_rejects_negative_z_order(capsys):
     code = main(["series-check", "--z-order", "-1"])
     captured = capsys.readouterr()
@@ -311,6 +336,9 @@ def test_exact_law_outputs_are_pinned(capsys, argv):
         ("series-check --z-order 101", "need 0 <= z-order <= 100, got 101"),
         ("series-check --z-order 1000 --format json",
          "need 0 <= z-order <= 100, got 1000"),
+        ("asep --n 3 --alpha 1e-5000 --beta 1/3 --gamma 1/4 --delta 1/5 "
+         "--q 1/2 --u 1/3 --mode partition",
+         "alpha=1e-5000 has a denominator above 1000000000"),
     ],
 )
 def test_size_caps_refuse_before_any_output(capsys, argv, message):
@@ -541,6 +569,19 @@ def test_asep_exact_passes_under_optimize_flag():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["passed"] is True and doc["residual"] == ["0", "1"]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy serves only the float chain solve, so it is imported on use.
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, staircase_tableaux.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_verify_suite_function_runs_every_named_check():

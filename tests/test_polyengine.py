@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic, the three triangles, and series checks."""
+"""Integer polynomial products, the three triangles, and series checks."""
 
 from __future__ import annotations
 
@@ -10,105 +10,60 @@ from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import polyengine
 from staircase_tableaux.polyengine import (
-    Polynomial,
     V_explicit,
     bivariate_series_check,
     build_V,
     build_W,
     build_c,
     c1_rows,
+    convolve,
     path_weight_oracle,
-    pgf_A,
     pgf_A_from_c,
     pgf_B,
     pole_constants,
     v_row,
 )
 
-P = Polynomial.of
+
+def _at(p, x):
+    return sum(c * x**k for k, c in enumerate(p))
 
 
-def poly_strategy():
-    return st.lists(
-        st.integers(-5, 5), min_size=0, max_size=6
-    ).map(lambda cs: P(*cs))
+coefficients = st.lists(st.integers(-5, 5), min_size=1, max_size=6)
 
 
-# -------------------------------------------------------------- polynomials
-
-
-def test_trailing_zeros_are_trimmed():
-    assert P(1, 2, 0, 0).coeffs == (1, 2)
-    assert P(0, 0).coeffs == ()
-    assert not Polynomial.zero()
-    assert P(0, 0, 3).degree == 2
-
-
-def test_basic_arithmetic_goldens():
-    x = Polynomial.x()
-    assert (1 + x) ** 2 == P(1, 2, 1)
-    assert (1 - x) * (1 + x) == P(1, 0, -1)
-    assert 2 * x - x == x
-    assert x - 2 == P(-2, 1)
-    assert x**0 == Polynomial.one()
-
-
-def test_evaluation_uses_exact_fractions():
-    p = P(2, 3, 1)
-    assert p(5) == 42
-    assert p(Fraction(1, 2)) == Fraction(15, 4)
-    assert P()(7) == 0
-
-
-def test_coeff_out_of_range_is_zero():
-    p = P(4, 5)
-    assert p.coeff(0) == 4 and p.coeff(1) == 5
-    assert p.coeff(2) == 0 and p.coeff(-1) == 0
-
-
-def test_derivative_and_truncation():
-    assert P(1, 2, 3).derivative() == P(2, 6)
-    assert Polynomial.zero().derivative() == Polynomial.zero()
-
-
-def test_negative_power_rejected():
-    with pytest.raises(ValueError):
-        Polynomial.x() ** -1
-
-
-@given(p=poly_strategy(), q=poly_strategy(), x=st.integers(-4, 4))
+@given(p=coefficients, q=coefficients, x=st.integers(-4, 4))
 @settings(max_examples=120)
-def test_evaluation_is_a_ring_homomorphism(p, q, x):
-    assert (p + q)(x) == p(x) + q(x)
-    assert (p * q)(x) == p(x) * q(x)
-    assert (p - q)(x) == p(x) - q(x)
+def test_convolve_is_polynomial_multiplication(p, q, x):
+    assert len(convolve(p, q)) == len(p) + len(q) - 1
+    assert _at(convolve(p, q), x) == _at(p, x) * _at(q, x)
 
 
 # ---------------------------------------------------------------- c-triangle
 
 
 def test_c_boundary_and_middle_rows():
-    z = Polynomial.x()
+    # Coefficients in z, lowest degree first.
     tri = build_c(3)
-    assert tri.entry(0, 0) == Polynomial.one()
-    assert tri.rows[1] == (z, z + 1)
-    assert tri.rows[2] == (z**2, 2 * z**2 + 4 * z + 2, (z + 1) * (z + 3))
-    assert tri.entry(3, 0) == z**3
-    assert tri.entry(3, 3) == (z + 1) * (z + 3) * (z + 5)
+    assert tri[0] == ((1,),)
+    assert tri[1] == ((0, 1), (1, 1))
+    assert tri[2] == ((0, 0, 1), (2, 4, 2), (3, 4, 1))
+    assert tri[3][0] == (0, 0, 0, 1)
+    assert tri[3][3] == (15, 23, 9, 1)  # (z + 1)(z + 3)(z + 5)
 
 
 def test_c_next_to_top_at_one():
     # c[n][n-1](1) = 2**(n-1) n! n
     tri = build_c(6)
     for n in range(1, 7):
-        assert tri.entry(n, n - 1)(1) == 2 ** (n - 1) * factorial(n) * n
+        assert sum(tri[n][n - 1]) == 2 ** (n - 1) * factorial(n) * n
 
 
 def test_c_matches_path_weight_oracle():
     tri = build_c(6)
     for m in range(7):
         for l in range(m + 1):
-            assert tri.entry(m, l) == path_weight_oracle(m, l)
+            assert tri[m][l] == path_weight_oracle(m, l)
 
 
 def test_path_oracle_is_size_guarded():
@@ -127,7 +82,7 @@ _C1_ROWS = [
 
 def test_c_at_one_golden_rows():
     tri = build_c(4)
-    got = [[int(p(1)) for p in row] for row in tri.rows]
+    got = [[sum(p) for p in row] for row in tri]
     assert got == _C1_ROWS
 
 
@@ -154,24 +109,24 @@ _W_ROWS = [
 
 def test_V_golden_rows():
     tri = build_V(6)
-    assert [list(row) for row in tri.rows] == _V_ROWS
+    assert [list(row) for row in tri] == _V_ROWS
 
 
 def test_W_golden_rows():
     tri = build_W(4)
-    assert [list(row) for row in tri.rows] == _W_ROWS
+    assert [list(row) for row in tri] == _W_ROWS
 
 
 def test_V_rows_are_symmetric_and_sum_to_2n_factorial():
     tri = build_V(25)
-    for n, row in enumerate(tri.rows):
+    for n, row in enumerate(tri):
         assert list(row) == list(reversed(row))
         assert sum(row) == 2**n * factorial(n)
 
 
 @pytest.mark.parametrize("n", range(61))
 def test_v_row_equals_full_triangle_row(n):
-    assert v_row(n) == build_V(n).rows[n]
+    assert v_row(n) == build_V(n)[n]
 
 
 @pytest.mark.parametrize(
@@ -191,17 +146,15 @@ def test_triangle_guards_raise_without_assert(monkeypatch, name, wrap, build):
 
 
 def test_V_explicit_matches_recurrence():
-    tri = build_V(20)
+    tri, w = build_V(20), build_W(20)
     for n in range(21):
         for m in range(n + 1):
-            assert V_explicit(n, m) == tri.entry(n, m)
+            assert V_explicit(n, m, w) == tri[n][m]
 
 
 def test_c1_rows_are_the_c_triangle_at_one():
     c = build_c(20)
-    assert c1_rows(20) == tuple(
-        tuple(int(p(1)) for p in row) for row in c.rows
-    )
+    assert c1_rows(20) == tuple(tuple(sum(p) for p in row) for row in c)
 
 
 def test_c_at_one_ties_to_W():
@@ -209,40 +162,43 @@ def test_c_at_one_ties_to_W():
     W = build_W(20)
     for n in range(21):
         for k in range(n + 1):
-            assert c.entry(n, k)(1) == 2**k * factorial(k) * W.entry(n, k)
+            assert sum(c[n][k]) == 2**k * factorial(k) * W[n][k]
 
 
 # ------------------------------------------------------------------- PGFs
+# Each PGF is its integer numerators over 2**n n!; the diagonal alpha/gamma
+# one is the V row itself.
 
 
 def test_pgf_A_golden_at_three():
-    got = pgf_A(3)
-    assert got == P(
-        Fraction(1, 48), Fraction(23, 48), Fraction(23, 48), Fraction(1, 48)
-    )
+    # (1 + 23 t + 23 t^2 + t^3) / 48
+    assert v_row(3) == pgf_A_from_c(3) == (1, 23, 23, 1)
+    assert sum(v_row(3)) == 48
 
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_pgf_A_is_a_probability_generating_function(n):
-    p = pgf_A(n)
-    assert p(1) == 1
-    assert all(c >= 0 for c in p.coeffs)
-    assert p.degree == n
+    for row in (v_row(n), pgf_A_from_c(n)):
+        assert sum(row) == 2**n * factorial(n)
+        assert all(c >= 0 for c in row)
+        assert len(row) == n + 1 and row[-1] != 0
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_pgf_two_routes_agree(n):
-    assert pgf_A_from_c(n) == pgf_A(n)
+    assert pgf_A_from_c(n) == v_row(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pgf_B_equals_pgf_A(n):
-    assert pgf_B(n) == pgf_A(n)
+    assert pgf_B(n) == v_row(n)
 
 
 def test_pgf_mean_from_derivative():
+    # PGF'(1) = sum_m m V(n, m) / (2**n n!) = n/2.
     for n in range(1, 13):
-        assert pgf_A(n).derivative()(1) == Fraction(n, 2)
+        row = v_row(n)
+        assert 2 * sum(m * v for m, v in enumerate(row)) == n * sum(row)
 
 
 # ------------------------------------------------------------------ series
@@ -256,23 +212,22 @@ def test_bivariate_expansion_matches_triangle():
 
 
 def test_series_mismatch_is_reported_as_polynomials(monkeypatch):
+    # The mismatch is (n, got, want) as integer w-rows scaled by 2**n n!,
+    # truncated at the z-order.
     real = polyengine.build_V
 
     def off_by_one(n):
-        rows = [list(row) for row in real(n).rows]
+        rows = [list(row) for row in real(n)]
         rows[4][1] += 1
-        return polyengine.TriangleV(tuple(map(tuple, rows)))
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(polyengine, "build_V", off_by_one)
     rep = bivariate_series_check(6)
     assert not rep.ok and rep.orders_checked == 4
     n, got, want = rep.first_mismatch
-    norm = 2**4 * factorial(4)
     assert n == 4
-    assert got == pgf_A(4) and got.coeffs == tuple(
-        Fraction(v, norm) for v in real(4).rows[4]
-    )
-    assert want == got + P(0, Fraction(1, norm))
+    assert got == v_row(4) + (0, 0) == real(4)[4] + (0, 0)
+    assert want == (1, 77, 230, 76, 1, 0, 0)
 
 
 def test_pole_constants_golden():

@@ -29,8 +29,10 @@ from staircase_tableaux.stats import (
 
 
 def test_pgf_r_small_goldens():
-    assert pgf_r(1).coeffs == (Fraction(1, 2), Fraction(1, 2))
-    assert pgf_r(2).coeffs == (Fraction(3, 8), Fraction(1, 2), Fraction(1, 8))
+    # Numerators over 2**n n!: (1 + z)/2 and (3 + 4z + z^2)/8.
+    assert pgf_r(0) == (1,)
+    assert pgf_r(1) == (1, 1)
+    assert pgf_r(2) == (3, 4, 1)
 
 
 def test_dist_r_two_golden():
@@ -42,12 +44,12 @@ def test_dist_r_two_golden():
 @given(n=st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_bernoulli_convolution_equals_pgf_coefficients(n):
-    # dist_r convolves the Bernoulli factors itself; pgf_r multiplies
-    # polynomials.  The two routes must produce identical rationals.
+    # dist_r convolves the Bernoulli factors itself; pgf_r multiplies out the
+    # factors z + 2k - 1.  Both are numerators over 2**n n!.
     d = dist_r(n)
     assert d.offset == 0
-    assert d.probs == pgf_r(n).coeffs
-    assert sum(d.probs) == 1
+    assert d.weights == pgf_r(n)
+    assert d.denominator == sum(pgf_r(n)) == 2**n * math.factorial(n)
 
 
 def test_moments_r_golden_and_formula():
