@@ -23,6 +23,7 @@ max |pi P - pi| alongside.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +46,15 @@ _DENSE_LIMIT = 8
 #: denominators, so D <= (10**9)**6 keeps it under 4228 digits at n = 12,
 #: inside Python's 4300-digit limit for printing an integer.
 _RATE_DENOMINATOR_LIMIT = 10**9
+
+#: Longest rate text, and largest decimal exponent in it, that reaches
+#: `Fraction`, which builds 10**e for an exponent e.  Within 100 characters
+#: a mantissa is below 10**95, so a nonzero rate with an exponent beyond
+#: +-110 has a denominator above 10**9 or a value above 1 anyway; only zero
+#: written with such an exponent is refused for the exponent alone.
+_RATE_TEXT_LIMIT = 100
+_RATE_EXPONENT_LIMIT = 110
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 _RATES = ("alpha", "beta", "gamma", "delta", "q", "u")
 
@@ -84,13 +94,31 @@ class ASEPParams:
     def from_strings(cls, *values: str) -> ASEPParams:
         """The six rates from strings such as "1/3", in field order; a zero
         denominator, or one above `_RATE_DENOMINATOR_LIMIT`, is a ValueError
-        like any other malformed rate."""
+        like any other malformed rate.  Text that would be slow to parse
+        (`_RATE_TEXT_LIMIT`, `_RATE_EXPONENT_LIMIT`) is refused unparsed."""
         rates = []
         for name, text in zip(_RATES, values, strict=True):
+            if len(text) > _RATE_TEXT_LIMIT:
+                raise ValueError(
+                    f"{name} is {len(text)} characters long, "
+                    f"above {_RATE_TEXT_LIMIT}"
+                )
+            exponent = _EXPONENT.search(text)
+            e = int(exponent.group(1).replace("_", "")) if exponent else 0
+            if e < -_RATE_EXPONENT_LIMIT:
+                raise ValueError(
+                    f"{name}={text} has a denominator above {_RATE_DENOMINATOR_LIMIT}"
+                )
+            if e > _RATE_EXPONENT_LIMIT:
+                raise ValueError(
+                    f"{name}={text} has a decimal exponent above {_RATE_EXPONENT_LIMIT}"
+                )
             try:
                 rate = Fraction(text)
             except ZeroDivisionError:
                 raise ValueError(f"{name}={text} has a zero denominator") from None
+            except ValueError:
+                raise ValueError(f"{name}={text} is not a rational number") from None
             if rate.denominator > _RATE_DENOMINATOR_LIMIT:
                 raise ValueError(
                     f"{name}={text} has a denominator above {_RATE_DENOMINATOR_LIMIT}"

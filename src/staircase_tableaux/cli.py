@@ -200,8 +200,11 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError(f"need 0 <= n <= {limit}{scope}, got {args.n}")
     total = total_count(args.n)
     if args.table:
-        table = completions(args.n)
-        rows = [(k, r, str(table.count(k, r))) for k, r in sorted(table.entries)]
+        rows = [
+            (k, r, str(count))
+            for k, row in enumerate(completions(args.n))
+            for r, count in enumerate(row)
+        ]
     else:
         rows = []
     if args.fmt == "json":
@@ -532,6 +535,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.params = ASEPParams.from_strings(
                 *(getattr(args, name) for name in _RATES)
             )
+            if not 0 < args.tol < float("inf"):
+                raise ValueError(
+                    f"--tol must be a finite positive number, got {args.tol}"
+                )
         with _open_out(args.out) as out:
             return args.handler(args, out)
     except (ValueError, OSError) as exc:

@@ -24,6 +24,7 @@ than read back from the cells.  The sampler's tableaux are not stamped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -40,6 +41,7 @@ from .core import (
     ag_row_indices,
     check_valid,
 )
+from .counting import _completion_rows
 
 #: Largest n of the user-facing exhaustive walks (`enumerate` and the
 #: enumeration oracle for the ASEP partition functions; 82,575,360 tableaux
@@ -72,19 +74,16 @@ class ColumnFill:
             raise ValueError("alpha/gamma upper entry must be the topmost occupied slot")
 
     @property
-    def bd_upper_count(self) -> int:
-        return sum(1 for _, s in self.upper if s.is_bd)
-
-    @property
     def has_ag_upper(self) -> bool:
         return any(s.is_ag for _, s in self.upper)
 
     @property
     def r_change(self) -> int:
-        """Change in the AG-row count when this fill is applied."""
+        """Change in the AG-row count when this fill is applied: -j for a
+        fill in class j of `counting`."""
         if self.bottom.is_ag:
             return 1
-        return -self.bd_upper_count
+        return -sum(1 for _, s in self.upper if s.is_bd)
 
 
 @lru_cache(maxsize=None)
@@ -203,16 +202,18 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
     and stamped with its `StatVector`: r is the walk's AG-row count, gamma
     and a_diag are alpha/gamma counts kept along the path, and delta is the
     number of cells minus gamma, so r + delta = n stays a real identity.
-    With `visitor=None` no Tableau objects are materialized, and the walk
-    sums leaf counts over the same `legal_fills` branching, memoised on
-    (depth, r): a subtree's leaf count depends on nothing else.
+    With `visitor=None` no Tableau objects are materialized: `legal_fills(r)`
+    is tallied by class j = -r_change and `counting`'s completion recurrence
+    runs on the tallies, never on its multiplicity formula or closed form.
     Single-threaded; the first-column fills partition the tree if a caller
     wants to shard the walk.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if visitor is None:
-        return _count_leaves(n)
+        tallies = [Counter(-f.r_change for f in legal_fills(r)) for r in range(n)]
+        counts = [[t[j] for j in range(-1, r + 1)] for r, t in enumerate(tallies)]
+        return _completion_rows(n, counts)[n][0]
 
     count = 0
     cells: dict[Cell, GreekSymbol] = {}
@@ -247,19 +248,3 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
     rec(0, [], 0, 0)
     return count
 
-
-def _count_leaves(n: int) -> int:
-    # Sums over the visitor walk's branching, tracking only the AG-row count
-    # (the branching below a node depends on nothing else), so equal
-    # (depth, r) subtrees are counted once.
-    deltas: list[list[int]] = [
-        [f.r_change for f in legal_fills(r)] for r in range(n)
-    ]
-
-    @lru_cache(maxsize=None)
-    def rec(m: int, r: int) -> int:
-        if m == n:
-            return 1
-        return sum(rec(m + 1, r + d) for d in deltas[r])
-
-    return rec(0, 0)

@@ -1,26 +1,26 @@
 """Exact-uniform sampling of staircase tableaux by weighted column growth.
 
 Columns are drawn right to left, in the growth order of `enumerator`: each
-step prepends one column, and its move class (Up, or Down(j) split into its
+step prepends one column, and its class j of `counting` (j = -1 raises the
+AG-row count r by one, j = 0..r lowers it by j; each j >= 0 split into its
 beta/delta-only and with-alpha/gamma subclasses) is chosen with probability
 
-    multiplicity(r, move) * N(k-1, r') / N(k, r),
+    multiplicity(r, j) * N(k-1, r-j) / N(k, r),
 
-where k columns remain, r is the current AG-row count, r' the count after
-the move, and N the completion count.  Within a class the slot subset and
-the individual symbols are uniform.  Every complete tableau then carries
-probability 1/(4**n n!) exactly; `probability_of` certifies this per tableau
-by replaying the branch and multiplying the stage probabilities as exact
-rationals.
+where k columns remain and N is the completion count.  Within a class the
+slot subset and the individual symbols are uniform.  Every complete tableau
+then carries probability 1/(4**n n!) exactly; `probability_of` certifies
+this per tableau by replaying the branch and multiplying the stage
+probabilities as exact rationals.
 
 The class is drawn lazily.  x is drawn below the closed-form total
-4k (2k+1)**r, and the classes are walked in the order Up, Down(0), Down(1),
-..., each weight made from the previous one by exact integer steps, until
-one covers x.  The Down(j) weights fall off like r/(jk), so the walk almost
+4k (2k+1)**r, and the classes are walked in the order j = -1, 0, 1, ...,
+each weight made from the previous one by exact integer steps, until one
+covers x.  The weights for j >= 0 fall off like r/(jk), so the walk almost
 always stops within a few classes.  The power of 2k-1 it stops at is
-(2(k-1)+1)**r', the next column's total up to its small factor, so a column
-costs one big power and a few big-int steps whatever r is.  The slot subset
-is drawn as a lexicographic rank and unranked by bisection.
+(2(k-1)+1)**(r-j), the next column's total up to its small factor, so a
+column costs one big power and a few big-int steps whatever r is.  The slot
+subset is drawn as a lexicographic rank and unranked by bisection.
 
 `sample_statistics` makes the same draws in the same order as `sample_many`
 (`_columns` is their one source) but keeps only the class counts, so it
@@ -46,7 +46,6 @@ from .core import _AG, _BD, StatVector, Tableau, ag_row_indices
 # because `bench/layers.py` wraps it as `sampler.statistics`.
 from .core import statistics  # noqa: F401
 from .counting import (
-    Down,
     bd_only_multiplicity,
     completion_count,
     multiplicity,
@@ -64,17 +63,16 @@ _SAMPLE_LIMIT = 10_000
 def _draw_class(
     rng: random.Random, k: int, r: int, scale: int
 ) -> tuple[int, int, int, int]:
-    """Draw the move class at (k columns left, r AG rows).
+    """Draw the class j at (k columns left, r AG rows).
 
     `scale` is (2k+1)**r.  The common factor 4**(k-1) (k-1)! of N(k-1, .) is
-    dropped from the class weights, leaving Up: 2 (2k-1)**(r+1) and Down(j):
-    multiplicity(r, Down(j)) * (2k-1)**(r-j), which sum to 4k scale.  x is
-    drawn below that sum and the classes are walked in the order Up, Down(0),
-    Down(1), ..., each weight made from the previous one by exact integer
-    steps, until one covers x.
+    dropped from the class weights, leaving multiplicity(r, j) * (2k-1)**(r-j)
+    for class j = -1..r, which sum to 4k scale.  x is drawn below that sum
+    and the classes are walked in the order j = -1, 0, 1, ..., each weight
+    made from the previous one by exact integer steps, until one covers x.
 
-    Returns (j, C(r, j), C(r, j+1), (2k-1)**r') with j = -1 for Up and r' the
-    AG-row count after the move; the last entry is the next column's `scale`.
+    Returns (j, C(r, j), C(r, j+1), (2k-1)**(r-j)); the last entry is the
+    next column's `scale`.
     """
     base = 2 * k - 1
     power = base ** (r + 1)
@@ -125,7 +123,7 @@ def _columns(
     order.
 
     Yields (r, j, with_ag, rank, picks) per column: r is the AG-row count
-    before it; j is -1 for Up and the Down index otherwise; with_ag says
+    before it; j is its class (-1 for an alpha/gamma bottom); with_ag says
     whether an alpha/gamma upper entry was drawn; rank is the lexicographic
     rank of the occupied slot subset; picks are the symbol draws, the bottom
     box first, then one per occupied slot bottom-up.
@@ -217,12 +215,11 @@ def _fill_probability(k: int, r: int, fill: ColumnFill) -> Fraction:
     """Probability that the column draw at (k, r) produces exactly `fill`,
     accumulated stage by stage (class, subclass, subset, symbols)."""
     total = completion_count(k, r)
-    if fill.bottom.is_ag:
-        p = Fraction(2 * completion_count(k - 1, r + 1), total)
-        return p * Fraction(1, 2)
-    j = fill.bd_upper_count
-    move_mult = multiplicity(r, Down(j))
+    j = -fill.r_change
+    move_mult = multiplicity(r, j)
     p = Fraction(move_mult * completion_count(k - 1, r - j), total)
+    if j < 0:
+        return p * Fraction(1, 2)
     if fill.has_ag_upper:
         p *= Fraction(with_ag_multiplicity(r, j), move_mult)
         p *= Fraction(1, comb(r, j + 1))

@@ -50,6 +50,31 @@ def test_params_zero_denominator_is_a_value_error():
         ASEPParams.from_strings("1/2", "1/2", "1/2", "1/2", "3/0", "1/2")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0e3000000", "gamma=0e3000000 has a decimal exponent above 110"),
+        ("1e-3000000", "gamma=1e-3000000 has a denominator above 1000000000"),
+        ("1/" + "7" * 5000, "gamma is 5002 characters long, above 100"),
+        ("1/3/4", "gamma=1/3/4 is not a rational number"),
+    ],
+    ids=["zero-huge-exponent", "tiny-exponent", "5000-digits", "not-a-number"],
+)
+def test_params_refuse_runaway_text_before_parsing(text, message):
+    with pytest.raises(ValueError) as info:
+        ASEPParams.from_strings("1/2", "1/2", text, "1/2", "1/2", "1/2")
+    assert str(info.value) == message
+
+
+def test_params_exponent_cap_is_inclusive():
+    p = ASEPParams.from_strings("0e-110", "0E+1_10", "1e-9", "1/2", "1/2", "1/2")
+    assert (p.alpha, p.beta, p.gamma) == (0, 0, Fraction(1, 10**9))
+    with pytest.raises(ValueError, match="alpha=0e-111 has a denominator above"):
+        ASEPParams.from_strings("0e-111", "1/2", "1/2", "1/2", "1/2", "1/2")
+    with pytest.raises(ValueError, match="beta=0E1_11 has a decimal exponent"):
+        ASEPParams.from_strings("1/2", "0E1_11", "1/2", "1/2", "1/2", "1/2")
+
+
 def test_params_denominator_cap_is_inclusive():
     cap = asep._RATE_DENOMINATOR_LIMIT
     p = ASEPParams.from_strings(f"1/{cap}", "1/2", "1/2", "1/2", "1/2", "1/2")

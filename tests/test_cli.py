@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -495,6 +496,43 @@ def test_asep_zero_denominator_rate_is_a_one_line_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: alpha=1/0 has a zero denominator\n"
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        ("0e3000000", "alpha=0e3000000 has a decimal exponent above 110"),
+        ("1e-3000000", "alpha=1e-3000000 has a denominator above 1000000000"),
+        ("1/" + "7" * 5000, "alpha is 5002 characters long, above 100"),
+        ("abc", "alpha=abc is not a rational number"),
+    ],
+    ids=["zero-huge-exponent", "tiny-exponent", "5000-digits", "not-a-number"],
+)
+def test_asep_runaway_rate_text_is_refused_unparsed(capsys, rate, message):
+    # Parsing 0e3000000 or 1e-3000000 took over a second, and a 5000-digit
+    # literal hit Python's integer-string limit without naming the rate.
+    start = time.perf_counter()
+    code = main(["asep", "--n", "2", "--alpha", rate, *_PARAMS[2:]])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("mode", ["stationary", "partition", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_asep_tol_must_be_finite_and_positive(capsys, mode, tol):
+    code = main(
+        ["asep", "--n", "2", *_PARAMS, "--mode", mode, "--tol", tol]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --tol must be a finite positive number, got {float(tol)}\n"
+    )
 
 
 # ------------------------------------------------------------------ verify

@@ -12,12 +12,9 @@ from hypothesis import given, settings, strategies as st
 from staircase_tableaux import counting
 from staircase_tableaux.core import Tableau, statistics
 from staircase_tableaux.counting import (
-    Down,
-    Up,
     bd_only_multiplicity,
     completion_count,
     completions,
-    moves,
     multiplicity,
     total_count,
     with_ag_multiplicity,
@@ -29,53 +26,53 @@ from staircase_tableaux.enumerator import enumerate_all, legal_fills, split_firs
 
 
 def test_up_class_always_has_two_fills():
-    assert all(multiplicity(r, Up()) == 2 for r in range(10))
+    assert all(multiplicity(r, -1) == 2 for r in range(10))
 
 
 @pytest.mark.parametrize(
-    "r, k, expected",
+    "r, j, expected",
     [(0, 0, 2), (1, 0, 6), (1, 1, 4), (2, 0, 10), (2, 1, 16), (2, 2, 8)],
 )
-def test_down_class_golden_values(r, k, expected):
-    assert multiplicity(r, Down(k)) == expected
+def test_down_class_golden_values(r, j, expected):
+    assert multiplicity(r, j) == expected
 
 
 @pytest.mark.parametrize("r", range(9))
 def test_classes_partition_all_fills(r):
-    assert sum(multiplicity(r, mv) for mv in moves(r)) == 4 * 3**r
+    assert sum(multiplicity(r, j) for j in range(-1, r + 1)) == 4 * 3**r
 
 
-@given(r=st.integers(0, 30), k=st.integers(0, 30))
+@given(r=st.integers(0, 30), j=st.integers(-3, 30))
 @settings(max_examples=80)
-def test_down_splits_into_ag_and_bd_only(r, k):
-    if k > r:
+def test_down_splits_into_ag_and_bd_only(r, j):
+    if not -1 <= j <= r:
         with pytest.raises(ValueError):
-            multiplicity(r, Down(k))
-    else:
-        assert multiplicity(r, Down(k)) == bd_only_multiplicity(
-            r, k
-        ) + with_ag_multiplicity(r, k)
+            multiplicity(r, j)
+    elif j >= 0:
+        assert multiplicity(r, j) == bd_only_multiplicity(
+            r, j
+        ) + with_ag_multiplicity(r, j)
 
 
 @pytest.mark.parametrize("r", range(6))
 def test_multiplicities_match_generated_fills(r):
-    by_class: Counter = Counter()
-    for f in legal_fills(r):
-        if f.bottom.is_ag:
-            by_class["up"] += 1
-        else:
-            by_class[(f.bd_upper_count, f.has_ag_upper)] += 1
-    assert by_class.pop("up") == multiplicity(r, Up())
-    for k in range(r + 1):
-        assert by_class.pop((k, False), 0) == bd_only_multiplicity(r, k)
-        if k < r:
-            assert by_class.pop((k, True)) == with_ag_multiplicity(r, k)
-    assert not by_class
+    by_class = Counter(-f.r_change for f in legal_fills(r))
+    by_subclass = Counter(
+        (-f.r_change, f.has_ag_upper) for f in legal_fills(r) if not f.bottom.is_ag
+    )
+    assert by_class == Counter(
+        {j: multiplicity(r, j) for j in range(-1, r + 1)}
+    )
+    for j in range(r + 1):
+        assert by_subclass.pop((j, False), 0) == bd_only_multiplicity(r, j)
+        if j < r:
+            assert by_subclass.pop((j, True)) == with_ag_multiplicity(r, j)
+    assert not by_subclass
 
 
 def test_multiplicity_rejects_negative_r():
     with pytest.raises(ValueError):
-        multiplicity(-1, Up())
+        multiplicity(-1, -1)
 
 
 # -------------------------------------------------------- completion counts
@@ -97,36 +94,50 @@ def test_small_goldens():
 
 
 def test_closed_form_agrees_with_recurrence_table():
-    table = completions(40)
-    assert len(table.entries) == 41 * 42 // 2
-    for (k, r), value in table.entries.items():
-        assert value == completion_count(k, r)
+    rows = completions(40)
+    assert sum(map(len, rows)) == 41 * 42 // 2
+    for k, row in enumerate(rows):
+        for r, value in enumerate(row):
+            assert value == completion_count(k, r)
 
 
 def test_table_builds_each_multiplicity_row_once(monkeypatch):
     calls = []
     real = counting.multiplicity
 
-    def counted(r, move):
-        calls.append((r, move))
-        return real(r, move)
+    def counted(r, j):
+        calls.append((r, j))
+        return real(r, j)
 
     monkeypatch.setattr(counting, "multiplicity", counted)
     completions(40)
     assert Counter(calls) == Counter(
-        (r, Down(j)) for r in range(40) for j in range(r + 1)
+        (r, j) for r in range(40) for j in range(-1, r + 1)
     )
 
 
 def test_table_bounds_and_errors():
-    table = completions(3)
-    assert table.count(3, 0) == total_count(3)
-    with pytest.raises(ValueError):
-        table.count(3, 1)
+    rows = completions(3)
+    assert [len(row) for row in rows] == [4, 3, 2, 1]
+    assert rows[3] == (total_count(3),)
     with pytest.raises(ValueError):
         completion_count(-1, 0)
     with pytest.raises(ValueError):
         completions(-1)
+
+
+def test_count_only_walk_never_reads_the_formulas(monkeypatch):
+    """The count-only walk tallies `legal_fills` itself: it must not lean on
+    the multiplicity formula or the closed form it is checked against."""
+    expected = [completions(n)[n][0] for n in range(1, 7)]
+
+    def refuse(*args):
+        raise AssertionError("count-only walk read a counting formula")
+
+    monkeypatch.setattr(counting, "multiplicity", refuse)
+    monkeypatch.setattr(counting, "completion_count", refuse)
+    assert enumerate_all(6) == 2_949_120
+    assert [enumerate_all(n) for n in range(1, 7)] == expected
 
 
 @pytest.mark.parametrize(

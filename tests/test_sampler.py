@@ -17,7 +17,7 @@ from staircase_tableaux.core import (
     to_line,
     validate,
 )
-from staircase_tableaux.counting import Down, multiplicity, total_count
+from staircase_tableaux.counting import multiplicity, total_count
 from staircase_tableaux.enumerator import enumerate_all
 from staircase_tableaux.sampler import (
     RNG_ID,
@@ -39,11 +39,10 @@ def test_rng_identifier_is_pinned():
 
 
 def _class_weights(k, r):
-    """Up, Down(0), ..., Down(r) weights with the common factor of N(k-1, .)
-    dropped, built term by term from `multiplicity`."""
-    up = 2 * (2 * k - 1) ** (r + 1)
-    return [up] + [
-        multiplicity(r, Down(j)) * (2 * k - 1) ** (r - j) for j in range(r + 1)
+    """Class j = -1..r weights with the common factor of N(k-1, .) dropped,
+    built term by term from `multiplicity`."""
+    return [
+        multiplicity(r, j) * (2 * k - 1) ** (r - j) for j in range(-1, r + 1)
     ]
 
 
