@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from staircase_tableaux.asep import (
@@ -23,14 +22,6 @@ from staircase_tableaux.asep import (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    settings: int
-    n_max: int
-    seed: int
-    tol: float
-
-
 def random_params(rng: random.Random) -> ASEPParams:
     def rate() -> Fraction:
         den = rng.choice([2, 3, 4, 5, 7, 8, 16])
@@ -39,7 +30,7 @@ def random_params(rng: random.Random) -> ASEPParams:
     return ASEPParams(rate(), rate(), rate(), rate(), rate(), rate())
 
 
-def parse_args(argv: list[str] | None) -> SweepConfig:
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--settings", type=int, default=20,
                     help="number of random parameter settings")
@@ -47,31 +38,30 @@ def parse_args(argv: list[str] | None) -> SweepConfig:
                     choices=range(1, _DENSE_LIMIT + 1))
     ap.add_argument("--seed", type=int, default=20250823)
     ap.add_argument("--tol", type=float, default=1e-10)
-    args = ap.parse_args(argv)
-    return SweepConfig(args.settings, args.n_max, args.seed, args.tol)
+    return ap.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
-    rng = random.Random(cfg.seed)
-    grid = list(PARAMETER_GRID) + [random_params(rng) for _ in range(cfg.settings)]
+    args = parse_args(argv)
+    rng = random.Random(args.seed)
+    grid = list(PARAMETER_GRID) + [random_params(rng) for _ in range(args.settings)]
     failures = 0
     worst = 0.0
     for i, params in enumerate(grid):
         dev = max(
-            verify_steady_state(n, params, tol=cfg.tol).max_deviation
-            for n in range(1, cfg.n_max + 1)
+            verify_steady_state(n, params, tol=args.tol).max_deviation
+            for n in range(1, args.n_max + 1)
         )
         worst = max(worst, dev)
         tag = "pinned" if i < len(PARAMETER_GRID) else "random"
-        status = "ok" if dev < cfg.tol else "FAIL"
+        status = "ok" if dev < args.tol else "FAIL"
         if status == "FAIL":
             failures += 1
         print(f"{status:>4} {tag:>6} dev={dev:.3e} "
               f"a={params.alpha} b={params.beta} g={params.gamma} "
               f"d={params.delta} q={params.q} u={params.u}")
     print(f"worst deviation {worst:.3e} over {len(grid)} settings, "
-          f"n <= {cfg.n_max}")
+          f"n <= {args.n_max}")
     return 1 if failures else 0
 
 

@@ -14,20 +14,11 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 
 from staircase_tableaux.stats import clt_check, dist_A, moments_A
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    sizes: tuple[int, ...]
-    draws: int
-    seed: int
-    out: str | None
-
-
-def parse_args(argv: list[str] | None) -> SweepConfig:
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
         "--sizes", type=int, nargs="+", default=[50, 200, 800, 2000],
@@ -36,27 +27,26 @@ def parse_args(argv: list[str] | None) -> SweepConfig:
     ap.add_argument("--draws", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=20250823)
     ap.add_argument("--out", default=None, help="optional CSV path")
-    args = ap.parse_args(argv)
-    return SweepConfig(tuple(args.sizes), args.draws, args.seed, args.out)
+    return ap.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = parse_args(argv)
+    args = parse_args(argv)
     rows = []
     print(f"{'n':>6} {'sd':>9} {'ks':>9} {'bin_dev':>9}")
-    for n in cfg.sizes:
+    for n in args.sizes:
         mean, var = moments_A(n)
         sd = math.sqrt(var)
-        report = clt_check(dist_A(n).sample(cfg.draws, cfg.seed), float(mean), sd)
+        report = clt_check(dist_A(n).sample(args.draws, args.seed), float(mean), sd)
         print(f"{n:>6} {sd:>9.4f} {report.ks_statistic:>9.5f} "
               f"{report.max_bin_dev:>9.5f}")
         rows.append((n, float(mean), sd, report.ks_statistic, report.max_bin_dev))
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "mean", "sd", "ks_statistic", "max_bin_dev"])
             writer.writerows(rows)
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     return 0
 
 

@@ -11,10 +11,8 @@ from .core import (
     GreekSymbol,
     InvalidTableauError,
     Label,
-    LabeledTableau,
     StatVector,
     Tableau,
-    TypeWord,
     WeightMonomial,
     from_text,
     is_valid,
@@ -37,10 +35,8 @@ __all__ = [
     "GreekSymbol",
     "InvalidTableauError",
     "Label",
-    "LabeledTableau",
     "StatVector",
     "Tableau",
-    "TypeWord",
     "WeightMonomial",
     "__version__",
     "completion_count",

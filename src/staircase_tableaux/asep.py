@@ -324,22 +324,21 @@ def enumerated_partition_functions(
     The exact oracle for `partition_functions`: it sums the weight monomial of
     every tableau, so it shares nothing with the DP but the filling rules.
     The monomials come from one walk per n (`_weight_census`); each distinct
-    one is evaluated once per setting.
+    one is evaluated once per setting, on the rates scaled to integers over
+    D.  Every monomial has degree n(n+1)/2, so each sum is an integer over
+    D**(n(n+1)/2), the DP's denominator.
     """
     if not 1 <= n <= _ENUM_LIMIT:
         raise ValueError(
             f"enumeration-backed partition functions need n <= {_ENUM_LIMIT}, got {n}"
         )
-    by_type: dict[str, Fraction] = {
-        format(s, f"0{n}b"): Fraction(0) for s in range(1 << n)
-    }
+    den, (a, b, g, d, q, u) = params.scaled()
+    sums = {state_bits(s, n): 0 for s in range(1 << n)}
     for (bits, w), count in _weight_census(n):
-        by_type[bits] += count * w.evaluate(
-            params.alpha, params.beta, params.gamma, params.delta,
-            params.u, params.q,
-        )
-    total = sum(by_type.values(), Fraction(0))
-    return total, by_type
+        sums[bits] += count * w.evaluate(a, b, g, d, u, q)
+    scale = den ** (n * (n + 1) // 2)
+    by_type = {bits: Fraction(z, scale) for bits, z in sums.items()}
+    return Fraction(sum(sums.values()), scale), by_type
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +348,7 @@ def _weight_census(n: int) -> tuple[tuple[tuple[str, WeightMonomial], int], ...]
     census: Counter[tuple[str, WeightMonomial]] = Counter()
 
     def visit(t: Tableau) -> None:
-        census[type_word(t).as_bits(), weight(t)] += 1
+        census[type_word(t), weight(t)] += 1
 
     enumerate_all(n, visit)
     return tuple(census.items())

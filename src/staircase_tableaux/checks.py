@@ -203,14 +203,14 @@ def _bernoulli(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 def _r_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     bad = []
     for n in range(1, rg.sweep + 1):
-        h = harmonic_pair(n)
-        want = (h.h1 / 2, h.h1 / 2 - h.h2 / 4)
+        h1, h2 = harmonic_pair(n)
+        want = (h1 / 2, h1 / 2 - h2 / 4)
         if moments_r(n) != want:
             bad.append(("r-closed", n))
         pmf = dist_r(n)
         if (pmf.mean(), pmf.variance()) != want:
             bad.append(("r-pmf", n))
-        if moments_delta(n)[0] != n - h.h1 / 2 or dist_delta(n).mean() != n - want[0]:
+        if moments_delta(n)[0] != n - h1 / 2 or dist_delta(n).mean() != n - want[0]:
             bad.append(("delta-mean", n))
     return _verdict(bad, max_n=rg.sweep)
 

@@ -20,7 +20,9 @@ Beside the check mark, a tableau the walk yields carries its `StatVector`,
 stamped from counts the walk keeps along the path; `statistics` returns that
 stamp and reads the cells of every other tableau.  A tableau's `cells` is a
 read-only `FrozenCells`, so a marked or stamped tableau cannot change after
-its check.
+its check, and tableaux compare and hash by (n, cells).  What is read off a
+tableau is a plain value: `type_word` gives the diagonal as a bit string,
+`label_uq` a dict from each empty box to its `Label`.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ class FrozenCells(dict):
     """A read-only dict of cells: every mutator raises `TypeError`.
 
     A tableau marked as checked is never validated again, so its cells must
-    not change after the mark.  Reads run at plain-dict speed, and it pickles
-    by rebuilding from a plain dict.
+    not change after the mark.  Reads run at plain-dict speed, it pickles by
+    rebuilding from a plain dict, and, being read-only, it hashes as the
+    frozenset of its items, so tableaux hash by value.
     """
 
     __slots__ = ()
@@ -95,6 +98,9 @@ class FrozenCells(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
     def __reduce__(self) -> tuple[type, tuple[dict]]:
         return (FrozenCells, (dict(self),))
 
@@ -102,7 +108,8 @@ class FrozenCells(dict):
 @dataclass(frozen=True)
 class Tableau:
     """An immutable staircase filling.  `cells` maps occupied boxes to
-    symbols, read-only."""
+    symbols, read-only.  Equality and hash are over (n, cells), so the
+    insertion order and mapping type of the cells do not matter."""
 
     n: int
     cells: Mapping[Cell, GreekSymbol]
@@ -128,48 +135,6 @@ class Tableau:
         for i in range(1, self.n + 1):
             for j in range(1, self.n + 2 - i):
                 yield (i, j)
-
-    def canonical(self) -> tuple:
-        return (
-            self.n,
-            tuple(sorted((i, j, s.value) for (i, j), s in self.cells.items())),
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tableau):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-
-@dataclass(frozen=True)
-class TypeWord:
-    """Diagonal read NE to SW; True marks an occupied site (alpha or delta)."""
-
-    filled: tuple[bool, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.filled)
-
-    def as_bits(self) -> str:
-        return "".join("1" if f else "0" for f in self.filled)
-
-    def __str__(self) -> str:
-        return "".join("●" if f else "○" for f in self.filled)
-
-
-@dataclass(frozen=True)
-class LabeledTableau:
-    """A valid tableau together with a u/q label on every empty box."""
-
-    base: Tableau
-    labels: Mapping[Cell, Label]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", dict(self.labels))
 
 
 @dataclass(frozen=True)
@@ -291,16 +256,18 @@ def check_valid(t: Tableau) -> None:
         object.__setattr__(t, "_checked", True)
 
 
-def type_word(t: Tableau) -> TypeWord:
-    """Read the diagonal NE to SW: alpha/delta mark occupied sites."""
+def type_word(t: Tableau) -> str:
+    """The diagonal read NE to SW as a bit string, "1" where alpha/delta
+    fills the site: the ASEP state, in `asep.state_bits`' encoding."""
     check_valid(t)
-    return TypeWord(
-        tuple(t.cells[t.diagonal_cell(i)].fills_site for i in range(1, t.n + 1))
+    return "".join(
+        "1" if t.cells[t.diagonal_cell(i)].fills_site else "0"
+        for i in range(1, t.n + 1)
     )
 
 
-def label_uq(t: Tableau) -> LabeledTableau:
-    """Assign a u/q label to every empty box.
+def label_uq(t: Tableau) -> dict[Cell, Label]:
+    """The u/q label of every empty box.
 
     Row pass first: each empty box left of the row's beta gets U, left of the
     row's delta gets Q.  (A valid row has at most one beta/delta and it is the
@@ -336,17 +303,17 @@ def label_uq(t: Tableau) -> LabeledTableau:
         raise RuntimeError(
             f"{len(labels)} labels for {n_empty} empty boxes of a size-{t.n} tableau"
         )
-    return LabeledTableau(t, labels)
+    return labels
 
 
 def weight(t: Tableau) -> WeightMonomial:
     """Weight monomial: one factor per box, symbol or u/q label."""
-    labeled = label_uq(t)
+    labels = label_uq(t)
     counts = {s: 0 for s in GreekSymbol}
     for s in t.cells.values():
         counts[s] += 1
-    n_u = sum(1 for lab in labeled.labels.values() if lab is Label.U)
-    n_q = len(labeled.labels) - n_u
+    n_u = sum(1 for lab in labels.values() if lab is Label.U)
+    n_q = len(labels) - n_u
     w = WeightMonomial(
         e_alpha=counts[GreekSymbol.ALPHA],
         e_beta=counts[GreekSymbol.BETA],

@@ -207,30 +207,13 @@ def V_explicit(n: int, m: int, w: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def pgf_A_from_c(n: int) -> tuple[int, ...]:
-    """Numerators over 2**n n! of the diagonal alpha/gamma PGF, through the
-    c-triangle at z=1:
-
-        sum_m V(n, m) t^m = sum_k c[n][k](1) (t-1)^(n-k)
-
-    Expanding the (t-1) powers reproduces V_explicit term by term once
-    c[n][k](1) is identified with 2**k k! W(n, k).
-    """
-    row = c1_rows(n)[n]
-    return tuple(
-        sum(
-            c * comb(n - k, j) * (-1) ** (n - k - j)
-            for k, c in enumerate(row[: n - j + 1])
-        )
-        for j in range(n + 1)
-    )
-
-
 def pgf_B(n: int) -> tuple[int, ...]:
     """Numerators over 2**n n! of the diagonal beta/delta PGF, via the
     c-triangle at z=1:
 
         sum_k c[n][k](1) t^k (1-t)^(n-k)
+
+    Reversed, it is the alpha/gamma PGF sum_k c[n][k](1) (t-1)^(n-k).
     """
     row = c1_rows(n)[n]
     return tuple(

@@ -86,18 +86,11 @@ def draw_integers(
     ]
 
 
-@dataclass(frozen=True)
-class HarmonicPair:
-    """H_n and the generalized H_n^(2), exact."""
-
-    h1: Fraction
-    h2: Fraction
-
-
-def harmonic_pair(n: int) -> HarmonicPair:
+def harmonic_pair(n: int) -> tuple[Fraction, Fraction]:
+    """(H_n, H_n^(2)): the harmonic and generalized harmonic numbers, exact."""
     h1 = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
     h2 = sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
-    return HarmonicPair(h1, h2)
+    return h1, h2
 
 
 def pgf_r(n: int) -> tuple[int, ...]:
@@ -134,8 +127,8 @@ def dist_r(n: int) -> ExactPMF:
 def moments_r(n: int) -> tuple[Fraction, Fraction]:
     """(mean, variance) = (H_n/2, H_n/2 - H_n^(2)/4)."""
     _need_positive(n)
-    h = harmonic_pair(n)
-    return h.h1 / 2, h.h1 / 2 - h.h2 / 4
+    h1, h2 = harmonic_pair(n)
+    return h1 / 2, h1 / 2 - h2 / 4
 
 
 def dist_delta(n: int) -> ExactPMF:

@@ -8,8 +8,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import staircase_tableaux
 from staircase_tableaux import core
-from staircase_tableaux.asep import PARAMETER_GRID, enumerated_partition_functions
+from staircase_tableaux.asep import (
+    PARAMETER_GRID,
+    enumerated_partition_functions,
+    partition_functions,
+)
 from staircase_tableaux.core import (
     GreekSymbol,
     InvalidTableauError,
@@ -48,13 +53,13 @@ A, B, G, D = (
 def test_singletons_valid_with_expected_type(sym, bit):
     t = Tableau(1, {(1, 1): sym})
     assert is_valid(t)
-    assert type_word(t).as_bits() == bit
+    assert type_word(t) == bit
 
 
 def test_size_zero_is_the_empty_root():
     t = Tableau(0, {})
     assert is_valid(t)
-    assert type_word(t).as_bits() == ""
+    assert type_word(t) == ""
     s = statistics(t)
     assert (s.r, s.delta, s.gamma, s.a_diag, s.b_diag) == (0, 0, 0, 0, 0)
 
@@ -190,8 +195,8 @@ def test_equality_and_hash_ignore_the_cells_type():
     cells = {(1, 2): A, (2, 1): B}
     t = Tableau(2, cells)
     assert t.cells == cells and cells == t.cells
-    assert t == Tableau(2, dict(reversed(list(cells.items()))))
-    assert hash(t) == hash((2, ((1, 2, "A"), (2, 1, "B"))))
+    reverse = Tableau(2, dict(reversed(list(cells.items()))))
+    assert t == reverse and hash(t) == hash(reverse)
 
 
 # --------------------------------------------------- walk-stamped statistics
@@ -242,8 +247,7 @@ def test_pickle_round_trip_keeps_the_stamp():
 def test_two_cell_example_labels_and_weight():
     t = Tableau(2, {(1, 2): A, (2, 1): B})
     assert is_valid(t)
-    labeled = label_uq(t)
-    assert labeled.labels == {(1, 1): Label.Q}
+    assert label_uq(t) == {(1, 1): Label.Q}
     w = weight(t)
     assert (w.e_alpha, w.e_beta, w.e_gamma, w.e_delta) == (1, 1, 0, 0)
     assert (w.e_u, w.e_q) == (0, 1)
@@ -255,18 +259,18 @@ def test_row_pass_takes_precedence_over_column_pass():
     # (1, 1) sits both left of a delta (row rule: Q) and above an alpha
     # (column rule would say U); the row pass must win.
     t = Tableau(2, {(1, 2): D, (2, 1): A})
-    assert label_uq(t).labels == {(1, 1): Label.Q}
+    assert label_uq(t) == {(1, 1): Label.Q}
 
 
 def test_row_pass_beta_u_and_delta_q():
     t = Tableau(3, {(1, 2): B, (1, 3): G, (2, 2): D, (3, 1): A})
-    assert label_uq(t).labels == {(1, 1): Label.U, (2, 1): Label.Q}
+    assert label_uq(t) == {(1, 1): Label.U, (2, 1): Label.Q}
 
 
 def test_column_pass_uses_nearest_occupied_below():
     # Column 1 holds delta above beta; the box on top sees the delta.
     t = Tableau(3, {(1, 3): A, (2, 1): D, (2, 2): A, (3, 1): B})
-    assert label_uq(t).labels == {(1, 1): Label.U, (1, 2): Label.U}
+    assert label_uq(t) == {(1, 1): Label.U, (1, 2): Label.U}
 
 
 def test_label_rejects_invalid_input():
@@ -282,7 +286,7 @@ def test_label_rejects_invalid_input():
          lambda t: label_uq(Tableau(2, {(1, 2): A}))),
         # A phantom row left of a beta labels two boxes outside the shape.
         ("_leftmost", lambda f: lambda t: {**f(t), t.n + 1: (3, B)}, label_uq),
-        ("label_uq", lambda f: lambda t: core.LabeledTableau(t, {}), weight),
+        ("label_uq", lambda f: lambda t: {}, weight),
         ("_leftmost", lambda f: lambda t: {}, statistics),
     ],
     ids=["label-bottom", "label-cover", "weight-degree", "statistics-split"],
@@ -317,9 +321,7 @@ def test_worked_example_full_profile():
     """A hand-checked size-7 tableau touching every derived quantity."""
     t = from_text(_WORKED)
     assert is_valid(t)
-    tw = type_word(t)
-    assert tw.as_bits() == "0011100"
-    assert str(tw) == "○○●●●○○"
+    assert type_word(t) == "0011100"
     s = statistics(t)
     assert (s.r, s.delta, s.gamma, s.a_diag, s.b_diag) == (2, 5, 6, 4, 3)
     w = weight(t)
@@ -360,9 +362,8 @@ def test_sampled_tableaux_satisfy_all_invariants(n, seed):
     assert s.r + s.delta == n
     assert s.a_diag + s.b_diag == n
     assert weight(t).degree() == n * (n + 1) // 2
-    labeled = label_uq(t)
     empties = set(t.boxes()) - set(t.cells)
-    assert set(labeled.labels) == empties
+    assert set(label_uq(t)) == empties
     assert from_text(to_line(t)) == t
 
 
@@ -370,7 +371,20 @@ def test_sampled_tableaux_satisfy_all_invariants(n, seed):
 @settings(max_examples=40, deadline=None)
 def test_type_word_matches_diagonal_occupancy(n, seed):
     t = sample_uniform(n, seed)
-    bits = type_word(t).as_bits()
+    bits = type_word(t)
     for i in range(1, n + 1):
         sym = t.cells[(i, n + 1 - i)]
         assert bits[i - 1] == ("1" if sym in (A, D) else "0")
+
+
+# --------------------------------------------------------- public surface
+
+
+def test_public_surface_and_one_type_word_encoding():
+    assert all(hasattr(staircase_tableaux, name) for name in staircase_tableaux.__all__)
+    for gone in ("TypeWord", "LabeledTableau"):
+        assert not hasattr(staircase_tableaux, gone) and not hasattr(core, gone)
+    for n in range(1, 4):
+        words = set()
+        enumerate_all(n, lambda t: words.add(type_word(t)))
+        assert words == set(partition_functions(n, PARAMETER_GRID[0])[1])

@@ -55,14 +55,12 @@ def test_bernoulli_convolution_equals_pgf_coefficients(n):
 def test_moments_r_golden_and_formula():
     assert moments_r(3) == (Fraction(11, 12), Fraction(83, 144))
     for n in (1, 2, 5, 20, 50):
-        h = harmonic_pair(n)
-        assert moments_r(n) == (h.h1 / 2, h.h1 / 2 - h.h2 / 4)
+        h1, h2 = harmonic_pair(n)
+        assert moments_r(n) == (h1 / 2, h1 / 2 - h2 / 4)
 
 
 def test_harmonic_pair_small_values():
-    h = harmonic_pair(4)
-    assert h.h1 == Fraction(25, 12)
-    assert h.h2 == Fraction(205, 144)
+    assert harmonic_pair(4) == (Fraction(25, 12), Fraction(205, 144))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 30])
