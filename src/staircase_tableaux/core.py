@@ -256,6 +256,21 @@ def check_valid(t: Tableau) -> None:
         object.__setattr__(t, "_checked", True)
 
 
+def _grown(n: int, cells: dict, stats: StatVector | None = None) -> Tableau:
+    """A tableau built valid by construction, marked as checked and, when
+    `stats` is given, stamped with it: the cells become a `FrozenCells` once
+    and the fields are set directly, skipping `__post_init__`."""
+    t = object.__new__(Tableau)
+    # Field by field, not through `t.__dict__`: on CPython 3.11 reading
+    # `__dict__` gives the tableau a dict of its own, 135 bytes more.
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "cells", FrozenCells(cells))
+    object.__setattr__(t, "_checked", True)
+    if stats is not None:
+        object.__setattr__(t, "_stats", stats)
+    return t
+
+
 def type_word(t: Tableau) -> str:
     """The diagonal read NE to SW as a bit string, "1" where alpha/delta
     fills the site: the ASEP state, in `asep.state_bits`' encoding."""

@@ -13,13 +13,16 @@ Boxes of the new column at non-AG rows stay empty (anything there would sit
 left of that row's beta/delta).  Upper boxes are addressed by slot index
 1..r counting AG rows from the bottom.  Every tableau arises from exactly
 one fill sequence, which is what makes the DFS below an exact enumeration
-and gives the sampler its uniformity.  `_place` is the one growth step of the
-walk, `extend` and the sampler; the tableaux the walk and the sampler finish
-are valid by construction, so they are born marked as checked and are never
-validated.  Beside the check mark, each tableau the visitor walk yields is
-stamped with its `StatVector`, built from three counts the walk keeps along
-the path (the AG rows, the alpha/gamma entries and the diagonal ones) rather
-than read back from the cells.  The sampler's tableaux are not stamped.
+and gives the sampler its uniformity.  `_place` writes a fill for `extend`,
+the sampler and the walk's interior columns.  The walk writes its last
+column, (n, 1) upward, straight into a copy of the cells for each leaf, from
+the same per-r table of fills (`_stamped_fills`) its interior steps read.
+The tableaux the walk and the sampler finish are valid by construction, so
+`core._grown` builds them marked as checked, and they are never validated.
+Beside the check mark, each tableau the visitor walk yields is stamped with
+its `StatVector`, built from three counts the walk keeps along the path (the
+AG rows, the alpha/gamma entries and the diagonal ones) rather than read
+back from the cells.  The sampler's tableaux are not stamped.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (
     InvalidTableauError,
     StatVector,
     Tableau,
+    _grown,
     ag_row_indices,
     check_valid,
 )
@@ -116,11 +120,12 @@ def legal_fills(r: int) -> tuple[ColumnFill, ...]:
 
 
 @lru_cache(maxsize=None)
-def _stamped_fills(r: int) -> tuple[tuple[ColumnFill, int, int], ...]:
-    """`legal_fills(r)`, each with the alpha/gamma entries it writes and the
-    alpha/gamma entries it writes on the diagonal (its bottom box)."""
+def _stamped_fills(r: int) -> tuple[tuple[ColumnFill, int, int, int], ...]:
+    """`legal_fills(r)`, each with its `r_change`, the alpha/gamma entries it
+    writes and the alpha/gamma entries it writes on the diagonal (its bottom
+    box): the walk's one table for its interior steps and its leaves."""
     return tuple(
-        (f, f.bottom.is_ag + f.has_ag_upper, int(f.bottom.is_ag))
+        (f, f.r_change, f.bottom.is_ag + f.has_ag_upper, int(f.bottom.is_ag))
         for f in legal_fills(r)
     )
 
@@ -142,16 +147,6 @@ def _place(
         if s.is_bd:
             del kept[r - k]
     return kept
-
-
-def _grown(n: int, cells: dict, stats: StatVector | None = None) -> Tableau:
-    """A tableau that is valid by construction, marked as checked and, when
-    `stats` is given, stamped with it."""
-    t = Tableau(n, cells)
-    object.__setattr__(t, "_checked", True)
-    if stats is not None:
-        object.__setattr__(t, "_stats", stats)
-    return t
 
 
 def extend(t: Tableau, fill: ColumnFill) -> Tableau:
@@ -198,10 +193,14 @@ def split_first_column(t: Tableau) -> tuple[Tableau, ColumnFill]:
 def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> int:
     """Depth-first walk of the growth tree; every size-n tableau exactly once.
 
-    Returns the leaf count.  Each tableau handed to `visitor` is born checked
-    and stamped with its `StatVector`: r is the walk's AG-row count, gamma
-    and a_diag are alpha/gamma counts kept along the path, and delta is the
-    number of cells minus gamma, so r + delta = n stays a real identity.
+    Returns the leaf count.  Interior columns are written by `_place` and
+    undone after their subtree; the last column is written straight into a
+    copy of the cells for each leaf, so a leaf makes no Python-level call
+    but `_grown` and `visitor`.  Each tableau handed to `visitor` is born
+    checked and stamped with its `StatVector`: r is the walk's AG-row count,
+    gamma and a_diag are alpha/gamma counts kept along the path, and delta
+    is the number of cells minus gamma, so r + delta = n stays a real
+    identity.
     With `visitor=None` no Tableau objects are materialized: `legal_fills(r)`
     is tallied by class j = -r_change and `counting`'s completion recurrence
     runs on the tallies, never on its multiplicity formula or closed form.
@@ -223,28 +222,40 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
 
     def rec(m: int, ag_rows: list[int], n_ag: int, a_diag: int) -> None:
         nonlocal count
-        if m == n:
-            count += 1
-            key = (len(ag_rows), n_ag, len(cells), a_diag)
+        rows = _stamped_fills(len(ag_rows))
+        if m < n - 1:
+            depth = len(cells)
+            for fill, _, d_ag, d_diag in rows:
+                rec(
+                    m + 1,
+                    _place(cells, ag_rows, m + 1, n - m, fill),
+                    n_ag + d_ag,
+                    a_diag + d_diag,
+                )
+                # Dicts pop in reverse insertion order: this undoes the step.
+                while len(cells) > depth:
+                    cells.popitem()
+            return
+        # The last column, (n, 1) upward, is written straight into a copy of
+        # the cells for each leaf, in `_place`'s order; slot k sits on AG row
+        # ag_rows[-k].
+        r = len(ag_rows)
+        size = len(cells) + 1
+        above = [(row, 1) for row in ag_rows]
+        for fill, r_change, d_ag, d_diag in rows:
+            leaf = cells.copy()
+            leaf[(n, 1)] = fill.bottom
+            upper = fill.upper
+            for k, s in upper:
+                leaf[above[-k]] = s
+            key = (r + r_change, n_ag + d_ag, size + len(upper), a_diag + d_diag)
             stats = stamps.get(key)
             if stats is None:
                 stats = stamps[key] = StatVector(
-                    key[0], key[2] - n_ag, n_ag, a_diag, n - a_diag
+                    key[0], key[2] - key[1], key[1], key[3], n - key[3]
                 )
-            visitor(_grown(n, cells, stats))
-            return
-        depth = len(cells)
-        for fill, d_ag, d_diag in _stamped_fills(len(ag_rows)):
-            rec(
-                m + 1,
-                _place(cells, ag_rows, m + 1, n - m, fill),
-                n_ag + d_ag,
-                a_diag + d_diag,
-            )
-            # Dicts pop in reverse insertion order: this undoes the step.
-            while len(cells) > depth:
-                cells.popitem()
+            visitor(_grown(n, leaf, stats))
+        count += len(rows)
 
     rec(0, [], 0, 0)
     return count
-

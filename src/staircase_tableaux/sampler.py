@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .core import _AG, _BD, StatVector, Tableau, ag_row_indices
+from .core import _AG, _BD, StatVector, Tableau, _grown, ag_row_indices
 # `sample_statistics` no longer calls `statistics`; the name stays bound
 # because `bench/layers.py` wraps it as `sampler.statistics`.
 from .core import statistics  # noqa: F401
@@ -51,7 +51,7 @@ from .counting import (
     multiplicity,
     with_ag_multiplicity,
 )
-from .enumerator import ColumnFill, _grown, _place, split_first_column
+from .enumerator import ColumnFill, _place, split_first_column
 
 RNG_ID = "python-random-mt19937"
 

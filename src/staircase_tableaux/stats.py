@@ -76,10 +76,12 @@ def draw_integers(
     weights: Sequence[int], count: int, seed: int, offset: int = 0
 ) -> list[int]:
     """Categorical draws proportional to integer weights, bias-free."""
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
     cum = list(accumulate(weights))
-    total = cum[-1]
-    if total <= 0:
+    if not cum or cum[-1] <= 0:
         raise ValueError("weights must have positive total")
+    total = cum[-1]
     rng = random.Random(seed)
     return [
         offset + bisect_right(cum, rng.randrange(total)) for _ in range(count)

@@ -88,22 +88,26 @@ def test_enumerate_streams_parseable_tableaux(capsys):
     assert all(validate(from_text(line)) == [] for line in lines)
 
 
-# sha256 of `enumerate --n 4 --format F --no-timestamp` stdout as the walk
-# printed it when every statistic was read off the cells; the walk's stamped
-# statistics must print the same bytes.
+# sha256 of `enumerate --n N --format F --no-timestamp` stdout, keyed "[N ]F"
+# with N = 4 when omitted.  The n = 4 digests are the bytes the walk printed
+# when every statistic was read off the cells, and the n = 5 one those it
+# printed before its last column was written straight into each leaf; the
+# current walk must print the same bytes.
 _ENUMERATE_PINNED = {
     "csv": "30a9c7488c90404778b760c473fde71762b1d6eda7572867466d04ad6c5f4bc7",
     "text": "7c04c833e5afc7f7983c7c629148378136062885802520dd787a40ff6a99ac25",
+    "5 csv": "08007ba56dab2efcc6b41cca01903b5497f592376a23ca3572867250f1bb81bc",
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(_ENUMERATE_PINNED))
-def test_enumerate_outputs_are_pinned(capsys, fmt):
+@pytest.mark.parametrize("case", sorted(_ENUMERATE_PINNED))
+def test_enumerate_outputs_are_pinned(capsys, case):
+    n, fmt = case.split() if " " in case else ("4", case)
     code, out = run(
-        capsys, "enumerate", "--n", "4", "--format", fmt, "--no-timestamp"
+        capsys, "enumerate", "--n", n, "--format", fmt, "--no-timestamp"
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_PINNED[fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATE_PINNED[case]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])

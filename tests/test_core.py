@@ -191,6 +191,32 @@ def test_pickle_round_trip_keeps_a_read_only_equal_tableau():
         back.cells.clear()
 
 
+def _walk_leaf():
+    leaves = []
+    enumerate_all(3, leaves.append)
+    return leaves[200]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _walk_leaf,
+        lambda: sample_uniform(6, 2),
+        lambda: split_first_column(sample_uniform(6, 2))[0],
+    ],
+    ids=["walk", "sampler", "split"],
+)
+def test_grown_tableaux_equal_their_constructed_twins(build):
+    t = build()
+    twin = Tableau(t.n, dict(t.cells))
+    back = pickle.loads(pickle.dumps(t))
+    for u in (t, back):
+        assert u == twin and hash(u) == hash(twin) and repr(u) == repr(twin)
+        assert u._checked is True
+        with pytest.raises(TypeError):
+            u.cells.clear()
+
+
 def test_equality_and_hash_ignore_the_cells_type():
     cells = {(1, 2): A, (2, 1): B}
     t = Tableau(2, cells)

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import enumerator
 from staircase_tableaux.core import (
+    FrozenCells,
     GreekSymbol,
     InvalidTableauError,
     Tableau,
     ag_row_indices,
+    statistics,
     to_line,
     validate,
 )
@@ -173,6 +175,29 @@ def test_walk_yields_valid_distinct_tableaux():
         count = enumerate_all(n, visit)
         assert not bad
         assert len(seen) == count == 4**n * factorial(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_leaves_are_the_extensions_of_the_smaller_walk(n):
+    parents = []
+    if n == 1:
+        parents.append(Tableau(0, {}))
+    else:
+        enumerate_all(n - 1, parents.append)
+    expected = [
+        extend(p, fill)
+        for p in parents
+        for fill in legal_fills(len(ag_row_indices(p)))
+    ]
+    leaves = []
+    enumerate_all(n, leaves.append)
+    assert len(leaves) == len(expected)
+    for t, e in zip(leaves, expected):
+        assert list(t.cells.items()) == list(e.cells.items())
+        assert t._checked is True and t._stats == statistics(e)
+        assert type(t.cells) is FrozenCells
+        with pytest.raises(TypeError):
+            t.cells[(n, 1)] = A
 
 
 def test_walk_order_is_stable():

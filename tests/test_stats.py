@@ -167,6 +167,12 @@ def test_draw_integers_respects_offset():
     assert values.count(7) > values.count(5)
 
 
+@pytest.mark.parametrize("weights", [[], [2, -1], [0, 0]])
+def test_draw_integers_rejects_weights_without_a_distribution(weights):
+    with pytest.raises(ValueError, match="weights must"):
+        draw_integers(weights, 5, 0)
+
+
 def test_draw_frequencies_track_the_pmf():
     d = dist_r(3)
     n_draws = 20_000
