@@ -10,6 +10,7 @@ level (~1e-15) regardless of the setting.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -38,7 +39,12 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
                     choices=range(1, _DENSE_LIMIT + 1))
     ap.add_argument("--seed", type=int, default=20250823)
     ap.add_argument("--tol", type=float, default=1e-10)
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.settings < 0:
+        ap.error(f"--settings must be at least 0, got {args.settings}")
+    if not 0 < args.tol < math.inf:
+        ap.error(f"--tol must be a positive finite number, got {args.tol}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

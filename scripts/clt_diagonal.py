@@ -17,6 +17,9 @@ import sys
 
 from staircase_tableaux.stats import clt_check, dist_A, moments_A
 
+# `clt_check` refuses smaller samples.
+_MIN_DRAWS = 10**4
+
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -27,7 +30,12 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     ap.add_argument("--draws", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=20250823)
     ap.add_argument("--out", default=None, help="optional CSV path")
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if min(args.sizes) < 1:
+        ap.error(f"--sizes must all be at least 1, got {min(args.sizes)}")
+    if args.draws < _MIN_DRAWS:
+        ap.error(f"--draws must be at least {_MIN_DRAWS}, got {args.draws}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

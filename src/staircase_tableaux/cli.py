@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import __version__
@@ -68,6 +69,7 @@ from .polyengine import (
 from .polyengine import build_c  # noqa: F401
 from .sampler import RNG_ID, sample_many, sample_statistics
 from .stats import (
+    ExactPMF,
     dist_A,
     dist_B,
     dist_delta,
@@ -278,22 +280,33 @@ def _check_stat_size(n: int) -> None:
         raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {n}")
 
 
+def _pmf_rows(pmf: ExactPMF) -> list[tuple[int, str, str]]:
+    """(value, numerator, denominator) of each probability in lowest terms,
+    the two integers as decimal strings."""
+    denom = pmf.denominator
+    # Each distinct weight is reduced and printed once, with no `Fraction`
+    # per entry: a V row is symmetric, so half its entries repeat.
+    reduced: dict[int, tuple[str, str]] = {}
+    rows = []
+    for v, w in enumerate(pmf.weights, pmf.offset):
+        p = reduced.get(w)
+        if p is None:
+            g = gcd(w, denom)
+            p = reduced[w] = (str(w // g), str(denom // g))
+        rows.append((v, *p))
+    return rows
+
+
 def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
     _check_stat_size(args.n)
-    pmf = _DIST_FNS[args.stat](args.n)
-    rows = [
-        (v, p.numerator, p.denominator) for v, p in zip(pmf.support(), pmf.probs)
-    ]
-    # The rows hold every number now; freeing the integer weights before the
-    # payload's decimal strings are built keeps the peak memory down.
-    del pmf
+    # The rows hold every decimal string, so the law and its integer weights
+    # are freed before the payload is written.
+    rows = _pmf_rows(_DIST_FNS[args.stat](args.n))
     if args.fmt == "csv":
         _write_csv(out, _metadata(args), ("value", "numerator", "denominator"), rows)
     elif args.fmt == "json":
         payload = {
-            "pmf": [
-                {"value": v, "p": [str(num), str(den)]} for v, num, den in rows
-            ]
+            "pmf": [{"value": v, "p": [num, den]} for v, num, den in rows]
         }
         _write_json(out, _metadata(args), payload)
     else:

@@ -23,6 +23,10 @@ triangles:
       W(n, k) = (2k + 1) W(n-1, k) + W(n-1, k-1),
   tied to the c-triangle by c[n][k](1) = 2**k k! W(n, k).
 
+Each row of c at z = 1, V, W and `stats.dist_r` is one `two_term_step`, fed
+coefficient sequences (`range`, `itertools.count`, `itertools.repeat`); the
+row ends with the shortest input, which is how `v_row` steps a half row.
+
 On top sit the probability generating functions for the diagonal statistics,
 as numerators over 2**n n! (the alpha/gamma one is the V row itself, `v_row`),
 and a truncated bivariate series check of
@@ -41,9 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, count, repeat
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 
 def convolve(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -87,9 +91,7 @@ def c1_rows(n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"need n >= 0, got {n}")
     rows: list[tuple[int, ...]] = [(1,)]
     for _ in range(n):
-        rows.append(
-            tuple(two_term_step(rows[-1], lambda l: 2 * l + 1, lambda l: 2 * l))
-        )
+        rows.append(tuple(two_term_step(rows[-1], count(1, 2), count(0, 2))))
     return tuple(rows)
 
 
@@ -138,16 +140,20 @@ def build_V(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def two_term_step(
-    prev: Sequence[int], a: Callable[[int], int], b: Callable[[int], int]
+    prev: Sequence[int], a: Iterable[int], b: Iterable[int]
 ) -> list[int]:
-    """Next row of a two-term triangle: row[l] = a(l) prev[l] + b(l) prev[l-1],
-    with prev zero outside its range, so the row is one entry longer."""
-    padded = [0, *prev, 0]
-    return [a(l) * padded[l + 1] + b(l) * padded[l] for l in range(len(prev) + 1)]
+    """Next row of a two-term triangle: row[l] = a[l] prev[l] + b[l] prev[l-1],
+    with prev zero outside its range.  The coefficient sequences `a` and `b`
+    are zipped with the shifted row, so the row is one entry longer than
+    `prev` unless `a` or `b` ends sooner: it ends with the shortest input."""
+    return [
+        x * p + y * q
+        for x, y, p, q in zip(a, b, chain(prev, (0,)), chain((0,), prev))
+    ]
 
 
 def _v_step(prev: Sequence[int], n: int) -> list[int]:
-    return two_term_step(prev, lambda m: 2 * m + 1, lambda m: 2 * (n - m) + 1)
+    return two_term_step(prev, count(1, 2), count(2 * n + 1, -2))
 
 
 def v_row(n: int) -> tuple[int, ...]:
@@ -156,7 +162,8 @@ def v_row(n: int) -> tuple[int, ...]:
     Lets the diagonal statistic's exact distribution reach n in the low
     thousands, where materializing the whole triangle would not fit.  Rows
     are symmetric, so only the left half, entries 0..m//2 of row m, is
-    stepped, and the last row is mirrored; `build_V` keeps the full
+    stepped by `two_term_step` (an `a` as long as the half cuts the step
+    short), and the last row is mirrored; `build_V` keeps the full
     recurrence and checks the symmetry independently.
     """
     if n < 0:
@@ -166,11 +173,9 @@ def v_row(n: int) -> tuple[int, ...]:
         if m % 2 == 0:
             # Row m reaches entry m/2, which reads V(m-1, m/2) = V(m-1, m/2 - 1).
             half.append(half[-1])
-        prev = [0, *half]
-        half = [
-            (2 * l + 1) * prev[l + 1] + (2 * (m - l) + 1) * prev[l]
-            for l in range(len(half))
-        ]
+        half = two_term_step(
+            half, range(1, 2 * len(half), 2), count(2 * m + 1, -2)
+        )
     row = (*half, *half[n % 2 - 2 :: -1])
     if sum(row) != 2**n * factorial(n):
         raise RuntimeError(f"V row {n} does not sum to 2**{n} {n}!")
@@ -183,7 +188,7 @@ def build_W(n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"need n >= 0, got {n}")
     rows: list[tuple[int, ...]] = [(1,)]
     for _ in range(n):
-        rows.append(tuple(two_term_step(rows[-1], lambda k: 2 * k + 1, lambda k: 1)))
+        rows.append(tuple(two_term_step(rows[-1], count(1, 2), repeat(1))))
     for m, row in enumerate(rows):
         if row[0] != 1 or row[-1] != 1:
             raise RuntimeError(f"W row {m} does not start and end with 1")

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial
 from statistics import NormalDist
 from typing import Sequence
@@ -76,6 +76,8 @@ def draw_integers(
     weights: Sequence[int], count: int, seed: int, offset: int = 0
 ) -> list[int]:
     """Categorical draws proportional to integer weights, bias-free."""
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
     cum = list(accumulate(weights))
@@ -115,14 +117,15 @@ def dist_r(n: int) -> ExactPMF:
     """Law of the AG-row count, via the independent-Bernoulli convolution.
 
     Scaling the k-th factor by 2k keeps the weights integral,
-    w'[v] = (2k - 1) w[v] + w[v - 1], over 2**n n!.  Deliberately not read
-    off pgf_r: the two routes are compared by the bernoulli-convolution
-    check.
+    w'[v] = (2k - 1) w[v] + w[v - 1], over 2**n n!: one `two_term_step`
+    per factor, fed the constant coefficient sequences repeat(2k - 1) and
+    repeat(1).  Deliberately not read off pgf_r: the two routes are compared
+    by the bernoulli-convolution check.
     """
     _need_positive(n)
     weights = [1]
     for k in range(1, n + 1):
-        weights = two_term_step(weights, lambda v: 2 * k - 1, lambda v: 1)
+        weights = two_term_step(weights, repeat(2 * k - 1), repeat(1))
     return ExactPMF(0, tuple(weights), 2**n * factorial(n))
 
 

@@ -309,6 +309,18 @@ _PINNED = {
         "76b815f41afdf555337f3243c430acaeed4d999aebc49ad5c2b243653ceb21a2",
     "dist --stat b --n 7 --format json":
         "c00b9c0880ef2ed2436ce5f0fbfdc300189764650ba3356f1e55429d93664fae",
+    "dist --stat r --n 300 --format text":
+        "0235da8e4c9d4846e42991d5603925ad2f54603dd8cae0257c59f6bb25297189",
+    "dist --stat r --n 300 --format csv":
+        "52edf0e8d81852afd0faa5c4f5909856c5b11b59cc1c5055a8916112a3de7573",
+    "dist --stat r --n 300 --format json":
+        "aa60c7e38b7a57a146b6b9b779ce97486aad925aa8d3b9fc152c479215dfc7da",
+    "dist --stat a --n 800 --format json":
+        "feba8df4d9af459f5b5b6998e30256e446d2d9eeb615610240dee91ea73233aa",
+    "dist --stat delta --n 64 --format csv":
+        "09e2d65efbb3018d8cf5f0a6e6046e4a7800a897c7091e579f6dcbf404f97791",
+    "dist --stat b --n 65 --format text":
+        "2ce8e11a5969d0bb82f00e9d12b44230201e15feefad87f686a429b8cefc7b48",
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, repeat
 from math import factorial
 
 import pytest
@@ -20,6 +21,7 @@ from staircase_tableaux.polyengine import (
     path_weight_oracle,
     pgf_B,
     pole_constants,
+    two_term_step,
     v_row,
 )
 
@@ -123,7 +125,22 @@ def test_V_rows_are_symmetric_and_sum_to_2n_factorial():
         assert sum(row) == 2**n * factorial(n)
 
 
-@pytest.mark.parametrize("n", range(61))
+def test_two_term_step_takes_coefficient_sequences():
+    # row[l] = (2l + 1) prev[l] + 3 prev[l-1] on prev = (1, 2, 5).
+    assert two_term_step((1, 2, 5), range(1, 100, 2), repeat(3)) == [1, 9, 31, 15]
+    assert two_term_step((1, 2, 5), count(1, 2), count(0, 2)) == [1, 8, 33, 30]
+
+
+def test_two_term_step_ends_with_the_shortest_input():
+    # The half-row step of `v_row` passes an `a` one entry shorter than the
+    # full step and relies on the row stopping there.
+    full = two_term_step((1, 2, 5), range(1, 100, 2), repeat(3))
+    assert two_term_step((1, 2, 5), range(1, 6, 2), repeat(3)) == full[:3]
+    assert two_term_step((1, 2, 5), count(1, 2), repeat(3, 2)) == full[:2]
+    assert two_term_step((1, 2, 5), (), repeat(3)) == []
+
+
+@pytest.mark.parametrize("n", [*range(61), 199, 200])
 def test_v_row_equals_full_triangle_row(n):
     assert v_row(n) == build_V(n)[n]
 

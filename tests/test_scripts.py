@@ -23,9 +23,33 @@ _SRC = Path(staircase_tableaux.__file__).resolve().parents[1]
     ],
 )
 def test_script_runs_to_exit_zero(script, args):
-    proc = subprocess.run(
+    proc = _run(script, args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("clt_diagonal.py", ["--sizes", "0"]),
+        ("clt_diagonal.py", ["--sizes", "20", "-4"]),
+        ("clt_diagonal.py", ["--sizes", "20", "--draws", "5"]),
+        ("asep_sweep.py", ["--tol", "nan"]),
+        ("asep_sweep.py", ["--tol", "-1"]),
+        ("asep_sweep.py", ["--tol", "inf"]),
+        ("asep_sweep.py", ["--settings", "-1"]),
+    ],
+)
+def test_script_refuses_bad_inputs_before_any_work(script, args):
+    proc = _run(script, args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run(script: str, args: list[str]) -> subprocess.CompletedProcess[str]:
+    return subprocess.run(
         [sys.executable, str(_ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(_SRC)},
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout

@@ -173,6 +173,23 @@ def test_draw_integers_rejects_weights_without_a_distribution(weights):
         draw_integers(weights, 5, 0)
 
 
+@pytest.mark.parametrize(
+    "draw, count",
+    [
+        (lambda count: draw_integers((1, 2), count, 0), -3),
+        (lambda count: dist_r(3).sample(count, 1), -2),
+    ],
+    ids=["draw_integers", "ExactPMF.sample"],
+)
+def test_negative_draw_counts_are_refused(draw, count):
+    with pytest.raises(ValueError, match=f"^need count >= 0, got {count}$"):
+        draw(count)
+
+
+def test_zero_draws_are_an_empty_list():
+    assert draw_integers((1, 2), 0, 0) == dist_r(3).sample(0, 1) == []
+
+
 def test_draw_frequencies_track_the_pmf():
     d = dist_r(3)
     n_draws = 20_000
