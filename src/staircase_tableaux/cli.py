@@ -181,13 +181,33 @@ def _write_json(out: TextIO, meta: dict[str, Any], payload: dict[str, Any]) -> N
     out.write("\n")
 
 
+class _OutFile:
+    """The ``--out`` file, opened (so created or truncated) at the first
+    write: a request refused before it writes leaves the path untouched."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.handle: TextIO | None = None
+
+    def write(self, text: str) -> int:
+        if self.handle is None:
+            self.handle = open(self.path, "w", encoding="utf-8", newline="")
+            # Later writes call the file object's own method directly.
+            self.write = self.handle.write  # type: ignore[method-assign]
+        return self.handle.write(text)
+
+
 @contextmanager
-def _open_out(path: str | None) -> Iterator[TextIO]:
+def _open_out(path: str | None) -> Iterator[Any]:
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        return
+    sink = _OutFile(path)
+    try:
+        yield sink
+    finally:
+        if sink.handle is not None:
+            sink.handle.close()
 
 
 # --------------------------------------------------------------------------

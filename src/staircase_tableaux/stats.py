@@ -1,4 +1,4 @@
-"""Exact distributions of tableau statistics, and a desk-scale CLT check.
+"""Exact distributions of tableau statistics, and their distance to normal.
 
 Under the uniform distribution on size-n tableaux the AG-row count r is a sum
 of independent Bernoulli variables J_k with P(J_k = 1) = 1/(2k), giving the
@@ -8,7 +8,8 @@ its law by transposition, and both diagonal statistics follow the type-B
 Eulerian law V(n, m)/(2**n n!).  Every law is held as integer weights over
 the one denominator 2**n n! (the coefficients of prod_k (z + 2k - 1), or the
 V row), and `Fraction` appears only where a probability or moment is read
-out.  Everything except `clt_check` is exact.
+out.  `kolmogorov_distance` reads a law's distance to its normal limit in
+floats, from the exact integer CDF; `clt_check` runs it on samples.
 """
 
 from __future__ import annotations
@@ -176,48 +177,38 @@ def moments_A(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(n, 2), Fraction(n + 1, 12)
 
 
-@dataclass(frozen=True)
-class CltReport:
-    ks_statistic: float
-    max_bin_dev: float
-    sample_size: int
-
-
-def clt_check(samples: Sequence[int], mean: float, sd: float) -> CltReport:
-    """Compare integer-valued samples against the normal(mean, sd) reference.
-
-    Returns the Kolmogorov-Smirnov distance with the half-integer continuity
-    correction appropriate for lattice data (the raw lattice CDF sits half a
-    point mass away from any continuous curve, which at moderate sd would
-    swamp the quantity of interest), plus the largest deviation over roughly
-    20 equal-probability bins whose edges are snapped to half-integers so the
-    expected bin masses themselves respect the lattice.  Requires at least
-    10**4 samples.
-    """
-    if sd <= 0:
+def kolmogorov_distance(pmf: ExactPMF, mean: float, sd: float) -> float:
+    """Kolmogorov distance from a lattice law to normal(mean, sd), with the
+    half-integer continuity correction lattice data needs (the raw lattice
+    CDF sits half a point mass away from any continuous curve): at each value
+    v of positive weight, the law's CDF below and at v is compared with the
+    normal CDF at v - 1/2 and v + 1/2."""
+    if not sd > 0:
         raise ValueError("sd must be positive")
-    if len(samples) < 10**4:
-        raise ValueError("clt_check needs at least 10**4 samples")
     norm = NormalDist()
-    counts = Counter(samples)
-    if any(v != int(v) for v in counts):
-        raise ValueError("clt_check expects integer-valued samples")
-    total = len(samples)
+    total = pmf.denominator
     ks = 0.0
     cum = 0
-    for v in sorted(counts):
+    for v, w in zip(pmf.support(), pmf.weights):
+        if not w:
+            continue
         lo = norm.cdf((v - 0.5 - mean) / sd)
         hi = norm.cdf((v + 0.5 - mean) / sd)
         ks = max(ks, abs(cum / total - lo))
-        cum += counts[v]
+        cum += w
         ks = max(ks, abs(cum / total - hi))
-    raw = (mean + sd * norm.inv_cdf(k / 20) for k in range(1, 20))
-    edges = sorted({round(e - 0.5) + 0.5 for e in raw})
-    bins = [0] * (len(edges) + 1)
-    for v, c in counts.items():
-        bins[bisect_right(edges, v)] += c
-    cdf_at = [0.0] + [norm.cdf((e - mean) / sd) for e in edges] + [1.0]
-    max_dev = max(
-        abs(c / total - (cdf_at[i + 1] - cdf_at[i])) for i, c in enumerate(bins)
-    )
-    return CltReport(ks, max_dev, total)
+    return ks
+
+
+def clt_check(samples: Sequence[int], mean: float, sd: float) -> float:
+    """`kolmogorov_distance` from the empirical law of integer-valued
+    samples (their counts over len(samples)) to normal(mean, sd).  Requires
+    at least 10**4 samples."""
+    if len(samples) < 10**4:
+        raise ValueError("clt_check needs at least 10**4 samples")
+    counts = Counter(samples)
+    if any(v != int(v) for v in counts):
+        raise ValueError("clt_check expects integer-valued samples")
+    lo = int(min(counts))
+    weights = tuple(counts[v] for v in range(lo, int(max(counts)) + 1))
+    return kolmogorov_distance(ExactPMF(lo, weights, len(samples)), mean, sd)

@@ -133,7 +133,8 @@ def test_c11_sampled_statistics_match_the_limit_laws():
     _report(
         ok,
         "sampler-statistics",
-        f"chi2={m['chi2']:.3f} p={m['p_value']:.4f}; ks={m['ks']:.5f}",
+        f"chi2={m['chi2']:.3f} p={m['p_value']:.4f}; ks={m['ks']:.5f} "
+        f"(exact {m['ks_exact']:.2e})",
     )
 
 

@@ -666,6 +666,37 @@ def test_out_flag_writes_identical_bytes(tmp_path):
     assert a.read_bytes().startswith(b"# schema=staircase-tableaux/1\n")
 
 
+def _assert_one_line_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sample --n 3 --count 0",
+        "asep --n 3 --alpha 0 --beta 1 --gamma 1 --delta 1 --q 1 --u 1 "
+        "--mode stationary",
+    ],
+)
+def test_refused_request_leaves_the_out_path_untouched(capsys, tmp_path, argv):
+    existing, fresh = tmp_path / "existing.txt", tmp_path / "fresh.txt"
+    existing.write_bytes(b"previous\n")
+    for target in (existing, fresh):
+        _assert_one_line_error(capsys, main([*argv.split(), "--out", str(target)]))
+    assert existing.read_bytes() == b"previous\n"
+    assert not fresh.exists()
+
+
+def test_out_into_a_missing_directory_is_a_one_line_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    _assert_one_line_error(capsys, main(["count", "--n", "3", "--out", str(target)]))
+    assert not target.parent.exists()
+
+
 def test_env_variable_provides_the_default_seed(capsys, monkeypatch):
     monkeypatch.setenv("STAIRCASE_TABLEAUX_SEED", "77")
     _, out = run(

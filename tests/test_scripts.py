@@ -18,14 +18,21 @@ _SRC = Path(staircase_tableaux.__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("clt_diagonal.py", ["--sizes", "20", "--draws", "10000"]),
+        ("clt_diagonal.py", ["--sizes", "20", "50"]),
         ("asep_sweep.py", ["--settings", "1", "--n-max", "2"]),
     ],
 )
-def test_script_runs_to_exit_zero(script, args):
+def test_script_runs_to_exit_zero(script, args, tmp_path):
+    out = tmp_path / "out.csv"
+    if script == "clt_diagonal.py":
+        args = [*args, "--out", str(out)]
     proc = _run(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if script == "clt_diagonal.py":
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,mean,sd,ks_statistic,n_ks"
+        assert [line.split(",")[0] for line in lines[1:]] == ["20", "50"]
 
 
 @pytest.mark.parametrize(

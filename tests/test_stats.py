@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from staircase_tableaux.stats import (
     dist_r,
     draw_integers,
     harmonic_pair,
+    kolmogorov_distance,
     moments_A,
     moments_delta,
     moments_r,
@@ -216,10 +218,7 @@ def test_clt_check_accepts_a_near_normal_lattice_law():
     samples = d.sample(20_000, seed=2024)
     mean = float(d.mean())
     sd = math.sqrt(float(d.variance()))
-    rep = clt_check(samples, mean, sd)
-    assert rep.sample_size == 20_000
-    assert rep.ks_statistic < 0.03
-    assert rep.max_bin_dev < 0.02
+    assert clt_check(samples, mean, sd) < 0.03
 
 
 def test_clt_check_flags_a_displaced_reference():
@@ -227,5 +226,40 @@ def test_clt_check_flags_a_displaced_reference():
     samples = d.sample(20_000, seed=2024)
     mean = float(d.mean())
     sd = math.sqrt(float(d.variance()))
-    rep = clt_check(samples, mean + 2 * sd, sd)
-    assert rep.ks_statistic > 0.3
+    assert clt_check(samples, mean + 2 * sd, sd) > 0.3
+
+
+def _normal_limit_A(n):
+    mean, var = moments_A(n)
+    return float(mean), math.sqrt(var)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (20, 0.004787195996421634),
+        (50, 0.0019415658478180303),
+        (200, 0.0004904087663805401),
+    ],
+)
+def test_kolmogorov_distance_of_the_diagonal_law_is_pinned(n, expected):
+    assert kolmogorov_distance(dist_A(n), *_normal_limit_A(n)) == expected
+
+
+def test_clt_check_is_the_distance_of_the_empirical_law():
+    samples = dist_A(20).sample(10**4, 20250823)
+    mean, sd = _normal_limit_A(20)
+    hist = Counter(samples)
+    empirical = ExactPMF(
+        min(hist),
+        tuple(hist[v] for v in range(min(hist), max(hist) + 1)),
+        len(samples),
+    )
+    assert clt_check(samples, mean, sd) == 0.004728493055636718
+    assert clt_check(samples, mean, sd) == kolmogorov_distance(empirical, mean, sd)
+
+
+@pytest.mark.parametrize("sd", [0.0, -1.0, float("nan")])
+def test_kolmogorov_distance_refuses_a_non_positive_sd(sd):
+    with pytest.raises(ValueError, match="sd must be positive"):
+        kolmogorov_distance(dist_A(5), 2.5, sd)
