@@ -14,6 +14,7 @@ import argparse
 import csv
 import math
 import sys
+from pathlib import Path
 
 from staircase_tableaux.stats import dist_A, kolmogorov_distance, moments_A
 
@@ -28,6 +29,8 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     args = ap.parse_args(argv)
     if min(args.sizes) < 1:
         ap.error(f"--sizes must all be at least 1, got {min(args.sizes)}")
+    if args.out and not Path(args.out).parent.is_dir():
+        ap.error(f"--out: no directory {Path(args.out).parent}")
     return args
 
 

@@ -20,9 +20,10 @@ Beside the check mark, a tableau the walk yields carries its `StatVector`,
 stamped from counts the walk keeps along the path; `statistics` returns that
 stamp and reads the cells of every other tableau.  A tableau's `cells` is a
 read-only `FrozenCells`, so a marked or stamped tableau cannot change after
-its check, and tableaux compare and hash by (n, cells).  What is read off a
-tableau is a plain value: `type_word` gives the diagonal as a bit string,
-`label_uq` a dict from each empty box to its `Label`.
+its check, and tableaux compare and hash by (n, cells); `Tableau` is
+slotted, so a tableau has no `__dict__`.  What is read off a tableau is a
+plain value: `type_word` gives the diagonal as a bit string, `label_uq` a
+dict from each empty box to its `Label`.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class FrozenCells(dict):
         return (FrozenCells, (dict(self),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tableau:
     """An immutable staircase filling.  `cells` maps occupied boxes to
     symbols, read-only.  Equality and hash are over (n, cells), so the
@@ -256,19 +257,26 @@ def check_valid(t: Tableau) -> None:
         object.__setattr__(t, "_checked", True)
 
 
-def _grown(n: int, cells: dict, stats: StatVector | None = None) -> Tableau:
-    """A tableau built valid by construction, marked as checked and, when
-    `stats` is given, stamped with it: the cells become a `FrozenCells` once
-    and the fields are set directly, skipping `__post_init__`."""
+def _grown(n: int, cells: dict, stats: StatVector | None = None, items=()) -> Tableau:
+    """A tableau built valid by construction, marked as checked and stamped
+    with `stats` (None: unstamped), skipping `__post_init__`: its cells are
+    one `FrozenCells` copy of `cells` updated with the cells `items`."""
     t = object.__new__(Tableau)
-    # Field by field, not through `t.__dict__`: on CPython 3.11 reading
-    # `__dict__` gives the tableau a dict of its own, 135 bytes more.
-    object.__setattr__(t, "n", n)
-    object.__setattr__(t, "cells", FrozenCells(cells))
-    object.__setattr__(t, "_checked", True)
-    if stats is not None:
-        object.__setattr__(t, "_stats", stats)
+    frozen = FrozenCells(cells)
+    dict.update(frozen, items)
+    _set_n(t, n)
+    _set_cells(t, frozen)
+    _set_checked(t, True)
+    _set_stats(t, stats)
     return t
+
+
+# `_grown`'s setters: each slot's descriptor, bound once, so no call looks
+# the slot up by name as `object.__setattr__` does.
+_set_n = Tableau.n.__set__
+_set_cells = Tableau.cells.__set__
+_set_checked = Tableau._checked.__set__
+_set_stats = Tableau._stats.__set__
 
 
 def type_word(t: Tableau) -> str:

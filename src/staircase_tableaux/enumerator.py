@@ -14,15 +14,16 @@ left of that row's beta/delta).  Upper boxes are addressed by slot index
 1..r counting AG rows from the bottom.  Every tableau arises from exactly
 one fill sequence, which is what makes the DFS below an exact enumeration
 and gives the sampler its uniformity.  `_place` writes a fill for `extend`,
-the sampler and the walk's interior columns.  The walk writes its last
-column, (n, 1) upward, straight into a copy of the cells for each leaf, from
-the same per-r table of fills (`_stamped_fills`) its interior steps read.
-The tableaux the walk and the sampler finish are valid by construction, so
-`core._grown` builds them marked as checked, and they are never validated.
-Beside the check mark, each tableau the visitor walk yields is stamped with
-its `StatVector`, built from three counts the walk keeps along the path (the
-AG rows, the alpha/gamma entries and the diagonal ones) rather than read
-back from the cells.  The sampler's tableaux are not stamped.
+the sampler and the walk's interior columns.  The walk's last column is read
+from two cached tables that every walk shares: `_leaf_items` holds the cells
+each fill writes there, keyed by the AG rows, and `_leaf_stats` the
+`StatVector` of each leaf, keyed by three counts the walk keeps along the
+path (the AG rows, the alpha/gamma entries and the diagonal ones) and the
+number of cells.  The tableaux the walk and the sampler finish are valid by
+construction, so `core._grown` builds them marked as checked, and they are
+never validated.  Each tableau the visitor walk yields is also stamped with
+its `StatVector` rather than having it read back from the cells; the
+sampler's tableaux are not stamped.
 """
 
 from __future__ import annotations
@@ -123,10 +124,34 @@ def legal_fills(r: int) -> tuple[ColumnFill, ...]:
 def _stamped_fills(r: int) -> tuple[tuple[ColumnFill, int, int, int], ...]:
     """`legal_fills(r)`, each with its `r_change`, the alpha/gamma entries it
     writes and the alpha/gamma entries it writes on the diagonal (its bottom
-    box): the walk's one table for its interior steps and its leaves."""
+    box): the table the walk's interior steps and `_leaf_stats` read."""
     return tuple(
         (f, f.r_change, f.bottom.is_ag + f.has_ag_upper, int(f.bottom.is_ag))
         for f in legal_fills(r)
+    )
+
+
+@lru_cache(maxsize=None)
+def _leaf_items(n: int, ag_rows: tuple[int, ...]) -> tuple[dict, ...]:
+    """Per fill of `legal_fills`, the cells it writes into a size-n walk's
+    last column above the AG rows `ag_rows`, in `_place`'s order (dicts:
+    `dict.update` copies them fastest)."""
+    bottom, above = (n, 1), [(row, 1) for row in ag_rows]
+    return tuple(
+        {bottom: f.bottom, **{above[-k]: s for k, s in f.upper}}
+        for f in legal_fills(len(ag_rows))
+    )
+
+
+@lru_cache(maxsize=None)
+def _leaf_stats(n: int, r: int, n_ag: int, size: int, a_diag: int) -> tuple:
+    """Per fill of `legal_fills(r)`, the `StatVector` of the leaf it ends
+    when the path has r AG rows, n_ag alpha/gamma entries (a_diag on the
+    diagonal) and `size` cells."""
+    return tuple(
+        StatVector(r + dr, size + 1 + len(f.upper) - n_ag - d_ag, n_ag + d_ag,
+                   a_diag + d_diag, n - a_diag - d_diag)
+        for f, dr, d_ag, d_diag in _stamped_fills(r)
     )
 
 
@@ -194,13 +219,13 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
     """Depth-first walk of the growth tree; every size-n tableau exactly once.
 
     Returns the leaf count.  Interior columns are written by `_place` and
-    undone after their subtree; the last column is written straight into a
-    copy of the cells for each leaf, so a leaf makes no Python-level call
-    but `_grown` and `visitor`.  Each tableau handed to `visitor` is born
-    checked and stamped with its `StatVector`: r is the walk's AG-row count,
-    gamma and a_diag are alpha/gamma counts kept along the path, and delta
-    is the number of cells minus gamma, so r + delta = n stays a real
-    identity.
+    undone after their subtree; each leaf's last column and stamp are read
+    from the cached tables `_leaf_items` and `_leaf_stats`, so a leaf makes
+    no Python-level call but `_grown` and `visitor`.  Each tableau handed to
+    `visitor` is born checked and stamped with its `StatVector`: r is the
+    walk's AG-row count, gamma and a_diag are alpha/gamma counts kept along
+    the path, and delta is the number of cells minus gamma, so r + delta = n
+    stays a real identity.
     With `visitor=None` no Tableau objects are materialized: `legal_fills(r)`
     is tallied by class j = -r_change and `counting`'s completion recurrence
     runs on the tallies, never on its multiplicity formula or closed form.
@@ -216,46 +241,28 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
 
     count = 0
     cells: dict[Cell, GreekSymbol] = {}
-    # Leaves share one frozen StatVector per (r, gamma, cells, a_diag): the
-    # lookup costs a tenth of building one.
-    stamps: dict[tuple[int, int, int, int], StatVector] = {}
 
     def rec(m: int, ag_rows: list[int], n_ag: int, a_diag: int) -> None:
         nonlocal count
-        rows = _stamped_fills(len(ag_rows))
-        if m < n - 1:
-            depth = len(cells)
-            for fill, _, d_ag, d_diag in rows:
-                rec(
-                    m + 1,
-                    _place(cells, ag_rows, m + 1, n - m, fill),
-                    n_ag + d_ag,
-                    a_diag + d_diag,
-                )
-                # Dicts pop in reverse insertion order: this undoes the step.
-                while len(cells) > depth:
-                    cells.popitem()
-            return
-        # The last column, (n, 1) upward, is written straight into a copy of
-        # the cells for each leaf, in `_place`'s order; slot k sits on AG row
-        # ag_rows[-k].
         r = len(ag_rows)
-        size = len(cells) + 1
-        above = [(row, 1) for row in ag_rows]
-        for fill, r_change, d_ag, d_diag in rows:
-            leaf = cells.copy()
-            leaf[(n, 1)] = fill.bottom
-            upper = fill.upper
-            for k, s in upper:
-                leaf[above[-k]] = s
-            key = (r + r_change, n_ag + d_ag, size + len(upper), a_diag + d_diag)
-            stats = stamps.get(key)
-            if stats is None:
-                stats = stamps[key] = StatVector(
-                    key[0], key[2] - key[1], key[1], key[3], n - key[3]
-                )
-            visitor(_grown(n, leaf, stats))
-        count += len(rows)
+        if m == n - 1:
+            items = _leaf_items(n, tuple(ag_rows))
+            stats = _leaf_stats(n, r, n_ag, len(cells), a_diag)
+            for column, stamp in zip(items, stats):
+                visitor(_grown(n, cells, stamp, column))
+            count += len(items)
+            return
+        depth = len(cells)
+        for fill, _, d_ag, d_diag in _stamped_fills(r):
+            rec(
+                m + 1,
+                _place(cells, ag_rows, m + 1, n - m, fill),
+                n_ag + d_ag,
+                a_diag + d_diag,
+            )
+            # Dicts pop in reverse insertion order: this undoes the step.
+            while len(cells) > depth:
+                cells.popitem()
 
     rec(0, [], 0, 0)
     return count

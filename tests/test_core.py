@@ -217,6 +217,19 @@ def test_grown_tableaux_equal_their_constructed_twins(build):
             u.cells.clear()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Tableau(2, {(1, 2): A, (2, 1): B}), _walk_leaf,
+     lambda: sample_uniform(6, 2)],
+    ids=["constructor", "walk", "sampler"],
+)
+def test_tableaux_are_slotted(build):
+    t = build()
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(t, "extra", 1)
+
+
 def test_equality_and_hash_ignore_the_cells_type():
     cells = {(1, 2): A, (2, 1): B}
     t = Tableau(2, cells)

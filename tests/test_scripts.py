@@ -45,10 +45,11 @@ def test_script_runs_to_exit_zero(script, args, tmp_path):
         ("asep_sweep.py", ["--tol", "-1"]),
         ("asep_sweep.py", ["--tol", "inf"]),
         ("asep_sweep.py", ["--settings", "-1"]),
+        ("clt_diagonal.py", ["--sizes", "5", "--out", "{tmp}/missing/x.csv"]),
     ],
 )
-def test_script_refuses_bad_inputs_before_any_work(script, args):
-    proc = _run(script, args)
+def test_script_refuses_bad_inputs_before_any_work(script, args, tmp_path):
+    proc = _run(script, [a.replace("{tmp}", str(tmp_path)) for a in args])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error:" in proc.stderr
