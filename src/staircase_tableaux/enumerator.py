@@ -21,9 +21,10 @@ each fill writes there, keyed by the AG rows, and `_leaf_stats` the
 path (the AG rows, the alpha/gamma entries and the diagonal ones) and the
 number of cells.  The tableaux the walk and the sampler finish are valid by
 construction, so `core._grown` builds them marked as checked, and they are
-never validated.  Each tableau the visitor walk yields is also stamped with
-its `StatVector` rather than having it read back from the cells; the
-sampler's tableaux are not stamped.
+never validated; likewise the sampler's column fills are built by
+`_built_fill` without `ColumnFill`'s checks.  Each tableau the visitor walk
+yields is also stamped with its `StatVector` rather than having it read
+back from the cells; the sampler's tableaux are not stamped.
 """
 
 from __future__ import annotations
@@ -89,6 +90,17 @@ class ColumnFill:
         if self.bottom.is_ag:
             return 1
         return -sum(1 for _, s in self.upper if s.is_bd)
+
+
+def _built_fill(
+    bottom: GreekSymbol, upper: tuple[tuple[int, GreekSymbol], ...] = ()
+) -> ColumnFill:
+    """`ColumnFill(bottom, upper)` for a fill legal by construction, skipping
+    `__post_init__`'s checks: the fill-level twin of `core._grown`."""
+    fill = object.__new__(ColumnFill)
+    object.__setattr__(fill, "bottom", bottom)
+    object.__setattr__(fill, "upper", upper)
+    return fill
 
 
 @lru_cache(maxsize=None)

@@ -25,21 +25,26 @@ subset is drawn as a lexicographic rank and unranked by bisection.
 `sample_statistics` makes the same draws in the same order as `sample_many`
 (`_columns` is their one source) but keeps only the class counts, so it
 builds no `ColumnFill` and no `Tableau`, and a seed gives the same
-`StatVector`s both ways.
+`StatVector`s both ways; draws with equal counts share one `StatVector`.
+The fills `sample_many` writes are legal by construction and built by
+`enumerator._built_fill`, without `ColumnFill`'s checks.
 
 All randomness flows through `random.Random` (Mersenne Twister) seeded by the
-caller, consumed only via `randrange`, so draws are reproducible across runs
-and platforms.  The draw order (class, bottom symbol, subclass, subset rank,
-upper symbols bottom-up) and every `randrange` bound are those of the full
-class-weight table this walk replaced, so every seeded stream is unchanged.
+caller, and every draw goes through `_below`, which consumes exactly the
+`getrandbits` words that `randrange` would and returns the same value, so
+draws are reproducible across runs and platforms.  The draw order (class,
+bottom symbol, subclass, subset rank, upper symbols bottom-up) and every
+bound are those of the full class-weight table this walk replaced, so every
+seeded stream is unchanged.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import _AG, _BD, StatVector, Tableau, _grown, ag_row_indices
 # `sample_statistics` no longer calls `statistics`; the name stays bound
@@ -51,7 +56,10 @@ from .counting import (
     multiplicity,
     with_ag_multiplicity,
 )
-from .enumerator import ColumnFill, _place, split_first_column
+# The sampler builds its fills with `_built_fill`; `ColumnFill` is named
+# only in annotations, and `bench/layers.py` wraps it as
+# `sampler.ColumnFill`.
+from .enumerator import ColumnFill, _built_fill, _place, split_first_column
 
 RNG_ID = "python-random-mt19937"
 
@@ -59,24 +67,50 @@ RNG_ID = "python-random-mt19937"
 #: so a draw grows like n**2.5: 2-3 s at this size, and days at n = 10**6.
 _SAMPLE_LIMIT = 10_000
 
+#: Most draws in one call.  A call keeps all its results in one list:
+#: `sample_statistics(5, 10**6, seed)` takes about 14 s, and `sample_many`
+#: holds about 0.8 KiB per size-5 tableau.
+_COUNT_LIMIT = 10**6
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from 0..n-1 out of the word source `bits`
+    (`rng.getrandbits`).
+
+    This is CPython's `Random._randbelow_with_getrandbits`: words of
+    n.bit_length() bits are drawn until one falls below n, so the value and
+    the words consumed are exactly those of `rng.randrange(n)`, without its
+    argument handling and its two extra Python frames.  A bound below 1 is
+    refused before anything is drawn, as `randrange` refuses it.
+    """
+    if n < 1:
+        raise ValueError(f"need a bound of at least 1, got {n}")
+    k = n.bit_length()
+    x = bits(k)
+    while x >= n:
+        x = bits(k)
+    return x
+
 
 def _draw_class(
-    rng: random.Random, k: int, r: int, scale: int
+    draw: Callable[[int], int], k: int, r: int, scale: int
 ) -> tuple[int, int, int, int]:
     """Draw the class j at (k columns left, r AG rows).
 
-    `scale` is (2k+1)**r.  The common factor 4**(k-1) (k-1)! of N(k-1, .) is
-    dropped from the class weights, leaving multiplicity(r, j) * (2k-1)**(r-j)
-    for class j = -1..r, which sum to 4k scale.  x is drawn below that sum
-    and the classes are walked in the order j = -1, 0, 1, ..., each weight
-    made from the previous one by exact integer steps, until one covers x.
+    `draw(bound)` returns a uniform draw from 0..bound-1; the sampler passes
+    `partial(_below, rng.getrandbits)`.  `scale` is (2k+1)**r.  The common
+    factor 4**(k-1) (k-1)! of N(k-1, .) is dropped from the class weights,
+    leaving multiplicity(r, j) * (2k-1)**(r-j) for class j = -1..r, which
+    sum to 4k scale.  x is drawn below that sum and the classes are walked
+    in the order j = -1, 0, 1, ..., each weight made from the previous one
+    by exact integer steps, until one covers x.
 
     Returns (j, C(r, j), C(r, j+1), (2k-1)**(r-j)); the last entry is the
     next column's `scale`.
     """
     base = 2 * k - 1
     power = base ** (r + 1)
-    x = rng.randrange(4 * k * scale) - 2 * power
+    x = draw(4 * k * scale) - 2 * power
     if x < 0:
         return -1, 0, 0, power
     low, high, two = 1, r, 2  # C(r, j), C(r, j+1), 2**(j+1)
@@ -128,22 +162,23 @@ def _columns(
     rank of the occupied slot subset; picks are the symbol draws, the bottom
     box first, then one per occupied slot bottom-up.
     """
-    randrange = rng.randrange
+    bits = rng.getrandbits
+    draw = partial(_below, bits)
     r, scale = 0, 1
     for k in range(n, 0, -1):
-        j, low, high, scale = _draw_class(rng, k, r, scale)
-        picks = [randrange(2)]
+        j, low, high, scale = _draw_class(draw, k, r, scale)
+        picks = [_below(bits, 2)]
         if j < 0:
             yield r, j, False, 0, picks
             r += 1
             continue
         ag_w = high << (j + 2)  # with_ag_multiplicity(r, j)
-        with_ag = randrange(ag_w + (low << (j + 1))) < ag_w
+        with_ag = _below(bits, ag_w + (low << (j + 1))) < ag_w
         if with_ag:
-            rank = randrange(high)
+            rank = _below(bits, high)
         else:
-            rank = randrange(low) if j else 0
-        picks += [randrange(2) for _ in range(j + with_ag)]
+            rank = _below(bits, low) if j else 0
+        picks += [_below(bits, 2) for _ in range(j + with_ag)]
         yield r, j, with_ag, rank, picks
         r -= j
 
@@ -153,12 +188,12 @@ def _fill(
 ) -> ColumnFill:
     """The fill that one column's choices from `_columns` describe."""
     if j < 0:
-        return ColumnFill(_AG[picks[0]])
+        return _built_fill(_AG[picks[0]])
     slots = _unrank_subset(r, j + with_ag, rank)
     upper = [(s, _BD[b]) for s, b in zip(slots, picks[1:])]
     if with_ag:
         upper[-1] = (slots[-1], _AG[picks[-1]])
-    return ColumnFill(_BD[picks[0]], tuple(upper))
+    return _built_fill(_BD[picks[0]], tuple(upper))
 
 
 def _grow(rng: random.Random, n: int) -> Tableau:
@@ -169,8 +204,9 @@ def _grow(rng: random.Random, n: int) -> Tableau:
     return _grown(n, cells)
 
 
-def _grow_statistics(rng: random.Random, n: int) -> StatVector:
-    """`statistics` of the tableau `_grow` would draw from the same stream."""
+def _grow_counts(rng: random.Random, n: int) -> tuple[int, int, int]:
+    """The beta/delta, alpha/gamma and diagonal alpha/gamma entry counts of
+    the tableau `_grow` would draw from the same stream."""
     n_bd = n_ag = a_diag = 0
     for _, j, with_ag, _, _ in _columns(rng, n):
         if j < 0:
@@ -179,10 +215,7 @@ def _grow_statistics(rng: random.Random, n: int) -> StatVector:
         else:
             n_bd += j + 1
             n_ag += with_ag
-    # Each column adds one to r + delta.
-    return StatVector(
-        r=n - n_bd, delta=n_bd, gamma=n_ag, a_diag=a_diag, b_diag=n - a_diag
-    )
+    return n_bd, n_ag, a_diag
 
 
 def sample_uniform(n: int, seed: int) -> Tableau:
@@ -195,6 +228,8 @@ def _stream(n: int, count: int, seed: int) -> random.Random:
         raise ValueError(f"need 1 <= n <= {_SAMPLE_LIMIT}, got {n}")
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
+    if count > _COUNT_LIMIT:
+        raise ValueError(f"need count <= {_COUNT_LIMIT}, got {count}")
     return random.Random(seed)
 
 
@@ -206,9 +241,22 @@ def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
 
 def sample_statistics(n: int, count: int, seed: int) -> list[StatVector]:
     """`[statistics(t) for t in sample_many(n, count, seed)]`, drawn without
-    building the tableaux."""
+    building the tableaux.  Draws with equal counts share one `StatVector`."""
     rng = _stream(n, count, seed)
-    return [_grow_statistics(rng, n) for _ in range(count)]
+    shared: dict[tuple[int, int, int], StatVector] = {}
+    out = []
+    for _ in range(count):
+        counts = _grow_counts(rng, n)
+        stats = shared.get(counts)
+        if stats is None:
+            n_bd, n_ag, a_diag = counts
+            # Each column adds one to r + delta.
+            stats = shared[counts] = StatVector(
+                r=n - n_bd, delta=n_bd, gamma=n_ag, a_diag=a_diag,
+                b_diag=n - a_diag,
+            )
+        out.append(stats)
+    return out
 
 
 def _fill_probability(k: int, r: int, fill: ColumnFill) -> Fraction:

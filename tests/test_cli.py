@@ -342,6 +342,8 @@ def test_exact_law_outputs_are_pinned(capsys, argv):
         ("dist --stat a --n 1001", "need 1 <= n <= 1000, got 1001"),
         ("sample --n 10001 --count 1", "need 1 <= n <= 10000, got 10001"),
         ("sample --n 0 --format json", "need 1 <= n <= 10000, got 0"),
+        ("sample --n 3 --count 100000000000 --format json",
+         "need count <= 1000000, got 100000000000"),
         ("triangles --which c1 --n-max 201", "need 0 <= n-max <= 200, got 201"),
         ("triangles --which V --n-max -1 --format json",
          "need 0 <= n-max <= 200, got -1"),

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import staircase_tableaux
 from staircase_tableaux.core import (
     GreekSymbol,
     InvalidTableauError,
@@ -18,10 +24,13 @@ from staircase_tableaux.core import (
     validate,
 )
 from staircase_tableaux.counting import multiplicity, total_count
-from staircase_tableaux.enumerator import enumerate_all
+from staircase_tableaux.enumerator import ColumnFill, enumerate_all, legal_fills
 from staircase_tableaux.sampler import (
     RNG_ID,
+    _below,
+    _columns,
     _draw_class,
+    _fill,
     _unrank_subset,
     probability_of,
     sample_many,
@@ -33,6 +42,32 @@ from staircase_tableaux.stats import dist_r
 
 def test_rng_identifier_is_pinned():
     assert RNG_ID == "python-random-mt19937"
+
+
+# ------------------------------------------------------------------- draws
+
+# Bounds of one bit up to well past the widest class total drawn at n = 500.
+_BOUNDS = [
+    1, 2, 3, 5, 7, 8, 9, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
+    2**53 + 3, 4 * 500 * 1001**12, 2**200 + 7,
+]
+
+
+def test_below_draws_what_randrange_draws():
+    for seed in range(30):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in _BOUNDS:
+            assert _below(a.getrandbits, n) == b.randrange(n), (seed, n)
+            assert a.getstate() == b.getstate(), (seed, n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_below_refuses_a_bound_below_one_before_drawing(n):
+    rng = random.Random(11)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        _below(rng.getrandbits, n)
+    assert rng.getstate() == state
 
 
 # ------------------------------------------------------------ exact weights
@@ -75,7 +110,9 @@ def test_class_walk_returns_the_linear_scan_class():
             for x in sorted(xs):
                 cls = next(c for c, b in enumerate(bounds + [total]) if x < b)
                 rng = _FixedDraw(x)
-                j, low, high, scale = _draw_class(rng, k, r, (2 * k + 1) ** r)
+                j, low, high, scale = _draw_class(
+                    rng.randrange, k, r, (2 * k + 1) ** r
+                )
                 assert rng.bounds == [total]
                 assert j == cls - 1
                 if j >= 0:
@@ -87,7 +124,7 @@ def test_class_walk_overrun_raises():
     # No x below the total overruns; x = total stands for weights that do
     # not add up, and must be refused even under `python -O`.
     with pytest.raises(RuntimeError):
-        _draw_class(_FixedDraw(4 * 3 * 7**4), 3, 4, 7**4)
+        _draw_class(_FixedDraw(4 * 3 * 7**4).randrange, 3, 4, 7**4)
 
 
 def _linear_unrank_subset(r, size, index):
@@ -145,6 +182,43 @@ def test_sample_many_rejects_negative_count():
     assert sample_many(3, 0, seed=1) == []
     with pytest.raises(ValueError):
         sample_many(3, -1, seed=1)
+
+
+@pytest.mark.parametrize("draw", [sample_many, sample_statistics])
+def test_counts_above_the_cap_are_refused(draw):
+    with pytest.raises(ValueError, match=r"^need count <= 1000000, got 1000001$"):
+        draw(3, 10**6 + 1, seed=1)
+
+
+def _sampled_fills(n, count, seed):
+    """(r, fill) for each column `sample_many(n, count, seed)` writes, r
+    being the AG-row count the fill is written above."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        for column in _columns(rng, n):
+            yield column[0], _fill(*column)
+
+
+def test_sampled_fills_equal_their_validated_twins():
+    legal = {r: set(legal_fills(r)) for r in range(8)}
+    cases = [(n, 20, seed) for n in range(1, 9) for seed in range(25)]
+    for n, count, seed in cases + [(500, 1, 3)]:
+        for r, fill in _sampled_fills(n, count, seed):
+            twin = ColumnFill(fill.bottom, fill.upper)
+            assert fill == twin and hash(fill) == hash(twin)
+            assert repr(fill) == repr(twin)
+            if n <= 8:
+                assert fill in legal[r]
+            else:
+                assert all(1 <= k <= r for k, _ in fill.upper)
+
+
+def test_sampled_tableaux_have_the_uniform_probability():
+    for n in range(1, 9):
+        target = Fraction(1, total_count(n))
+        for seed in range(25):
+            for t in sample_many(n, 20, seed):
+                assert probability_of(n, t) == target, (n, seed)
 
 
 def test_probability_rejects_invalid_tableaux():
@@ -236,6 +310,19 @@ _PINNED_DRAWS = {
 @pytest.mark.parametrize("n, seed", sorted(_PINNED_DRAWS))
 def test_seeded_draw_streams_are_pinned(n, seed):
     assert [to_line(t) for t in sample_many(n, 4, seed)] == _PINNED_DRAWS[n, seed]
+
+
+def test_pinned_stream_draws_under_optimize_flag():
+    # Neither the draws nor their guards may rest on `assert`.
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "staircase_tableaux", "sample", "--n", "6",
+         "--count", "4", "--seed", "3"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(line + "\n" for line in _PINNED_DRAWS[6, 3])
 
 
 def test_sample_statistics_matches_resampling():
