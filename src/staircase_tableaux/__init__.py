@@ -26,7 +26,13 @@ from .core import (
 )
 from .counting import completion_count, completions, total_count
 from .enumerator import ColumnFill, enumerate_all, extend, legal_fills
-from .sampler import probability_of, sample_many, sample_statistics, sample_uniform
+from .sampler import (
+    iter_samples,
+    probability_of,
+    sample_many,
+    sample_statistics,
+    sample_uniform,
+)
 
 __version__ = "0.1.0"
 
@@ -45,6 +51,7 @@ __all__ = [
     "extend",
     "from_text",
     "is_valid",
+    "iter_samples",
     "label_uq",
     "legal_fills",
     "probability_of",

@@ -40,8 +40,9 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from math import gcd
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .asep import (
@@ -67,7 +68,7 @@ from .polyengine import (
 # `triangles --which c1` reads `c1_rows`; `build_c` stays bound because
 # `bench/layers.py` wraps it as `cli.build_c`.
 from .polyengine import build_c  # noqa: F401
-from .sampler import RNG_ID, sample_many, sample_statistics
+from .sampler import RNG_ID, iter_samples, sample_statistics
 from .stats import (
     ExactPMF,
     dist_A,
@@ -174,11 +175,52 @@ def _write_csv(
     writer.writerows(rows)
 
 
-def _write_json(out: TextIO, meta: dict[str, Any], payload: dict[str, Any]) -> None:
+# One row of a streamed payload, as `json.dump(..., indent=2)` prints it at
+# depth 2: an [int, int, "int"] triple (`count --table`, `triangles`) and a
+# `dist` entry {"value": int, "p": ["int", "int"]}.
+_TRIPLE_ROW = '    [\n      {},\n      {},\n      "{}"\n    ]'
+_PMF_ROW = (
+    '    {{\n      "value": {},\n      "p": [\n        "{}",\n'
+    '        "{}"\n      ]\n    }}'
+)
+
+
+def _write_json(
+    out: TextIO,
+    meta: dict[str, Any],
+    payload: dict[str, Any],
+    rows: tuple[str, str, Iterable[Sequence[Any]]] | None = None,
+) -> None:
+    """Write meta and payload as one indented JSON document.
+
+    `rows`, if given, is (key, row format, row tuples): the document's last
+    member, a list written one row at a time through the row format instead
+    of by `json`'s pure-Python indenting encoder, in the same bytes.  No
+    escaping is needed because every row field is an int or the `str` of an
+    int (digits and a minus sign).
+    """
     doc = dict(meta)
     doc.update(payload)
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    if rows is None:
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+        return
+    key, row_format, items = rows
+    # The head without its closing "\n}", continued by the rows member.
+    out.write(f"{json.dumps(doc, indent=2)[:-2]},\n  {json.dumps(key)}: [")
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        out.write("]\n}\n")
+        return
+    out.write("\n" + row_format.format(*first))
+    # Fetched after the first write, which opens an `--out` file and
+    # rebinds its `write` to the file's own method.
+    write = out.write
+    later_row = ",\n" + row_format
+    for row in items:
+        write(later_row.format(*row))
+    write("\n  ]\n}\n")
 
 
 class _OutFile:
@@ -230,10 +272,8 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     else:
         rows = []
     if args.fmt == "json":
-        payload: dict[str, Any] = {"total": str(total)}
-        if args.table:
-            payload["table"] = [list(row) for row in rows]
-        _write_json(out, _metadata(args), payload)
+        table = ("table", _TRIPLE_ROW, rows) if args.table else None
+        _write_json(out, _metadata(args), {"total": str(total)}, table)
     elif args.fmt == "csv":
         if args.table:
             _write_csv(out, _metadata(args), ("k", "r", "count"), rows)
@@ -274,7 +314,8 @@ def _cmd_sample(args: argparse.Namespace, out: TextIO) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.fmt == "text":
-        for t in sample_many(args.n, args.count, args.seed):
+        # Each tableau is written as it is drawn, so memory stays flat.
+        for t in iter_samples(args.n, args.count, args.seed):
             out.write(to_line(t) + "\n")
         return 0
     # The json and csv reports read only statistics, drawn from the same
@@ -304,6 +345,11 @@ def _pmf_rows(pmf: ExactPMF) -> list[tuple[int, str, str]]:
     """(value, numerator, denominator) of each probability in lowest terms,
     the two integers as decimal strings."""
     denom = pmf.denominator
+    # gcd(w, denom) is 2**t gcd(w >> t, odd) with t the lesser power of two
+    # in w and denom: every law is over 2**n n!, which carries about 2n
+    # factors of two, and the gcd runs faster on the odd part.
+    twos = (denom & -denom).bit_length() - 1
+    odd = denom >> twos
     # Each distinct weight is reduced and printed once, with no `Fraction`
     # per entry: a V row is symmetric, so half its entries repeat.
     reduced: dict[int, tuple[str, str]] = {}
@@ -311,7 +357,11 @@ def _pmf_rows(pmf: ExactPMF) -> list[tuple[int, str, str]]:
     for v, w in enumerate(pmf.weights, pmf.offset):
         p = reduced.get(w)
         if p is None:
-            g = gcd(w, denom)
+            if w:
+                t = min(twos, (w & -w).bit_length() - 1)
+                g = gcd(w >> t, odd) << t
+            else:
+                g = denom
             p = reduced[w] = (str(w // g), str(denom // g))
         rows.append((v, *p))
     return rows
@@ -325,10 +375,7 @@ def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
     if args.fmt == "csv":
         _write_csv(out, _metadata(args), ("value", "numerator", "denominator"), rows)
     elif args.fmt == "json":
-        payload = {
-            "pmf": [{"value": v, "p": [num, den]} for v, num, den in rows]
-        }
-        _write_json(out, _metadata(args), payload)
+        _write_json(out, _metadata(args), {}, ("pmf", _PMF_ROW, rows))
     else:
         for v, num, den in rows:
             out.write(f"{v}\t{num}/{den}\n")
@@ -374,8 +421,7 @@ def _cmd_triangles(args: argparse.Namespace, out: TextIO) -> int:
         )
     rows = _triangle_rows(args.which, args.n_max)
     if args.fmt == "json":
-        payload = {"rows": [list(row) for row in rows]}
-        _write_json(out, _metadata(args), payload)
+        _write_json(out, _metadata(args), {}, ("rows", _TRIPLE_ROW, rows))
     elif args.fmt == "text":
         for n, k, value in rows:
             out.write(f"{n}\t{k}\t{value}\n")
@@ -460,7 +506,10 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 # argument parsing
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: building it
+    costs milliseconds, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="staircase-tableaux",
         description="Exact enumeration, sampling and verification tools "

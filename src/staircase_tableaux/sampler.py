@@ -22,6 +22,8 @@ always stops within a few classes.  The power of 2k-1 it stops at is
 column costs one big power and a few big-int steps whatever r is.  The slot
 subset is drawn as a lexicographic rank and unranked by bisection.
 
+`iter_samples` yields the tableaux one at a time and `sample_many` lists
+them, so both draw the same stream.
 `sample_statistics` makes the same draws in the same order as `sample_many`
 (`_columns` is their one source) but keeps only the class counts, so it
 builds no `ColumnFill` and no `Tableau`, and a seed gives the same
@@ -67,9 +69,9 @@ RNG_ID = "python-random-mt19937"
 #: so a draw grows like n**2.5: 2-3 s at this size, and days at n = 10**6.
 _SAMPLE_LIMIT = 10_000
 
-#: Most draws in one call.  A call keeps all its results in one list:
-#: `sample_statistics(5, 10**6, seed)` takes about 14 s, and `sample_many`
-#: holds about 0.8 KiB per size-5 tableau.
+#: Most draws in one call.  `sample_statistics(5, 10**6, seed)` takes about
+#: 14 s, and `sample_many` holds about 0.8 KiB per size-5 tableau in its
+#: list; `iter_samples` holds one tableau at a time.
 _COUNT_LIMIT = 10**6
 
 
@@ -233,10 +235,17 @@ def _stream(n: int, count: int, seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
-    """`count` independent uniform tableaux from one seeded stream."""
+def iter_samples(n: int, count: int, seed: int) -> Iterator[Tableau]:
+    """`count` independent uniform tableaux from one seeded stream, each
+    drawn when it is asked for.  n and count are checked at the call, before
+    anything is drawn."""
     rng = _stream(n, count, seed)
-    return [_grow(rng, n) for _ in range(count)]
+    return (_grow(rng, n) for _ in range(count))
+
+
+def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
+    """`list(iter_samples(n, count, seed))`."""
+    return list(iter_samples(n, count, seed))
 
 
 def sample_statistics(n: int, count: int, seed: int) -> list[StatVector]:

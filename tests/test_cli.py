@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -17,7 +19,13 @@ import pytest
 
 import staircase_tableaux
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
-from staircase_tableaux.cli import main
+from staircase_tableaux.cli import (
+    SEED_ENV,
+    _TRIPLE_ROW,
+    _write_json,
+    build_parser,
+    main,
+)
 from staircase_tableaux.core import from_text, statistics, validate
 
 
@@ -321,6 +329,18 @@ _PINNED = {
         "09e2d65efbb3018d8cf5f0a6e6046e4a7800a897c7091e579f6dcbf404f97791",
     "dist --stat b --n 65 --format text":
         "2ce8e11a5969d0bb82f00e9d12b44230201e15feefad87f686a429b8cefc7b48",
+    # The remaining bench requests and the smallest row payloads, as
+    # `json.dump(..., indent=2)` printed them before rows were streamed.
+    "count --n 120 --table --format json":
+        "02b08cca9caaa58310be596bab21c57c2d451f1021c029d80ec5f9de5b373438",
+    "triangles --which c1 --n-max 20 --format json":
+        "13a2c683da9effd48d0b3610edd7df29399abc07120ac452f5ac85f027f1984d",
+    "count --n 0 --table --format json":
+        "f9389ebfd0d6d4b9330f97fd8ee3f0f13b29b7e989144b4e5cd2faafbc9a17af",
+    "triangles --which V --n-max 0 --format json":
+        "7dbd39bb1d04f5cb880e3a5be918b568ba2a48b50ceab46c38d726c9209d6912",
+    "dist --stat a --n 1 --format json":
+        "61db602c8869439ec22abb97f8b3f486363507058fe0e5b98e4bf009d6a46541",
 }
 
 
@@ -329,6 +349,104 @@ def test_exact_law_outputs_are_pinned(capsys, argv):
     code, out = run(capsys, *argv.split(), "--no-timestamp")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv]
+
+
+def test_count_table_json_is_pinned_under_optimize_flag():
+    # The streamed row writer must not depend on `assert`.
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    argv = "count --n 40 --table --format json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "staircase_tableaux", *argv.split(),
+         "--no-timestamp"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == _PINNED[argv]
+
+
+# Every request whose JSON payload goes through the streamed row writer, at
+# the smallest sizes and a few larger ones.
+_ROW_WRITER_REQUESTS = [
+    *(f"count --n {n} --table" for n in (0, 1, 2, 9)),
+    *(f"dist --stat {stat} --n {n}"
+      for stat in ("r", "delta", "gamma", "a", "b") for n in (1, 2, 9)),
+    *(f"triangles --which {which} --n-max {n}"
+      for which in ("V", "W", "c1") for n in (0, 1, 6)),
+]
+
+
+@pytest.mark.parametrize("argv", _ROW_WRITER_REQUESTS)
+def test_row_writer_prints_what_json_dump_prints(capsys, tmp_path, argv):
+    args = [*argv.split(), "--format", "json", "--no-timestamp"]
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    target = tmp_path / "out.json"
+    assert main([*args, "--out", str(target)]) == 0
+    assert target.read_bytes() == out.encode()
+
+
+def test_row_writer_prints_an_empty_row_list_as_json_does():
+    buf = io.StringIO()
+    _write_json(buf, {"schema": "s"}, {"total": "0"}, ("rows", _TRIPLE_ROW, []))
+    doc = {"schema": "s", "total": "0", "rows": []}
+    assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def _fresh_process(argv):
+    """(exit status, stdout, stderr) of `python -m staircase_tableaux argv`
+    in a new interpreter with the current environment."""
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "staircase_tableaux", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # The parser is built once per process; each call in this sequence must
+    # answer exactly as a fresh interpreter does.
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    sample = ["sample", "--n", "5", "--count", "4", "--format", "json",
+              "--no-timestamp"]
+    calls = [
+        (None, ["dist", "--stat", "a", "--n", "1001"]),
+        (None, [*sample, "--seed", "3"]),
+        ("12", sample),
+        (None, ["--version"]),
+        (None, ["--version"]),
+    ]
+    for env_seed, argv in calls:
+        if env_seed is not None:
+            monkeypatch.setenv(SEED_ENV, env_seed)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version exits through argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv), argv
+    assert build_parser() is build_parser()
+
+
+def test_text_draws_are_written_as_they_are_drawn(tmp_path, monkeypatch):
+    # sha256 of the file as the front end wrote it when it drew the whole
+    # list first; the stream holds one tableau at a time instead of 10**4.
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    target = tmp_path / "draws.txt"
+    tracemalloc.start()
+    try:
+        code = main(["sample", "--n", "5", "--count", "10000", "--format",
+                     "text", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "c6a25cdb5477c4b663da2b7a5e9a18a156925e6bab21e6c8a71019ec3c3bc5e1"
+    )
 
 
 @pytest.mark.parametrize(

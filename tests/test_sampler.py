@@ -32,6 +32,7 @@ from staircase_tableaux.sampler import (
     _draw_class,
     _fill,
     _unrank_subset,
+    iter_samples,
     probability_of,
     sample_many,
     sample_statistics,
@@ -182,6 +183,22 @@ def test_sample_many_rejects_negative_count():
     assert sample_many(3, 0, seed=1) == []
     with pytest.raises(ValueError):
         sample_many(3, -1, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n, count", [(0, 3), (10_001, 1), (3, -1), (3, 10**6 + 1)]
+)
+def test_iter_samples_refuses_at_the_call(n, count):
+    # The checks run before the first draw is asked for, as in `sample_many`.
+    with pytest.raises(ValueError):
+        iter_samples(n, count, seed=1)
+
+
+@pytest.mark.parametrize("n, count, seed", [(1, 5, 0), (5, 40, 3), (13, 6, 21)])
+def test_sample_many_is_the_listed_stream(n, count, seed):
+    lazy = iter_samples(n, count, seed)
+    assert not isinstance(lazy, list)
+    assert list(lazy) == sample_many(n, count, seed)
 
 
 @pytest.mark.parametrize("draw", [sample_many, sample_statistics])
