@@ -32,19 +32,23 @@ The fills `sample_many` writes are legal by construction and built by
 `enumerator._built_fill`, without `ColumnFill`'s checks.
 
 All randomness flows through `random.Random` (Mersenne Twister) seeded by the
-caller, and every draw goes through `_below`, which consumes exactly the
-`getrandbits` words that `randrange` would and returns the same value, so
-draws are reproducible across runs and platforms.  The draw order (class,
-bottom symbol, subclass, subset rank, upper symbols bottom-up) and every
-bound are those of the full class-weight table this walk replaced, so every
-seeded stream is unchanged.
+caller, and every draw consumes exactly the `getrandbits` words that
+`randrange` would and returns the same value, so draws are reproducible
+across runs and platforms.  `_columns` is the one per-column draw kernel.
+It runs CPython's rejection loop (`_below`) inline on `getrandbits` for the
+class total 4k (2k+1)**r, the subclass total and the symbol coins, so a coin
+costs no Python frame; those bounds are at least 4, 2 and 2, so none can be
+below 1.  The subset ranks, whose bounds C(r, j) and C(r, j+1) vary, are
+drawn by `_below` itself, which refuses a bound below 1 before drawing.  The
+draw order (class, bottom symbol, subclass, subset rank, upper symbols
+bottom-up) and every bound are those of the full class-weight table this
+walk replaced, so every seeded stream is unchanged.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
 from math import comb
 from typing import Callable, Iterator
 
@@ -69,10 +73,17 @@ RNG_ID = "python-random-mt19937"
 #: so a draw grows like n**2.5: 2-3 s at this size, and days at n = 10**6.
 _SAMPLE_LIMIT = 10_000
 
-#: Most draws in one call.  `sample_statistics(5, 10**6, seed)` takes about
-#: 14 s, and `sample_many` holds about 0.8 KiB per size-5 tableau in its
-#: list; `iter_samples` holds one tableau at a time.
+#: Most draws in one call.  `sample_statistics(5, 10**6, seed)` takes
+#: 8-12 s (2-core VM, Python 3.11.7), and `sample_many` holds about 0.8 KiB
+#: per size-5 tableau in its list; `iter_samples` holds one tableau at a
+#: time.
 _COUNT_LIMIT = 10**6
+
+#: Most columns, n * count, in one call.  The count cap alone would let
+#: 10**6 draws of size 10**4 run for weeks; this keeps
+#: `sample_statistics(5, 10**6, seed)` and caps size-10**4 calls at 1000
+#: draws, about 40 min at 2-3 s a draw.
+_COLUMN_LIMIT = 10**7
 
 
 def _below(bits: Callable[[int], int], n: int) -> int:
@@ -94,25 +105,21 @@ def _below(bits: Callable[[int], int], n: int) -> int:
     return x
 
 
-def _draw_class(
-    draw: Callable[[int], int], k: int, r: int, scale: int
-) -> tuple[int, int, int, int]:
-    """Draw the class j at (k columns left, r AG rows).
+def _class_of(x: int, k: int, r: int) -> tuple[int, int, int, int]:
+    """The class j at (k columns left, r AG rows) that the draw x covers.
 
-    `draw(bound)` returns a uniform draw from 0..bound-1; the sampler passes
-    `partial(_below, rng.getrandbits)`.  `scale` is (2k+1)**r.  The common
-    factor 4**(k-1) (k-1)! of N(k-1, .) is dropped from the class weights,
-    leaving multiplicity(r, j) * (2k-1)**(r-j) for class j = -1..r, which
-    sum to 4k scale.  x is drawn below that sum and the classes are walked
-    in the order j = -1, 0, 1, ..., each weight made from the previous one
-    by exact integer steps, until one covers x.
+    The common factor 4**(k-1) (k-1)! of N(k-1, .) is dropped from the class
+    weights, leaving multiplicity(r, j) * (2k-1)**(r-j) for class j = -1..r,
+    which sum to 4k (2k+1)**r; x is a draw below that sum.  The classes are
+    walked in the order j = -1, 0, 1, ..., each weight made from the
+    previous one by exact integer steps, until one covers x.
 
     Returns (j, C(r, j), C(r, j+1), (2k-1)**(r-j)); the last entry is the
-    next column's `scale`.
+    next column's (2k+1)**r.
     """
     base = 2 * k - 1
     power = base ** (r + 1)
-    x = draw(4 * k * scale) - 2 * power
+    x -= 2 * power
     if x < 0:
         return -1, 0, 0, power
     low, high, two = 1, r, 2  # C(r, j), C(r, j+1), 2**(j+1)
@@ -154,48 +161,65 @@ def _unrank_subset(r: int, size: int, index: int) -> list[int]:
 
 def _columns(
     rng: random.Random, n: int
-) -> Iterator[tuple[int, int, bool, int, list[int]]]:
+) -> Iterator[tuple[int, int, bool, int, int]]:
     """All random choices of one size-n draw, column by column in stream
     order.
 
-    Yields (r, j, with_ag, rank, picks) per column: r is the AG-row count
+    Yields (r, j, with_ag, rank, coins) per column: r is the AG-row count
     before it; j is its class (-1 for an alpha/gamma bottom); with_ag says
     whether an alpha/gamma upper entry was drawn; rank is the lexicographic
-    rank of the occupied slot subset; picks are the symbol draws, the bottom
-    box first, then one per occupied slot bottom-up.
+    rank of the occupied slot subset; bit i of coins is the i-th symbol
+    draw, the bottom box's as bit 0, then one per occupied slot bottom-up.
+
+    The class, subclass and coin draws run `_below`'s rejection loop
+    inline: their bounds, 4k (2k+1)**r >= 4, with_ag + bd_only weights
+    >= 2 and 2, are never below 1.
     """
     bits = rng.getrandbits
-    draw = partial(_below, bits)
     r, scale = 0, 1
     for k in range(n, 0, -1):
-        j, low, high, scale = _draw_class(draw, k, r, scale)
-        picks = [_below(bits, 2)]
+        total = 4 * k * scale
+        width = total.bit_length()
+        x = bits(width)
+        while x >= total:
+            x = bits(width)
+        j, low, high, scale = _class_of(x, k, r)
+        coins = bits(2)
+        while coins > 1:
+            coins = bits(2)
         if j < 0:
-            yield r, j, False, 0, picks
+            yield r, j, False, 0, coins
             r += 1
             continue
         ag_w = high << (j + 2)  # with_ag_multiplicity(r, j)
-        with_ag = _below(bits, ag_w + (low << (j + 1))) < ag_w
+        total = ag_w + (low << (j + 1))
+        width = total.bit_length()
+        x = bits(width)
+        while x >= total:
+            x = bits(width)
+        with_ag = x < ag_w
         if with_ag:
             rank = _below(bits, high)
         else:
             rank = _below(bits, low) if j else 0
-        picks += [_below(bits, 2) for _ in range(j + with_ag)]
-        yield r, j, with_ag, rank, picks
+        for i in range(1, j + with_ag + 1):
+            coin = bits(2)
+            while coin > 1:
+                coin = bits(2)
+            coins |= coin << i
+        yield r, j, with_ag, rank, coins
         r -= j
 
 
-def _fill(
-    r: int, j: int, with_ag: bool, rank: int, picks: list[int]
-) -> ColumnFill:
+def _fill(r: int, j: int, with_ag: bool, rank: int, coins: int) -> ColumnFill:
     """The fill that one column's choices from `_columns` describe."""
     if j < 0:
-        return _built_fill(_AG[picks[0]])
+        return _built_fill(_AG[coins])
     slots = _unrank_subset(r, j + with_ag, rank)
-    upper = [(s, _BD[b]) for s, b in zip(slots, picks[1:])]
+    upper = [(s, _BD[coins >> i & 1]) for i, s in enumerate(slots, 1)]
     if with_ag:
-        upper[-1] = (slots[-1], _AG[picks[-1]])
-    return _built_fill(_BD[picks[0]], tuple(upper))
+        upper[-1] = (slots[-1], _AG[coins >> len(slots)])
+    return _built_fill(_BD[coins & 1], tuple(upper))
 
 
 def _grow(rng: random.Random, n: int) -> Tableau:
@@ -232,13 +256,17 @@ def _stream(n: int, count: int, seed: int) -> random.Random:
         raise ValueError(f"need count >= 0, got {count}")
     if count > _COUNT_LIMIT:
         raise ValueError(f"need count <= {_COUNT_LIMIT}, got {count}")
+    if n * count > _COLUMN_LIMIT:
+        raise ValueError(
+            f"need n * count <= {_COLUMN_LIMIT} columns, got {n * count}"
+        )
     return random.Random(seed)
 
 
 def iter_samples(n: int, count: int, seed: int) -> Iterator[Tableau]:
     """`count` independent uniform tableaux from one seeded stream, each
-    drawn when it is asked for.  n and count are checked at the call, before
-    anything is drawn."""
+    drawn when it is asked for.  n, count and n * count are checked at the
+    call, before anything is drawn."""
     rng = _stream(n, count, seed)
     return (_grow(rng, n) for _ in range(count))
 

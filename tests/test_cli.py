@@ -462,6 +462,10 @@ def test_text_draws_are_written_as_they_are_drawn(tmp_path, monkeypatch):
         ("sample --n 0 --format json", "need 1 <= n <= 10000, got 0"),
         ("sample --n 3 --count 100000000000 --format json",
          "need count <= 1000000, got 100000000000"),
+        ("sample --n 10000 --count 1000000",
+         "need n * count <= 10000000 columns, got 10000000000"),
+        ("sample --n 11 --count 1000000 --format csv",
+         "need n * count <= 10000000 columns, got 11000000"),
         ("triangles --which c1 --n-max 201", "need 0 <= n-max <= 200, got 201"),
         ("triangles --which V --n-max -1 --format json",
          "need 0 <= n-max <= 200, got -1"),

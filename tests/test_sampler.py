@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -28,8 +29,8 @@ from staircase_tableaux.enumerator import ColumnFill, enumerate_all, legal_fills
 from staircase_tableaux.sampler import (
     RNG_ID,
     _below,
+    _class_of,
     _columns,
-    _draw_class,
     _fill,
     _unrank_subset,
     iter_samples,
@@ -82,18 +83,6 @@ def _class_weights(k, r):
     ]
 
 
-class _FixedDraw:
-    """Stands in for the stream: every `randrange` returns `x`."""
-
-    def __init__(self, x):
-        self.x = x
-        self.bounds = []
-
-    def randrange(self, bound):
-        self.bounds.append(bound)
-        return self.x
-
-
 @given(k=st.integers(1, 25), r=st.integers(0, 25))
 @settings(max_examples=80)
 def test_class_weights_close_the_telescope(k, r):
@@ -105,16 +94,13 @@ def test_class_walk_returns_the_linear_scan_class():
         for r in range(26):
             weights = _class_weights(k, r)
             total = sum(weights)
+            assert total == 4 * k * (2 * k + 1) ** r
             bounds = [sum(weights[: c + 1]) for c in range(len(weights) - 1)]
             xs = {0, total - 1}
             xs.update(x for b in bounds for x in (b - 1, b, b + 1) if x < total)
             for x in sorted(xs):
                 cls = next(c for c, b in enumerate(bounds + [total]) if x < b)
-                rng = _FixedDraw(x)
-                j, low, high, scale = _draw_class(
-                    rng.randrange, k, r, (2 * k + 1) ** r
-                )
-                assert rng.bounds == [total]
+                j, low, high, scale = _class_of(x, k, r)
                 assert j == cls - 1
                 if j >= 0:
                     assert (low, high) == (comb(r, j), comb(r, j + 1))
@@ -125,7 +111,63 @@ def test_class_walk_overrun_raises():
     # No x below the total overruns; x = total stands for weights that do
     # not add up, and must be refused even under `python -O`.
     with pytest.raises(RuntimeError):
-        _draw_class(_FixedDraw(4 * 3 * 7**4).randrange, 3, 4, 7**4)
+        _class_of(4 * 3 * 7**4, 3, 4)
+
+
+class _WordLog:
+    """A `random.Random` stand-in that logs the width of every
+    `getrandbits` call it passes on to the seeded stream."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self.rng.getrandbits(k)
+
+
+def _reference_columns(rng, n):
+    """The draws of `_columns`, each through `_below`, with the class found
+    by a linear scan over `_class_weights`."""
+    bits = rng.getrandbits
+    r = 0
+    out = []
+    for k in range(n, 0, -1):
+        weights = _class_weights(k, r)
+        x = _below(bits, 4 * k * (2 * k + 1) ** r)
+        j = -1
+        while x >= weights[j + 1]:
+            x -= weights[j + 1]
+            j += 1
+        picks = [_below(bits, 2)]
+        if j < 0:
+            out.append((r, j, False, 0, picks))
+            r += 1
+            continue
+        ag_w = comb(r, j + 1) << (j + 2)
+        with_ag = _below(bits, ag_w + (comb(r, j) << (j + 1))) < ag_w
+        size = j + with_ag
+        rank = _below(bits, comb(r, size)) if size else 0
+        picks += [_below(bits, 2) for _ in range(size)]
+        out.append((r, j, with_ag, rank, picks))
+        r -= j
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 300])
+def test_columns_draw_the_words_of_the_below_reference(n):
+    # The inline draws consume the words `_below` would, one for one, and
+    # the coins are the reference's picks, the bottom one as bit 0.
+    for seed in range(30 if n < 300 else 3):
+        kernel, reference = _WordLog(seed), _WordLog(seed)
+        got = list(_columns(kernel, n))
+        want = _reference_columns(reference, n)
+        assert kernel.widths == reference.widths, (n, seed)
+        assert kernel.rng.getstate() == reference.rng.getstate(), (n, seed)
+        assert [c[:4] for c in got] == [c[:4] for c in want], (n, seed)
+        for (*_, coins), (*_, picks) in zip(got, want):
+            assert coins == sum(b << i for i, b in enumerate(picks))
 
 
 def _linear_unrank_subset(r, size, index):
@@ -205,6 +247,23 @@ def test_sample_many_is_the_listed_stream(n, count, seed):
 def test_counts_above_the_cap_are_refused(draw):
     with pytest.raises(ValueError, match=r"^need count <= 1000000, got 1000001$"):
         draw(3, 10**6 + 1, seed=1)
+
+
+@pytest.mark.parametrize("draw", [iter_samples, sample_many, sample_statistics])
+def test_columns_above_the_budget_are_refused(draw):
+    with pytest.raises(ValueError, match=(
+        r"^need n \* count <= 10000000 columns, got 10010000$"
+    )):
+        draw(10_000, 1001, seed=1)
+    with pytest.raises(ValueError, match=r"^need n \* count .* got 11000000$"):
+        draw(11, 10**6, seed=1)
+
+
+def test_column_budget_keeps_a_million_small_draws():
+    # Both calls sit at the budget or under it and are accepted; the lazy
+    # stream draws nothing until it is asked.
+    assert next(iter_samples(5, 10**6, seed=1)).n == 5
+    iter_samples(10_000, 1000, seed=1)
 
 
 def _sampled_fills(n, count, seed):
@@ -329,17 +388,72 @@ def test_seeded_draw_streams_are_pinned(n, seed):
     assert [to_line(t) for t in sample_many(n, 4, seed)] == _PINNED_DRAWS[n, seed]
 
 
+# sha256 of `repr(sample_statistics(n, count, seed))` and of
+# `repr(rng.getstate())` after `count` full passes of `_columns(rng, n)` from
+# `random.Random(seed)`, as the sampler drew them before its coins and totals
+# were drawn inline: the draws and the words they consume are unchanged.
+_PINNED_STREAMS = {
+    (1, 200, 0): (
+        "bd47a1d29660c4e8325716c968e4a22674cc0bab62a3890ee239dcdc861eca80",
+        "a18cb428c87fec94a0e15ffbe75b2788aedf6b0a611eabb9f83b5e3ddd27cb2e",
+    ),
+    (5, 3000, 7): (
+        "b702e0d61b724d71315e034d3940a302194d3c4ed2e16e3a0daf87ef696d11cc",
+        "45e67073746fe17e80832052621b69bdc9ea7f795010bf75e25d8982499be096",
+    ),
+    (40, 50, 3): (
+        "ac5f2b74e758b94a1fbc4fcb2453f081a3031cf806ccf380649a6858659660d5",
+        "a210ff1579698a710800c2290535ed6f4828afa512ba50787cc809edc0b45bcb",
+    ),
+    (500, 2, 11): (
+        "c13e3ea3683304c1cdfa5cd590b61f922460da9823069b7436535a51a25a0c5b",
+        "56de9530cf8e9e796b9d9e3e3e6ddad44c23bb72c5188d8ed67b33423050d582",
+    ),
+}
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, count, seed", sorted(_PINNED_STREAMS))
+def test_statistics_streams_and_word_use_are_pinned(n, count, seed):
+    stats_pin, state_pin = _PINNED_STREAMS[n, count, seed]
+    assert _sha(sample_statistics(n, count, seed)) == stats_pin
+    rng = random.Random(seed)
+    for _ in range(count):
+        for _ in _columns(rng, n):
+            pass
+    assert _sha(rng.getstate()) == state_pin
+
+
+def _run_optimized_and_plain(*argv):
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return [
+        subprocess.run(
+            [sys.executable, *flag, "-m", "staircase_tableaux", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        for flag in (["-O"], [])
+    ]
+
+
 def test_pinned_stream_draws_under_optimize_flag():
     # Neither the draws nor their guards may rest on `assert`.
-    src = Path(staircase_tableaux.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "staircase_tableaux", "sample", "--n", "6",
-         "--count", "4", "--seed", "3"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+    proc, _ = _run_optimized_and_plain(
+        "sample", "--n", "6", "--count", "4", "--seed", "3"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "".join(line + "\n" for line in _PINNED_DRAWS[6, 3])
+    # `--format csv` reads `sample_statistics`, the counts path.
+    optimized, plain = _run_optimized_and_plain(
+        "sample", "--n", "5", "--count", "3000", "--seed", "7",
+        "--format", "csv", "--no-timestamp",
+    )
+    assert optimized.returncode == plain.returncode == 0, optimized.stderr
+    assert optimized.stdout.count("\n") > 3000
+    assert optimized.stdout == plain.stdout
 
 
 def test_sample_statistics_matches_resampling():
