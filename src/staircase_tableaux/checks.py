@@ -45,6 +45,7 @@ from .polyengine import (
 )
 from .sampler import probability_of, sample_statistics
 from .stats import (
+    ExactPMF,
     clt_check,
     dist_A,
     dist_B,
@@ -256,12 +257,9 @@ def _diagonal_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     rows = build_V(rg.diag)
     bad = []
     for n in range(1, rg.diag + 1):
-        row = rows[n]
-        total = sum(row)
-        mean = Fraction(sum(m * v for m, v in enumerate(row)), total)
-        second = Fraction(sum(m * m * v for m, v in enumerate(row)), total)
-        var = second - mean * mean
-        if (mean, var) != moments_A(n):
+        pmf = ExactPMF(0, rows[n], sum(rows[n]))
+        var = pmf.variance()
+        if (pmf.mean(), var) != moments_A(n):
             bad.append(n)
         # n = 1 really is (1/2, 1/4); the (n+1)/12 form starts at n = 2.
         elif n >= 2 and var != Fraction(n + 1, 12):

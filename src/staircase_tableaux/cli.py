@@ -166,13 +166,15 @@ def _write_csv(
     out: TextIO,
     meta: dict[str, Any],
     header: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-) -> None:
+    rows: Iterable[Sequence[Any]] = (),
+) -> Any:
+    """Write the `# key=value` head, the header and `rows`; returns the writer."""
     for key, value in _flatten(meta):
         out.write(f"# {key}={value}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+    return writer
 
 
 # One row of a streamed payload, as `json.dump(..., indent=2)` prints it at
@@ -298,10 +300,7 @@ def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     if not 1 <= n <= _ENUM_LIMIT:
         raise ValueError(f"need 1 <= n <= {_ENUM_LIMIT}, got {n}")
     if args.fmt == "csv":
-        for key, value in _flatten(_metadata(args)):
-            out.write(f"# {key}={value}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_STAT_HEADER)
+        writer = _write_csv(out, _metadata(args), _STAT_HEADER)
         enumerate_all(
             n, lambda t: writer.writerow(_stat_row(n, tableau_statistics(t)))
         )
@@ -595,15 +594,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(flag: int | None) -> tuple[int, str]:
-    if flag is not None:
-        return flag, "flag"
+    """The seed and its source, refused if negative: `random.Random` seeds
+    with the absolute value, so it would draw another seed's stream."""
     env = os.environ.get(SEED_ENV)
-    if env is not None:
+    if flag is not None:
+        seed, source, name = flag, "flag", "--seed"
+    elif env is None:
+        return 0, "default"
+    else:
         try:
-            return int(env), "env"
+            seed, source, name = int(env), "env", SEED_ENV
         except ValueError:
             raise ValueError(f"{SEED_ENV} must be an integer, got {env!r}")
-    return 0, "default"
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return seed, source
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -373,19 +373,18 @@ def _read_statistics(t: Tableau) -> StatVector:
         if s in _AG:
             n_ag += 1
             a_diag += i + j == n + 1
-    r = 0
-    for _, s in _leftmost(t).values():
-        r += s in _AG
-    sv = StatVector(
-        r=r,
-        delta=len(t.cells) - n_ag,
-        gamma=n_ag,
-        a_diag=a_diag,
-        b_diag=n - a_diag,
-    )
-    if sv.r + sv.delta != t.n or sv.a_diag + sv.b_diag != t.n:
-        raise RuntimeError(f"statistics {sv} do not split n = {t.n}")
-    return sv
+    r = sum(s in _AG for _, s in _leftmost(t).values())
+    return _stat_vector(n, r, len(t.cells), n_ag, a_diag)
+
+
+def _stat_vector(n: int, r: int, size: int, n_ag: int, a_diag: int) -> StatVector:
+    """The one `StatVector` constructor: r AG rows, `size` cells, n_ag of them
+    alpha/gamma (a_diag on the diagonal).  Raises `RuntimeError`, even under
+    ``python -O``, unless r + delta = n."""
+    delta = size - n_ag
+    if r + delta != n:
+        raise RuntimeError(f"r = {r} and delta = {delta} do not split n = {n}")
+    return StatVector(r, delta, n_ag, a_diag, n - a_diag)
 
 
 _LETTER = {s.value: s for s in GreekSymbol}

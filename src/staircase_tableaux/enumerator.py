@@ -41,9 +41,9 @@ from .core import (
     Cell,
     GreekSymbol,
     InvalidTableauError,
-    StatVector,
     Tableau,
     _grown,
+    _stat_vector,
     ag_row_indices,
     check_valid,
 )
@@ -161,8 +161,7 @@ def _leaf_stats(n: int, r: int, n_ag: int, size: int, a_diag: int) -> tuple:
     when the path has r AG rows, n_ag alpha/gamma entries (a_diag on the
     diagonal) and `size` cells."""
     return tuple(
-        StatVector(r + dr, size + 1 + len(f.upper) - n_ag - d_ag, n_ag + d_ag,
-                   a_diag + d_diag, n - a_diag - d_diag)
+        _stat_vector(n, r + dr, size + 1 + len(f.upper), n_ag + d_ag, a_diag + d_diag)
         for f, dr, d_ag, d_diag in _stamped_fills(r)
     )
 
@@ -236,8 +235,8 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
     no Python-level call but `_grown` and `visitor`.  Each tableau handed to
     `visitor` is born checked and stamped with its `StatVector`: r is the
     walk's AG-row count, gamma and a_diag are alpha/gamma counts kept along
-    the path, and delta is the number of cells minus gamma, so r + delta = n
-    stays a real identity.
+    the path, and `core._stat_vector` takes delta as the number of cells
+    minus gamma, so r + delta = n stays a real identity, checked per stamp.
     With `visitor=None` no Tableau objects are materialized: `legal_fills(r)`
     is tallied by class j = -r_change and `counting`'s completion recurrence
     runs on the tallies, never on its multiplicity formula or closed form.

@@ -27,7 +27,8 @@ them, so both draw the same stream.
 `sample_statistics` makes the same draws in the same order as `sample_many`
 (`_columns` is their one source) but keeps only the class counts, so it
 builds no `ColumnFill` and no `Tableau`, and a seed gives the same
-`StatVector`s both ways; draws with equal counts share one `StatVector`.
+`StatVector`s both ways, r being the walk's final AG-row count; draws with
+equal counts share one `StatVector`.
 The fills `sample_many` writes are legal by construction and built by
 `enumerator._built_fill`, without `ColumnFill`'s checks.
 
@@ -52,7 +53,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
 
-from .core import _AG, _BD, StatVector, Tableau, _grown, ag_row_indices
+from .core import _AG, _BD, StatVector, Tableau, _grown, _stat_vector, ag_row_indices
 # `sample_statistics` no longer calls `statistics`; the name stays bound
 # because `bench/layers.py` wraps it as `sampler.statistics`.
 from .core import statistics  # noqa: F401
@@ -230,18 +231,19 @@ def _grow(rng: random.Random, n: int) -> Tableau:
     return _grown(n, cells)
 
 
-def _grow_counts(rng: random.Random, n: int) -> tuple[int, int, int]:
-    """The beta/delta, alpha/gamma and diagonal alpha/gamma entry counts of
-    the tableau `_grow` would draw from the same stream."""
-    n_bd = n_ag = a_diag = 0
-    for _, j, with_ag, _, _ in _columns(rng, n):
+def _grow_counts(rng: random.Random, n: int) -> tuple[int, int, int, int]:
+    """The final AG-row count (r - j after the last column; r + 1 for j = -1)
+    and the cell, alpha/gamma and diagonal alpha/gamma counts of the tableau
+    `_grow` would draw from the same stream."""
+    r = j = n_bd = n_ag = a_diag = 0
+    for r, j, with_ag, _, _ in _columns(rng, n):
         if j < 0:
             n_ag += 1
             a_diag += 1
         else:
             n_bd += j + 1
             n_ag += with_ag
-    return n_bd, n_ag, a_diag
+    return r - j, n_bd + n_ag, n_ag, a_diag
 
 
 def sample_uniform(n: int, seed: int) -> Tableau:
@@ -278,20 +280,16 @@ def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
 
 def sample_statistics(n: int, count: int, seed: int) -> list[StatVector]:
     """`[statistics(t) for t in sample_many(n, count, seed)]`, drawn without
-    building the tableaux.  Draws with equal counts share one `StatVector`."""
+    building the tableaux.  Draws with equal counts share one `StatVector`,
+    so `core._stat_vector` checks each distinct r + delta = n once."""
     rng = _stream(n, count, seed)
-    shared: dict[tuple[int, int, int], StatVector] = {}
+    shared: dict[tuple[int, int, int, int], StatVector] = {}
     out = []
     for _ in range(count):
         counts = _grow_counts(rng, n)
         stats = shared.get(counts)
         if stats is None:
-            n_bd, n_ag, a_diag = counts
-            # Each column adds one to r + delta.
-            stats = shared[counts] = StatVector(
-                r=n - n_bd, delta=n_bd, gamma=n_ag, a_diag=a_diag,
-                b_diag=n - a_diag,
-            )
+            stats = shared[counts] = _stat_vector(n, *counts)
         out.append(stats)
     return out
 

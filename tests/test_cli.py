@@ -22,11 +22,13 @@ from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import (
     SEED_ENV,
     _TRIPLE_ROW,
+    _pmf_rows,
     _write_json,
     build_parser,
     main,
 )
 from staircase_tableaux.core import from_text, statistics, validate
+from staircase_tableaux.stats import ExactPMF
 
 
 def run(capsys, *argv):
@@ -854,6 +856,47 @@ def test_unparseable_env_seed_is_ignored_without_a_seed_flag(capsys, monkeypatch
     code, out = run(capsys, "count", "--n", "3")
     assert code == 0
     assert out == "384\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sample --n 3 --count 2",
+        "sample --n 3 --count 2 --format csv",
+        "verify --suite cardinality --n-max 2",
+    ],
+)
+def test_negative_seed_flag_is_refused_before_any_output(capsys, monkeypatch, argv):
+    # `random.Random(-5)` draws the stream of `random.Random(5)`.
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    code = main([*argv.split(), "--seed", "-5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: --seed must be non-negative, got -5\n"
+
+
+@pytest.mark.parametrize(
+    "argv", ["sample --n 3 --count 2", "verify --suite cardinality --n-max 2"]
+)
+def test_negative_env_seed_is_refused_before_any_output(capsys, monkeypatch, argv):
+    monkeypatch.setenv(SEED_ENV, "-5")
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {SEED_ENV} must be non-negative, got -5\n"
+
+
+def test_seed_zero_is_still_accepted(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV, "0")
+    code, out = run(capsys, "sample", "--n", "2", "--count", "1", "--format",
+                    "json", "--no-timestamp")
+    doc = json.loads(out)
+    assert (code, doc["seed"], doc["seed_source"]) == (0, 0, "env")
+
+
+def test_pmf_rows_print_a_zero_weight_as_zero_over_one():
+    rows = _pmf_rows(ExactPMF(0, (0, 3, 1), 4))
+    assert rows == [(0, "0", "1"), (1, "3", "4"), (2, "1", "4")]
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import pickle
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +280,18 @@ def test_pickle_round_trip_keeps_the_stamp():
         back = pickle.loads(pickle.dumps(t))
         assert back._stats == t._stats is not None
         assert statistics(back) == statistics(t) == core._read_statistics(back)
+
+
+def test_stat_vector_is_the_one_statvector_constructor():
+    package = Path(core.__file__).parent
+    callers = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "StatVector"
+    ]
+    assert callers == ["core.py"]
 
 
 # ---------------------------------------------------------------- labeling

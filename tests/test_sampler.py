@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import staircase_tableaux
+from staircase_tableaux import sampler
 from staircase_tableaux.core import (
     GreekSymbol,
     InvalidTableauError,
@@ -466,6 +467,17 @@ def test_sample_statistics_matches_resampling():
         stats = sample_statistics(n, count, seed)
         tableaux = sample_many(n, count, seed)
         assert stats == [statistics(t) for t in tableaux], (n, count, seed)
+
+
+def test_sample_statistics_refuses_a_walk_that_breaks_the_row_identity(
+    monkeypatch,
+):
+    # The second column claims r = 0 AG rows where the first left one, so
+    # the walk ends at r = 0 with one beta/delta entry: r + delta = 1 != 2.
+    columns = [(0, -1, False, 0, 0), (0, 0, False, 0, 0)]
+    monkeypatch.setattr(sampler, "_columns", lambda rng, n: iter(columns))
+    with pytest.raises(RuntimeError, match="do not split n = 2"):
+        sample_statistics(2, 1, seed=0)
 
 
 def test_sample_statistics_rejects_bad_sizes():
