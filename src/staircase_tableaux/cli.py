@@ -56,7 +56,9 @@ from .asep import (
 )
 from .checks import CHECK_NAMES, verify_suite
 from .core import StatVector, statistics as tableau_statistics, to_line
-from .counting import completions, total_count
+from .counting import completion_count, total_count
+# `bench/layers.py` wraps `cli.completions`, the table's recurrence oracle.
+from .counting import completions  # noqa: F401
 from .enumerator import _ENUM_LIMIT, enumerate_all
 from .polyengine import (
     bivariate_series_check,
@@ -87,8 +89,8 @@ SEED_ENV = "STAIRCASE_TABLEAUX_SEED"
 # Size caps, checked before any work or output.  Every number a request
 # prints must fit Python's default int-to-str limit of 4300 digits: 4**n n!
 # exceeds it from n = 1309 on, and 2**n n! from n = 1424 on.  The completion
-# table holds O(n**2) such numbers built by O(n**3) big-int products, and a
-# triangle O(n**2), so their caps are lower.  `moments` shares `dist`'s cap.
+# table prints O(n**2) such numbers (20,301 rows at n = 200), and a triangle
+# O(n**2), so their caps are lower.  `moments` shares `dist`'s cap.
 # The series check costs about z**4 big-int steps: seconds at z = 100, hours
 # at z = 1000.
 _COUNT_LIMIT = 1000
@@ -267,9 +269,9 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     total = total_count(args.n)
     if args.table:
         rows = [
-            (k, r, str(count))
-            for k, row in enumerate(completions(args.n))
-            for r, count in enumerate(row)
+            (k, r, str(completion_count(k, r)))
+            for k in range(args.n + 1)
+            for r in range(args.n - k + 1)
         ]
     else:
         rows = []

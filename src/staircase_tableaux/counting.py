@@ -9,10 +9,10 @@ still needs k columns and has r AG rows, obeys
     N(0, r) = 1,    N(k, r) = sum_{j=-1..r} multiplicity(r, j) N(k-1, r-j),
 
 and telescopes to the closed form N(k, r) = 4**k k! (2k+1)**r, which
-`completion_count` uses directly.  `completions` builds the rows from the
-recurrence so the two routes can be checked against each other; it builds
-each class count once, so `count --table` costs O(n**2) `multiplicity`
-calls and O(n**3) big-int products.  All arithmetic is exact (Python ints).
+`completion_count` uses directly; the sampler and `count --table` use it.
+`completions` builds the rows from the recurrence, each class count once
+(O(n**2) `multiplicity` calls, O(n**3) big-int products), as the oracle the
+closed form is checked against.  All arithmetic is exact (Python ints).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import staircase_tableaux
+from staircase_tableaux import counting
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import (
     SEED_ENV,
@@ -343,11 +344,46 @@ _PINNED = {
         "7dbd39bb1d04f5cb880e3a5be918b568ba2a48b50ceab46c38d726c9209d6912",
     "dist --stat a --n 1 --format json":
         "61db602c8869439ec22abb97f8b3f486363507058fe0e5b98e4bf009d6a46541",
+    # The completion table at its size cap, as the recurrence printed it.
+    "count --n 200 --table --format json":
+        "04fa1cbe16acad11bbe8068a47f7d59524a4c71c360aeab87cac705622d47011",
+    "count --n 200 --table --format csv":
+        "ea274eebedb921703cc477ab2490fdd3377f07045a176a7ba53d040d67962cb2",
+    "count --n 200 --table --format text":
+        "c5599b0cecad893cc945d4719c7e524fde917c923c90808644edce0bd41563d0",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(_PINNED))
 def test_exact_law_outputs_are_pinned(capsys, argv):
+    code, out = run(capsys, *argv.split(), "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 40, 120])
+def test_count_table_prints_what_the_recurrence_gives(capsys, n):
+    # The CLI prints the closed form; the recurrence is its oracle.
+    code, out = run(
+        capsys, "count", "--n", str(n), "--table", "--format", "json",
+        "--no-timestamp",
+    )
+    assert code == 0
+    expected = [
+        [k, r, str(count)]
+        for k, row in enumerate(counting.completions(n))
+        for r, count in enumerate(row)
+    ]
+    assert json.loads(out)["table"] == expected
+
+
+def test_count_table_never_runs_the_recurrence(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("count --table ran the O(n**3) recurrence")
+
+    monkeypatch.setattr(counting, "multiplicity", refuse)
+    monkeypatch.setattr(counting, "_completion_rows", refuse)
+    argv = "count --n 120 --table --format json"
     code, out = run(capsys, *argv.split(), "--no-timestamp")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv]
