@@ -12,13 +12,14 @@ denominator; unused mass stays put, so rows are stochastic by construction.
 The stationary law is proportional to the tableaux partition functions:
 pi(sigma) = Z_sigma / Z_n, with Z_sigma the total weight of the staircase
 tableaux whose type word is sigma evaluated at the chain parameters.
-`partition_functions` computes every Z_sigma by a column-growth transfer DP in
-integers, for n up to the chain's own cap of 8;
+`_type_weights` computes every Z_sigma, times one known denominator, by a
+column-growth transfer DP in integers, for n up to the chain's own cap of 8,
+and `partition_functions` returns them as `Fraction`s;
 `enumerated_partition_functions` sums over every tableau instead (n <= 6) and
 is the DP's exact oracle.  `stationary` solves for the law in floats, or
-returns Z_sigma / Z_n once it passes global balance exactly on the moves.
-`verify_steady_state` checks the identity and reports the residual
-max |pi P - pi| alongside.
+returns Z_sigma / Z_n once it passes global balance exactly, in integers, on
+the moves (`_balance_defect`).  `verify_steady_state` checks the identity and
+reports the residual max |pi P - pi| alongside.
 """
 
 from __future__ import annotations
@@ -227,14 +228,27 @@ def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.nda
         b = np.zeros(chain.size)
         b[-1] = 1.0
         return np.linalg.solve(a, b)
-    pi = _tableau_law(chain.n, partition_functions(chain.n, chain.params))
-    defect = _residual(chain, pi, exact=True)
+    weights = _type_weights(chain.n, chain.params)
+    defect = _balance_defect(chain, weights)
     if defect:
         raise RuntimeError(
             f"Z_sigma / Z_n fails global balance on the n = {chain.n} chain "
             f"at {chain.params}: max |pi P - pi| = {defect}"
         )
-    return pi
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+def _balance_defect(chain: ASEPChain, weights: list[int]) -> Fraction:
+    """max over states of |(pi P)_s - pi_s| for pi proportional to the
+    integer `weights`, in integers: each move s -> t carries weights[s] w
+    from s to t, and the stay mass carries none."""
+    net = [0] * chain.size
+    for s, moves in enumerate(chain.moves):
+        for t, w in moves:
+            net[t] += weights[s] * w
+            net[s] -= weights[s] * w
+    return Fraction(max(map(abs, net)), sum(weights) * chain.denominator)
 
 
 def _slot_tables(
@@ -271,7 +285,16 @@ def _slot_tables(
 def partition_functions(
     n: int, params: ASEPParams
 ) -> tuple[Fraction, dict[str, Fraction]]:
-    """(Z_n, per-type Z_sigma) by a column-growth transfer DP, for n <= 8.
+    """(Z_n, per-type Z_sigma) from `_type_weights`, for n <= 8."""
+    sums = _type_weights(n, params)
+    scale = params.scaled()[0] ** (n * (n + 1) // 2)
+    by_type = {state_bits(s, n): Fraction(z, scale) for s, z in enumerate(sums)}
+    return Fraction(sum(sums), scale), by_type
+
+
+def _type_weights(n: int, params: ASEPParams) -> list[int]:
+    """Z_sigma D**(n(n+1)/2), listed by chain state (`state_bits`), by a
+    column-growth transfer DP, for n <= 8.
 
     Columns are prepended in the walk's order (column n-m gets its diagonal
     box in row m+1), and prepending one never relabels older boxes, so each
@@ -286,7 +309,7 @@ def partition_functions(
     """
     if not 1 <= n <= _DENSE_LIMIT:
         raise ValueError(f"need 1 <= n <= {_DENSE_LIMIT}, got {n}")
-    den, (a, b, g, d, q, u) = params.scaled()
+    _, (a, b, g, d, q, u) = params.scaled()
     u_pow = [u**k for k in range(n)]
     q_pow = [q**k for k in range(n)]
     tables = _slot_tables(n - 1, a, b, g, d, u, q)
@@ -311,9 +334,7 @@ def partition_functions(
     sums = [0] * (1 << n)
     for (word, _, _), w in states.items():
         sums[word] += w
-    scale = den ** (n * (n + 1) // 2)
-    by_type = {state_bits(s, n): Fraction(z, scale) for s, z in enumerate(sums)}
-    return Fraction(sum(sums), scale), by_type
+    return sums
 
 
 def enumerated_partition_functions(
@@ -370,31 +391,6 @@ class SteadyStateReport:
     exact: bool
 
 
-def _residual(
-    chain: ASEPChain, pi: list[Fraction] | np.ndarray, exact: bool
-) -> float | Fraction:
-    """max over states of |(pi P)_s - pi_s|.  Exact mode reads the moves:
-    each move s -> t carries pi_s w from s to t; the stay mass carries none."""
-    if not exact:
-        import numpy as np
-
-        return float(np.max(np.abs(pi @ chain.to_numpy() - pi)))
-    net = [0] * chain.size
-    for s, moves in enumerate(chain.moves):
-        for t, w in moves:
-            net[t] += pi[s] * w
-            net[s] -= pi[s] * w
-    return Fraction(max(map(abs, net))) / chain.denominator
-
-
-def _tableau_law(
-    n: int, z: tuple[Fraction, dict[str, Fraction]]
-) -> list[Fraction]:
-    """Z_sigma / Z_n, state by state, from `partition_functions`' output."""
-    total, by_type = z
-    return [by_type[state_bits(s, n)] / total for s in range(1 << n)]
-
-
 def verify_steady_state(
     n: int, params: ASEPParams, tol: float = 1e-10, exact: bool = False
 ) -> SteadyStateReport:
@@ -405,24 +401,26 @@ def verify_steady_state(
     """
     chain = build_chain(n, params)
     _require_positive(params)
-    return _steady_state_report(
-        chain, _tableau_law(n, partition_functions(n, params)), tol, exact
-    )
+    return _steady_state_report(chain, _type_weights(n, params), tol, exact)
 
 
 def _steady_state_report(
-    chain: ASEPChain, law: list[Fraction], tol: float, exact: bool
+    chain: ASEPChain, weights: list[int], tol: float, exact: bool
 ) -> SteadyStateReport:
-    """`verify_steady_state` against an already computed Z_sigma / Z_n, so a
-    caller running both modes computes Z once.  The rates must be strictly
-    positive."""
+    """`verify_steady_state` against already computed `_type_weights`, so a
+    caller running both modes computes them once.  The rates must be
+    strictly positive."""
     if exact:
-        residual = _residual(chain, law, exact=True)
+        residual = _balance_defect(chain, weights)
         max_dev = float(residual)
     else:
+        import numpy as np
+
         pi = stationary(chain)
-        residual = _residual(chain, pi, exact=False)
-        max_dev = max(abs(float(p) - float(z)) for p, z in zip(pi, law))
+        residual = float(np.max(np.abs(pi @ chain.to_numpy() - pi)))
+        total = sum(weights)
+        # int / int rounds once, as float(Fraction(w, total)) does.
+        max_dev = max(abs(float(p) - w / total) for p, w in zip(pi, weights))
     return SteadyStateReport(
         chain.n, chain.params, max_dev, residual, tol, max_dev < tol, exact
     )

@@ -22,14 +22,15 @@ from typing import Any, Callable, Sequence
 
 from .asep import (
     PARAMETER_GRID,
+    _balance_defect,
     _steady_state_report,
-    _tableau_law,
+    _type_weights,
     build_chain,
     enumerated_partition_functions,
     partition_functions,
     verify_steady_state,
 )
-from .core import Tableau, _read_statistics, statistics
+from .core import StatVector, Tableau, _read_statistics, statistics
 from .counting import total_count
 from .enumerator import enumerate_all
 from .polyengine import (
@@ -108,44 +109,31 @@ def _ranges(n_max: int) -> _Ranges:
     )
 
 
-@dataclass(frozen=True)
-class _Census:
-    count: int
-    r_hist: Counter[int]
-    gamma_hist: Counter[int]
-    a_hist: Counter[int]
-    b_hist: Counter[int]
-    row_identity_violations: int
-    tableaux: tuple[Tableau, ...]
-
-
 @lru_cache(maxsize=None)
-def _census(n: int) -> _Census:
-    """One statistics walk over every size-n tableau."""
-    r_hist: Counter[int] = Counter()
-    gamma_hist: Counter[int] = Counter()
-    a_hist: Counter[int] = Counter()
-    b_hist: Counter[int] = Counter()
-    violations = 0
+def _census(n: int) -> tuple[Counter[StatVector], tuple[Tableau, ...]]:
+    """One statistics walk over every size-n tableau: how many tableaux
+    carry each `StatVector`, and the tableaux themselves for n <= _KEEP_MAX.
+    The stamps are counted after the walk, in one C loop that hashes each
+    once."""
+    stamps: list[StatVector] = []
     kept: list[Tableau] = []
     keep = n <= _KEEP_MAX
 
     def visit(t: Tableau) -> None:
-        nonlocal violations
-        s = statistics(t)
-        r_hist[s.r] += 1
-        gamma_hist[s.gamma] += 1
-        a_hist[s.a_diag] += 1
-        b_hist[s.b_diag] += 1
-        if s.r + s.delta != n:
-            violations += 1
+        stamps.append(statistics(t))
         if keep:
             kept.append(t)
 
-    count = enumerate_all(n, visit)
-    return _Census(
-        count, r_hist, gamma_hist, a_hist, b_hist, violations, tuple(kept)
-    )
+    enumerate_all(n, visit)
+    return Counter(stamps), tuple(kept)
+
+
+def _marginal(n: int, stat: str) -> Counter[int]:
+    """The census histogram of one `StatVector` field."""
+    hist: Counter[int] = Counter()
+    for s, count in _census(n)[0].items():
+        hist[getattr(s, stat)] += count
+    return hist
 
 
 _Check = Callable[[_Ranges, int], tuple[bool, dict[str, Any]]]
@@ -167,7 +155,7 @@ def _verdict(bad: list[Any], **measured: Any) -> tuple[bool, dict[str, Any]]:
 
 @_check("cardinality")
 def _cardinality(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    counts = {n: _census(n).count for n in range(1, rg.enum + 1)}
+    counts = {n: sum(_census(n)[0].values()) for n in range(1, rg.enum + 1)}
     if rg.count_six:
         counts[6] = enumerate_all(6)
     ok = all(c == total_count(n) for n, c in counts.items())
@@ -181,12 +169,13 @@ def _r_histogram(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     bad = []
     for n in range(1, rg.enum + 1):
         total = total_count(n)
-        c, pgf, gamma = _census(n), pgf_r(n), dist_gamma(n)
-        bad += [("r", n, v) for v in range(n + 1) if c.r_hist[v] != 2**n * pgf[v]]
+        r_hist, pgf = _marginal(n, "r"), pgf_r(n)
+        gamma_hist, gamma = _marginal(n, "gamma"), dist_gamma(n)
+        bad += [("r", n, v) for v in range(n + 1) if r_hist[v] != 2**n * pgf[v]]
         bad += [
             ("gamma", n, v)
             for v in range(n + 1)
-            if c.gamma_hist[v] != gamma.p(v) * total
+            if gamma_hist[v] != gamma.p(v) * total
         ]
     return _verdict(bad, max_n=rg.enum)
 
@@ -219,13 +208,17 @@ def _r_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("row-identity")
 def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """r + delta = n on the walk's stamps, and each stamp equal to the
+    """r + delta = n on the walk's distinct stamps (``violations`` counts the
+    tableaux that carry a failing one), and each stamp equal to the
     statistics read off its cells on the tableaux kept (n <= _KEEP_MAX)."""
-    bad = sum(_census(n).row_identity_violations for n in range(1, rg.enum + 1))
+    bad = sum(
+        k for n in range(1, rg.enum + 1)
+        for s, k in _census(n)[0].items() if s.r + s.delta != n
+    )
     stamp_bad = sum(
         t._stats != _read_statistics(t)
         for n in range(1, rg.enum + 1)
-        for t in _census(n).tableaux
+        for t in _census(n)[1]
     )
     return bad == 0 and stamp_bad == 0, {
         "max_n": rg.enum, "violations": bad, "stamp_mismatches": stamp_bad,
@@ -236,15 +229,15 @@ def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 def _diagonal_distribution(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     bad = []
     for n in range(1, rg.enum + 1):
-        c = _census(n)
+        a_hist, b_hist = _marginal(n, "a_diag"), _marginal(n, "b_diag")
         total = total_count(n)
         row = build_V(n)[n]
         da, db = dist_A(n), dist_B(n)
         for m in range(n + 1):
             want = 2**n * row[m]
             if (
-                c.a_hist[m] != want
-                or c.b_hist[m] != want
+                a_hist[m] != want
+                or b_hist[m] != want
                 or da.p(m) != Fraction(want, total)
                 or db.p(m) != Fraction(want, total)
             ):
@@ -311,7 +304,7 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     bad = []
     for n in range(1, rg.audit + 1):
         target = Fraction(1, total_count(n))
-        for t in _census(n).tableaux:
+        for t in _census(n)[1]:
             cases += 1
             if probability_of(n, t) != target:
                 bad.append(n)
@@ -351,24 +344,26 @@ def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     # The DP's Z values must equal the enumeration's exactly, setting by
     # setting; the chain identity then runs on the DP alone, in floats
     # against the solve and exactly as a balance certificate, both legs on
-    # one Z per (setting, n) (the ranges keep z_oracle <= asep).
+    # one `_type_weights` row per (setting, n) (the ranges keep
+    # z_oracle <= asep).
     mismatches = []
     worst = residual = 0.0
     exact_defect = Fraction(0)
     ok = True
     for k, params in enumerate(PARAMETER_GRID):
         for n in range(1, rg.asep + 1):
-            z = partition_functions(n, params)
-            if n <= rg.z_oracle and z != enumerated_partition_functions(n, params):
+            if n <= rg.z_oracle and (
+                partition_functions(n, params)
+                != enumerated_partition_functions(n, params)
+            ):
                 mismatches.append([k, n])
-            chain, law = build_chain(n, params), _tableau_law(n, z)
-            rep = _steady_state_report(chain, law, 1e-10, exact=False)
+            chain, weights = build_chain(n, params), _type_weights(n, params)
+            rep = _steady_state_report(chain, weights, 1e-10, exact=False)
             worst = max(worst, rep.max_deviation)
             residual = max(residual, rep.residual)
             ok = ok and rep.passed
             # Exact leg: Z_sigma / Z_n must balance the chain's moves exactly.
-            exact_rep = _steady_state_report(chain, law, 1e-10, exact=True)
-            exact_defect = max(exact_defect, exact_rep.residual)
+            exact_defect = max(exact_defect, _balance_defect(chain, weights))
     exact = verify_steady_state(1, PARAMETER_GRID[0], exact=True).max_deviation
     ok = (
         ok and not mismatches and worst < 1e-10 and exact == 0.0

@@ -31,7 +31,7 @@ def multiplicity(r: int, j: int) -> int:
         raise ValueError(f"class j={j} unavailable with r={r}")
     if j == -1:
         return 2
-    return 2 ** (j + 1) * (2 * comb(r, j + 1) + comb(r, j))
+    return bd_only_multiplicity(r, j) + with_ag_multiplicity(r, j)
 
 
 def bd_only_multiplicity(r: int, j: int) -> int:

@@ -21,10 +21,11 @@ each fill writes there, keyed by the AG rows, and `_leaf_stats` the
 path (the AG rows, the alpha/gamma entries and the diagonal ones) and the
 number of cells.  The tableaux the walk and the sampler finish are valid by
 construction, so `core._grown` builds them marked as checked, and they are
-never validated; likewise the sampler's column fills are built by
-`_built_fill` without `ColumnFill`'s checks.  Each tableau the visitor walk
-yields is also stamped with its `StatVector` rather than having it read
-back from the cells; the sampler's tableaux are not stamped.
+never validated; `_place` takes a fill's two parts, so the sampler writes
+the (bottom, upper) pairs it draws without building a `ColumnFill`.  Each
+tableau the visitor walk yields is also stamped with its `StatVector`
+rather than read back from the cells; the sampler's tableaux are not
+stamped.
 """
 
 from __future__ import annotations
@@ -92,17 +93,6 @@ class ColumnFill:
         return -sum(1 for _, s in self.upper if s.is_bd)
 
 
-def _built_fill(
-    bottom: GreekSymbol, upper: tuple[tuple[int, GreekSymbol], ...] = ()
-) -> ColumnFill:
-    """`ColumnFill(bottom, upper)` for a fill legal by construction, skipping
-    `__post_init__`'s checks: the fill-level twin of `core._grown`."""
-    fill = object.__new__(ColumnFill)
-    object.__setattr__(fill, "bottom", bottom)
-    object.__setattr__(fill, "upper", upper)
-    return fill
-
-
 @lru_cache(maxsize=None)
 def legal_fills(r: int) -> tuple[ColumnFill, ...]:
     """All 4 * 3**r fills available above a tableau with r AG rows.
@@ -167,18 +157,20 @@ def _leaf_stats(n: int, r: int, n_ag: int, size: int, a_diag: int) -> tuple:
 
 
 def _place(
-    cells: dict, ag_rows: list[int], bottom_row: int, col: int, fill: ColumnFill
+    cells: dict, ag_rows: list[int], bottom_row: int, col: int,
+    bottom: GreekSymbol, upper: tuple[tuple[int, GreekSymbol], ...],
 ) -> list[int]:
-    """Write `fill` into column `col`, whose diagonal box is in `bottom_row`;
+    """Write the fill with parts `bottom` and `upper` (those of a
+    `ColumnFill`) into column `col`, whose diagonal box is in `bottom_row`;
     maps the increasing AG rows before the step to those after it."""
-    cells[(bottom_row, col)] = fill.bottom
-    if fill.bottom.is_ag:
+    cells[(bottom_row, col)] = bottom
+    if bottom.is_ag:
         return ag_rows + [bottom_row]
     r = len(ag_rows)
     kept = ag_rows.copy()
     # Slots ascend, so positions r - k descend and each deletion leaves the
     # positions still to come in place.
-    for k, s in fill.upper:
+    for k, s in upper:
         cells[(ag_rows[r - k], col)] = s
         if s.is_bd:
             del kept[r - k]
@@ -192,7 +184,7 @@ def extend(t: Tableau, fill: ColumnFill) -> Tableau:
     if any(k > r for k, _ in fill.upper):
         raise ValueError(f"fill references slot beyond the {r} AG rows")
     cells = {(i, j + 1): s for (i, j), s in t.cells.items()}
-    _place(cells, ag_rows, t.n + 1, 1, fill)
+    _place(cells, ag_rows, t.n + 1, 1, fill.bottom, fill.upper)
     return Tableau(t.n + 1, cells)
 
 
@@ -267,7 +259,7 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
         for fill, _, d_ag, d_diag in _stamped_fills(r):
             rec(
                 m + 1,
-                _place(cells, ag_rows, m + 1, n - m, fill),
+                _place(cells, ag_rows, m + 1, n - m, fill.bottom, fill.upper),
                 n_ag + d_ag,
                 a_diag + d_diag,
             )

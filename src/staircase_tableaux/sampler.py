@@ -29,8 +29,8 @@ them, so both draw the same stream.
 builds no `ColumnFill` and no `Tableau`, and a seed gives the same
 `StatVector`s both ways, r being the walk's final AG-row count; draws with
 equal counts share one `StatVector`.
-The fills `sample_many` writes are legal by construction and built by
-`enumerator._built_fill`, without `ColumnFill`'s checks.
+`sample_many` hands each drawn fill to `enumerator._place` as its (bottom,
+upper) pair, legal by construction, so it builds no `ColumnFill` either.
 
 All randomness flows through `random.Random` (Mersenne Twister) seeded by the
 caller, and every draw consumes exactly the `getrandbits` words that
@@ -53,7 +53,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
 
-from .core import _AG, _BD, StatVector, Tableau, _grown, _stat_vector, ag_row_indices
+from .core import _AG, _BD, GreekSymbol, StatVector, Tableau, _grown
+from .core import _stat_vector, ag_row_indices
 # `sample_statistics` no longer calls `statistics`; the name stays bound
 # because `bench/layers.py` wraps it as `sampler.statistics`.
 from .core import statistics  # noqa: F401
@@ -63,10 +64,9 @@ from .counting import (
     multiplicity,
     with_ag_multiplicity,
 )
-# The sampler builds its fills with `_built_fill`; `ColumnFill` is named
-# only in annotations, and `bench/layers.py` wraps it as
-# `sampler.ColumnFill`.
-from .enumerator import ColumnFill, _built_fill, _place, split_first_column
+# `ColumnFill` is named only in an annotation, and `bench/layers.py` wraps
+# it as `sampler.ColumnFill`.
+from .enumerator import ColumnFill, _place, split_first_column
 
 RNG_ID = "python-random-mt19937"
 
@@ -212,22 +212,25 @@ def _columns(
         r -= j
 
 
-def _fill(r: int, j: int, with_ag: bool, rank: int, coins: int) -> ColumnFill:
-    """The fill that one column's choices from `_columns` describe."""
+def _fill(
+    r: int, j: int, with_ag: bool, rank: int, coins: int
+) -> tuple[GreekSymbol, tuple[tuple[int, GreekSymbol], ...]]:
+    """The (bottom, upper) parts of the fill that one column's choices from
+    `_columns` describe."""
     if j < 0:
-        return _built_fill(_AG[coins])
+        return _AG[coins], ()
     slots = _unrank_subset(r, j + with_ag, rank)
     upper = [(s, _BD[coins >> i & 1]) for i, s in enumerate(slots, 1)]
     if with_ag:
         upper[-1] = (slots[-1], _AG[coins >> len(slots)])
-    return _built_fill(_BD[coins & 1], tuple(upper))
+    return _BD[coins & 1], tuple(upper)
 
 
 def _grow(rng: random.Random, n: int) -> Tableau:
     cells: dict = {}
     ag_rows: list[int] = []
     for m, column in enumerate(_columns(rng, n)):
-        ag_rows = _place(cells, ag_rows, m + 1, n - m, _fill(*column))
+        ag_rows = _place(cells, ag_rows, m + 1, n - m, *_fill(*column))
     return _grown(n, cells)
 
 
@@ -317,8 +320,13 @@ def _fill_probability(k: int, r: int, fill: ColumnFill) -> Fraction:
 def probability_of(n: int, t: Tableau) -> Fraction:
     """Replay the growth of `t` and multiply its branch probabilities.
 
-    For a valid size-n tableau the product must come out to 1/(4**n n!);
-    equality is the sampler's uniformity audit.
+    For a valid size-n tableau the product must come out to 1/(4**n n!), and
+    it does for any tableau that decomposes: each stage cancels (mult/mult,
+    sub/(C 2**m) = 1) to N(k-1, r-j) / N(k, r), and these telescope.  So
+    `sampler-exactness` certifies the decomposition and the AG-row
+    bookkeeping; the draw kernel is pinned by the tests
+    `test_class_walk_returns_the_linear_scan_class` and
+    `test_columns_draw_the_words_of_the_below_reference`.
     """
     if t.n != n:
         raise ValueError(f"tableau has size {t.n}, expected {n}")

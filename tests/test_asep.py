@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from staircase_tableaux.asep import (
     stationary,
     verify_steady_state,
 )
+from staircase_tableaux.counting import multiplicity
 
 GENERIC = ASEPParams.from_strings("1/3", "2/3", "1/5", "2/5", "1/7", "3/7")
 
@@ -186,13 +188,10 @@ def test_balance_certificate_rejects_z_from_other_rates(n, monkeypatch):
     # Z_sigma with q and u swapped is not the chain's law: its balance defect
     # is nonzero, and exact mode refuses it without relying on `assert`.
     swapped = replace(GENERIC, q=GENERIC.u, u=GENERIC.q)
-    total, by_type = partition_functions(n, swapped)
-    pi = [by_type[state_bits(s, n)] / total for s in range(1 << n)]
+    weights = asep._type_weights(n, swapped)
     chain = build_chain(n, GENERIC)
-    assert asep._residual(chain, pi, exact=True) > 0
-    monkeypatch.setattr(
-        asep, "partition_functions", lambda n, params: (total, by_type)
-    )
+    assert asep._balance_defect(chain, weights) > 0
+    monkeypatch.setattr(asep, "_type_weights", lambda n, params: weights)
     with pytest.raises(RuntimeError, match="fails global balance"):
         stationary(chain, exact=True)
     rep = verify_steady_state(n, GENERIC, exact=True)
@@ -246,6 +245,31 @@ def test_closed_form_at_q_equal_u_equal_one(boundary):
             + (n - 1) * (p.alpha + p.gamma) * (p.beta + p.delta)
         )
         assert partition_functions(n, p)[0] == expected
+
+
+@pytest.mark.parametrize("letters", [(1, 1, 1, 1), (2, 3, 5, 7), (3, 1, 4, 1)])
+def test_slot_tables_at_q_equal_u_equal_one_are_the_class_table(letters):
+    # Grouped by class j = betas + deltas placed, with the bottom letter's
+    # weight (beta reads the q row, delta the u row), the fills above r AG
+    # rows weigh B**(j+1) (C(r, j) + A C(r, j+1)), A = alpha + gamma and
+    # B = beta + delta; the alpha/gamma bottoms (class -1) weigh A.  At
+    # all-ones this is `counting.multiplicity`.
+    a, b, g, d = letters
+    big_a, big_b = a + g, b + d
+    tables = asep._slot_tables(8, a, b, g, d, 1, 1)
+    for r in range(9):
+        below_u, below_q = tables[r]
+        classes = {-1: big_a}
+        for row, bottom in ((below_q, b), (below_u, d)):
+            for (nb, nd), w in row.items():
+                classes[nb + nd] = classes.get(nb + nd, 0) + bottom * w
+        want = {-1: big_a} | {
+            j: big_b ** (j + 1) * (comb(r, j) + big_a * comb(r, j + 1))
+            for j in range(r + 1)
+        }
+        assert classes == want
+        if letters == (1, 1, 1, 1):
+            assert classes == {j: multiplicity(r, j) for j in range(-1, r + 1)}
 
 
 @pytest.mark.parametrize(

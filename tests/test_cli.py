@@ -634,6 +634,12 @@ _ASEP_PINNED = {
         "062552a8acb3085cbae4bd6e3b8cfd86271f279ec82794cf401715c266cd43b2",
     "5 stationary --exact":
         "f48b15d1e8148fb6e5f944fc8e04c483dd33a170944a271b01a848bf089ca0bb",
+    "6 stationary --exact":
+        "391ff97e29b71c9a327ce4de5a935169ed73f3cbe6817fd281462b1f4a85498e",
+    "7 stationary --exact":
+        "5731b1e4f769b928696d253d9bd56e3f423e6179bbbfbeb2fd43e21279928b9c",
+    "8 stationary --exact":
+        "2531b04e98eaeae9bf3a28a21b4c36c6501eb8612ede33543f4166732d396418",
     "1 verify --exact":
         "e8dcbb8281ddfbf99d413f5d4ae71739f238b721606c30f06173ea650c2b079c",
     "2 verify --exact":
@@ -644,6 +650,12 @@ _ASEP_PINNED = {
         "fa283a0c4cffcb7b364000fb7be1548fa5c4638175465a808f50a7ef9bb8fcc1",
     "5 verify --exact":
         "4cac5afcd981e7acc1f1cc429c12453d600d55acd39872fe1d37987726d7cd40",
+    "6 verify --exact":
+        "f1464988ac667d32071cc0b229c1486f72ba3cb2b474d52624deca49a8803f25",
+    "7 verify --exact":
+        "4c4df33ddf9baf0d6bae8619d6850adc7c32779926a75cfe56a61ba7e30f875f",
+    "8 verify --exact":
+        "d27dcf02388d05e4181c8e509df6b70d197328a16c66aa7e48dffe689a5ce863",
 }
 
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, repeat
-from math import factorial
+from itertools import accumulate, count, repeat
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +143,21 @@ def test_two_term_step_ends_with_the_shortest_input():
 @pytest.mark.parametrize("n", [*range(61), 199, 200])
 def test_v_row_equals_full_triangle_row(n):
     assert v_row(n) == build_V(n)[n]
+
+
+def test_v_row_prefix_sums_are_rounded_irwin_hall_sums():
+    # sum_{i<=j} V(n, i) = sum_{i<=j} (-1)**i C(n, i) (2j+1-2i)**n: the
+    # type-B analogue of Laplace's Irwin-Hall formula for Eulerian numbers,
+    # sharing nothing with the recurrence.
+    for n in range(61):
+        prefix = list(accumulate(v_row(n)))
+        assert prefix == [
+            sum(
+                (-1) ** i * comb(n, i) * (2 * j + 1 - 2 * i) ** n
+                for i in range(j + 1)
+            )
+            for j in range(n + 1)
+        ]
 
 
 @pytest.mark.parametrize(

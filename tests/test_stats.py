@@ -130,6 +130,24 @@ def test_moments_A_match_pmf(n):
         assert var == Fraction(n + 1, 12)
 
 
+def _central_moment(pmf, k, mean):
+    """sum_v (v - mean)**k p(v), exactly."""
+    total = sum((v - mean) ** k * w for v, w in zip(pmf.support(), pmf.weights))
+    return total / pmf.denominator
+
+
+def test_diagonal_cumulants_are_irwin_hall_plus_sheppard():
+    # kappa_2 = n/12 + 1/12 and kappa_4 = -n/120 - 1/120: the Irwin-Hall
+    # cumulants plus Sheppard's corrections for rounding.  kappa_4 takes
+    # this form only from n = 4 on.
+    for n in range(1, 61):
+        d = dist_A(n)
+        m2, m4 = (_central_moment(d, k, Fraction(n, 2)) for k in (2, 4))
+        if n >= 2:
+            assert m2 == Fraction(n + 1, 12)
+        assert (m4 - 3 * m2**2 == Fraction(-(n + 1), 120)) == (n >= 4), n
+
+
 # ----------------------------------------------------------------- sampling
 
 
