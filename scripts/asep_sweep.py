@@ -40,6 +40,8 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     ap.add_argument("--seed", type=int, default=20250823)
     ap.add_argument("--tol", type=float, default=1e-10)
     args = ap.parse_args(argv)
+    if args.seed < 0:
+        ap.error(f"--seed must be at least 0, got {args.seed}")
     if args.settings < 0:
         ap.error(f"--settings must be at least 0, got {args.settings}")
     if not 0 < args.tol < math.inf:

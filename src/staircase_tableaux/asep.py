@@ -15,11 +15,12 @@ tableaux whose type word is sigma evaluated at the chain parameters.
 `_type_weights` computes every Z_sigma, times one known denominator, by a
 column-growth transfer DP in integers, for n up to the chain's own cap of 8,
 and `partition_functions` returns them as `Fraction`s;
-`enumerated_partition_functions` sums over every tableau instead (n <= 6) and
-is the DP's exact oracle.  `stationary` solves for the law in floats, or
-returns Z_sigma / Z_n once it passes global balance exactly, in integers, on
-the moves (`_balance_defect`).  `verify_steady_state` checks the identity and
-reports the residual max |pi P - pi| alongside.
+`_enumerated_type_weights` sums over every tableau instead (n <= 6): it is
+the DP's exact oracle, and `asep-grid` compares the two integer rows.
+`stationary` solves for the law in floats, or returns Z_sigma / Z_n once it
+passes global balance exactly, in integers, on the moves (`_balance_defect`).
+`verify_steady_state` checks the identity and reports the residual
+max |pi P - pi| alongside.
 """
 
 from __future__ import annotations
@@ -337,29 +338,24 @@ def _type_weights(n: int, params: ASEPParams) -> list[int]:
     return sums
 
 
-def enumerated_partition_functions(
-    n: int, params: ASEPParams
-) -> tuple[Fraction, dict[str, Fraction]]:
-    """(Z_n, per-type Z_sigma) by full enumeration, for n <= 6.
+def _enumerated_type_weights(n: int, params: ASEPParams) -> list[int]:
+    """`_type_weights` by full enumeration, for n <= 6: the DP's exact oracle.
 
-    The exact oracle for `partition_functions`: it sums the weight monomial of
-    every tableau, so it shares nothing with the DP but the filling rules.
-    The monomials come from one walk per n (`_weight_census`); each distinct
-    one is evaluated once per setting, on the rates scaled to integers over
-    D.  Every monomial has degree n(n+1)/2, so each sum is an integer over
-    D**(n(n+1)/2), the DP's denominator.
+    It sums the weight monomial of every tableau, so it shares nothing with
+    the DP but the filling rules.  The monomials come from one walk per n
+    (`_weight_census`); each distinct one is evaluated once per setting, on
+    the rates scaled to integers over D.  Every monomial has degree
+    n(n+1)/2, so each sum is Z_sigma D**(n(n+1)/2), the DP's integer.
     """
     if not 1 <= n <= _ENUM_LIMIT:
         raise ValueError(
             f"enumeration-backed partition functions need n <= {_ENUM_LIMIT}, got {n}"
         )
-    den, (a, b, g, d, q, u) = params.scaled()
-    sums = {state_bits(s, n): 0 for s in range(1 << n)}
+    _, (a, b, g, d, q, u) = params.scaled()
+    sums = [0] * (1 << n)
     for (bits, w), count in _weight_census(n):
-        sums[bits] += count * w.evaluate(a, b, g, d, u, q)
-    scale = den ** (n * (n + 1) // 2)
-    by_type = {bits: Fraction(z, scale) for bits, z in sums.items()}
-    return Fraction(sum(sums.values()), scale), by_type
+        sums[int(bits, 2)] += count * w.evaluate(a, b, g, d, u, q)
+    return sums
 
 
 @lru_cache(maxsize=None)

@@ -23,11 +23,10 @@ from typing import Any, Callable, Sequence
 from .asep import (
     PARAMETER_GRID,
     _balance_defect,
+    _enumerated_type_weights,
     _steady_state_report,
     _type_weights,
     build_chain,
-    enumerated_partition_functions,
-    partition_functions,
     verify_steady_state,
 )
 from .core import StatVector, Tableau, _read_statistics, statistics
@@ -343,21 +342,18 @@ def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 def _asep(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     # The DP's Z values must equal the enumeration's exactly, setting by
     # setting; the chain identity then runs on the DP alone, in floats
-    # against the solve and exactly as a balance certificate, both legs on
-    # one `_type_weights` row per (setting, n) (the ranges keep
+    # against the solve and exactly as a balance certificate.  All three legs
+    # read one `_type_weights` row per (setting, n) (the ranges keep
     # z_oracle <= asep).
     mismatches = []
     worst = residual = 0.0
-    exact_defect = Fraction(0)
+    exact_defect = 0
     ok = True
     for k, params in enumerate(PARAMETER_GRID):
         for n in range(1, rg.asep + 1):
-            if n <= rg.z_oracle and (
-                partition_functions(n, params)
-                != enumerated_partition_functions(n, params)
-            ):
-                mismatches.append([k, n])
             chain, weights = build_chain(n, params), _type_weights(n, params)
+            if n <= rg.z_oracle and weights != _enumerated_type_weights(n, params):
+                mismatches.append([k, n])
             rep = _steady_state_report(chain, weights, 1e-10, exact=False)
             worst = max(worst, rep.max_deviation)
             residual = max(residual, rep.residual)
@@ -389,9 +385,11 @@ def verify_suite(
     n_max: int, seed: int = 0, names: Sequence[str] | None = None
 ) -> list[CheckResult]:
     """Run the checks in ``names`` (default: all, in registry order), each
-    timed, at the ranges ``n_max`` selects; ``seed`` drives the sampled
-    checks."""
+    timed, at the ranges ``n_max`` selects; ``seed`` (non-negative) drives
+    the sampled checks."""
     rg = _ranges(n_max)
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     selected = CHECK_NAMES if names is None else tuple(names)
     unknown = [name for name in selected if name not in _REGISTRY]
     if unknown:

@@ -192,15 +192,6 @@ class StatVector:
     b_diag: int
 
 
-def _rows(t: Tableau) -> dict[int, list[tuple[int, GreekSymbol]]]:
-    rows: dict[int, list[tuple[int, GreekSymbol]]] = {}
-    for (i, j), s in t.cells.items():
-        rows.setdefault(i, []).append((j, s))
-    for entries in rows.values():
-        entries.sort()
-    return rows
-
-
 def _leftmost(t: Tableau) -> dict[int, tuple[int, GreekSymbol]]:
     """Each row's first occupied box, as row -> (column, symbol)."""
     first: dict[int, tuple[int, GreekSymbol]] = {}
@@ -211,36 +202,32 @@ def _leftmost(t: Tableau) -> dict[int, tuple[int, GreekSymbol]]:
     return first
 
 
-def _columns(t: Tableau) -> dict[int, list[tuple[int, GreekSymbol]]]:
-    cols: dict[int, list[tuple[int, GreekSymbol]]] = {}
-    for (i, j), s in t.cells.items():
-        cols.setdefault(j, []).append((i, s))
-    for entries in cols.values():
-        entries.sort()
-    return cols
-
-
 def validate(t: Tableau) -> list[Violation]:
     """Check the three filling rules plus shape membership.
 
     Returns an empty list for a valid tableau.  Violations are reported per
-    offending box; a tableau may accumulate several.
+    offending box; a tableau may accumulate several.  Empty diagonal boxes
+    come first, top row first, then the offending boxes in (row, column)
+    order, so the list depends only on the tableau's value.  In that order
+    the first entry seen in a row is its leftmost and the first seen in a
+    column its topmost; a box outside the shape still counts as seen.
     """
-    out: list[Violation] = []
-    for cell in t.cells:
-        if not t.in_shape(cell):
-            out.append(Violation("cell-outside-shape", cell))
-    for i in range(1, t.n + 1):
-        if t.diagonal_cell(i) not in t.cells:
-            out.append(Violation("empty-diagonal", t.diagonal_cell(i)))
-    for i, entries in _rows(t).items():
-        for pos, (j, s) in enumerate(entries):
-            if s.is_bd and pos > 0 and t.in_shape((i, j)):
-                out.append(Violation("entry-left-of-bd", (i, j)))
-    for j, entries in _columns(t).items():
-        for pos, (i, s) in enumerate(entries):
-            if s.is_ag and pos > 0 and t.in_shape((i, j)):
-                out.append(Violation("entry-above-ag", (i, j)))
+    out = [
+        Violation("empty-diagonal", t.diagonal_cell(i))
+        for i in range(1, t.n + 1)
+        if t.diagonal_cell(i) not in t.cells
+    ]
+    rows: set[int] = set()
+    cols: set[int] = set()
+    for (i, j), s in sorted(t.cells.items()):
+        if not t.in_shape((i, j)):
+            out.append(Violation("cell-outside-shape", (i, j)))
+        elif s.is_bd and i in rows:
+            out.append(Violation("entry-left-of-bd", (i, j)))
+        elif s.is_ag and j in cols:
+            out.append(Violation("entry-above-ag", (i, j)))
+        rows.add(i)
+        cols.add(j)
     return out
 
 

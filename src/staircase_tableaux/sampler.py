@@ -11,7 +11,7 @@ where k columns remain and N is the completion count.  Within a class the
 slot subset and the individual symbols are uniform.  Every complete tableau
 then carries probability 1/(4**n n!) exactly; `probability_of` certifies
 this per tableau by replaying the branch and multiplying the stage
-probabilities as exact rationals.
+probabilities as integer (numerator, denominator) pairs.
 
 The class is drawn lazily.  x is drawn below the closed-form total
 4k (2k+1)**r, and the classes are walked in the order j = -1, 0, 1, ...,
@@ -265,6 +265,8 @@ def _stream(n: int, count: int, seed: int) -> random.Random:
         raise ValueError(
             f"need n * count <= {_COLUMN_LIMIT} columns, got {n * count}"
         )
+    if seed < 0:  # `random.Random` would draw the stream of -seed
+        raise ValueError(f"need seed >= 0, got {seed}")
     return random.Random(seed)
 
 
@@ -297,29 +299,26 @@ def sample_statistics(n: int, count: int, seed: int) -> list[StatVector]:
     return out
 
 
-def _fill_probability(k: int, r: int, fill: ColumnFill) -> Fraction:
-    """Probability that the column draw at (k, r) produces exactly `fill`,
-    accumulated stage by stage (class, subclass, subset, symbols)."""
-    total = completion_count(k, r)
+def _fill_probability(k: int, r: int, fill: ColumnFill) -> tuple[int, int]:
+    """Probability that the column draw at (k, r) produces exactly `fill`, as
+    an unreduced integer (numerator, denominator) pair, accumulated stage by
+    stage (class, subclass, subset, symbols)."""
     j = -fill.r_change
     move_mult = multiplicity(r, j)
-    p = Fraction(move_mult * completion_count(k - 1, r - j), total)
+    num, den = move_mult * completion_count(k - 1, r - j), completion_count(k, r)
     if j < 0:
-        return p * Fraction(1, 2)
+        return num, den * 2
     if fill.has_ag_upper:
-        p *= Fraction(with_ag_multiplicity(r, j), move_mult)
-        p *= Fraction(1, comb(r, j + 1))
-        p *= Fraction(1, 2 ** (j + 2))
+        sub, subsets, coins = with_ag_multiplicity(r, j), comb(r, j + 1), 2 ** (j + 2)
     else:
-        p *= Fraction(bd_only_multiplicity(r, j), move_mult)
-        p *= Fraction(1, comb(r, j))
-        p *= Fraction(1, 2 ** (j + 1))
-    return p
+        sub, subsets, coins = bd_only_multiplicity(r, j), comb(r, j), 2 ** (j + 1)
+    return num * sub, den * move_mult * subsets * coins
 
 
 def probability_of(n: int, t: Tableau) -> Fraction:
     """Replay the growth of `t` and multiply its branch probabilities.
 
+    The stages multiply as integer pairs, made one `Fraction` at the return.
     For a valid size-n tableau the product must come out to 1/(4**n n!), and
     it does for any tableau that decomposes: each stage cancels (mult/mult,
     sub/(C 2**m) = 1) to N(k-1, r-j) / N(k, r), and these telescope.  So
@@ -330,11 +329,11 @@ def probability_of(n: int, t: Tableau) -> Fraction:
     """
     if t.n != n:
         raise ValueError(f"tableau has size {t.n}, expected {n}")
-    prob = Fraction(1)
+    num = den = 1
     current = t
     for m in range(n, 0, -1):
         parent, fill = split_first_column(current)
-        r = len(ag_row_indices(parent))
-        prob *= _fill_probability(n - m + 1, r, fill)
+        stage = _fill_probability(n - m + 1, len(ag_row_indices(parent)), fill)
+        num, den = num * stage[0], den * stage[1]
         current = parent
-    return prob
+    return Fraction(num, den)

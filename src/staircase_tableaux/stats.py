@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import factorial
+from math import factorial, lcm
 from statistics import NormalDist
 from typing import Sequence
 
@@ -79,6 +79,8 @@ def draw_integers(
     """Categorical draws proportional to integer weights, bias-free."""
     if count < 0:
         raise ValueError(f"need count >= 0, got {count}")
+    if seed < 0:  # `random.Random` would draw the stream of -seed
+        raise ValueError(f"need seed >= 0, got {seed}")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
     cum = list(accumulate(weights))
@@ -92,10 +94,11 @@ def draw_integers(
 
 
 def harmonic_pair(n: int) -> tuple[Fraction, Fraction]:
-    """(H_n, H_n^(2)): the harmonic and generalized harmonic numbers, exact."""
-    h1 = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
-    h2 = sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
-    return h1, h2
+    """(H_n, H_n^(2)): the harmonic and generalized harmonic numbers, exact,
+    from integer sums over L = lcm(1..n) and L**2."""
+    big_l = lcm(*range(1, n + 1))
+    parts = [big_l // k for k in range(1, n + 1)]
+    return Fraction(sum(parts), big_l), Fraction(sum(p * p for p in parts), big_l**2)
 
 
 def pgf_r(n: int) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ from staircase_tableaux.asep import (
     PARAMETER_GRID,
     ReducibleChainError,
     build_chain,
-    enumerated_partition_functions,
     partition_functions,
     state_bits,
     stationary,
@@ -229,7 +228,7 @@ def test_partition_functions_size_guard():
     with pytest.raises(ValueError):
         partition_functions(0, GENERIC)
     with pytest.raises(ValueError):
-        enumerated_partition_functions(7, GENERIC)
+        asep._enumerated_type_weights(7, GENERIC)
 
 
 @pytest.mark.parametrize("boundary", [("2/3", "1/5", "3/7", "1/9"), ("1",) * 4])
@@ -286,8 +285,8 @@ def test_slot_tables_at_q_equal_u_equal_one_are_the_class_table(letters):
 def test_dp_equals_enumeration_oracle(rates):
     p = ASEPParams.from_strings(*rates)
     for n in range(1, 5):
-        total, by_type = partition_functions(n, p)
-        assert (total, by_type) == enumerated_partition_functions(n, p)
+        by_type = partition_functions(n, p)[1]
+        assert asep._type_weights(n, p) == asep._enumerated_type_weights(n, p)
         assert all(type(z) is Fraction for z in by_type.values())
 
 
@@ -298,8 +297,8 @@ def test_oracle_walks_each_size_once_for_every_setting(monkeypatch):
         asep, "enumerate_all", lambda n, visit: walks.append(n) or real(n, visit)
     )
     asep._weight_census.cache_clear()
-    enumerated_partition_functions(3, PARAMETER_GRID[0])
-    enumerated_partition_functions(3, PARAMETER_GRID[1])
+    asep._enumerated_type_weights(3, PARAMETER_GRID[0])
+    asep._enumerated_type_weights(3, PARAMETER_GRID[1])
     assert walks == [3]
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import staircase_tableaux
-from staircase_tableaux import counting
+from staircase_tableaux import checks, counting
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import (
     SEED_ENV,
@@ -823,6 +823,15 @@ def test_verify_suite_rejects_bad_input():
         verify_suite(7)
     with pytest.raises(ValueError):
         verify_suite(2, names=["no-such-check"])
+
+
+def test_verify_suite_refuses_a_negative_seed_before_any_check(monkeypatch):
+    # `random.Random` seeds with |seed|, so -5 would run the checks of 5.
+    monkeypatch.setattr(checks, "_REGISTRY", {
+        name: lambda rg, seed: pytest.fail("a check ran") for name in CHECK_NAMES
+    })
+    with pytest.raises(ValueError, match=r"^need seed >= 0, got -5$"):
+        verify_suite(2, seed=-5)
 
 
 # ------------------------------------------------------------ output paths

@@ -11,12 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import staircase_tableaux
-from staircase_tableaux import core
-from staircase_tableaux.asep import (
-    PARAMETER_GRID,
-    enumerated_partition_functions,
-    partition_functions,
-)
+from staircase_tableaux import asep, core
+from staircase_tableaux.asep import PARAMETER_GRID, partition_functions
 from staircase_tableaux.core import (
     GreekSymbol,
     InvalidTableauError,
@@ -91,6 +87,40 @@ def test_cell_outside_shape_is_flagged():
     assert any(v.rule == "cell-outside-shape" for v in validate(t))
 
 
+def test_validate_depends_only_on_the_tableau_value():
+    # Empty diagonal boxes first, then the offending boxes in (row, column)
+    # order, whatever order the cells were inserted in.
+    cells = {
+        (4, 1): B, (2, 1): G, (1, 2): B, (3, 2): A, (2, 2): D, (1, 1): A,
+    }
+    forward = Tableau(3, cells)
+    backward = Tableau(3, dict(reversed(cells.items())))
+    assert forward == backward
+    assert validate(forward) == validate(backward) == [
+        core.Violation("empty-diagonal", (1, 3)),
+        core.Violation("empty-diagonal", (3, 1)),
+        core.Violation("entry-left-of-bd", (1, 2)),
+        core.Violation("entry-above-ag", (2, 1)),
+        core.Violation("entry-left-of-bd", (2, 2)),
+        core.Violation("cell-outside-shape", (3, 2)),
+        core.Violation("cell-outside-shape", (4, 1)),
+    ]
+
+
+@given(
+    n=st.integers(0, 4),
+    cells=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.sampled_from(list(GreekSymbol)),
+        max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_validate_ignores_the_insertion_order(n, cells):
+    reordered = dict(reversed(cells.items()))
+    assert validate(Tableau(n, cells)) == validate(Tableau(n, reordered))
+
+
 @pytest.mark.parametrize(
     "fn", [statistics, type_word, weight], ids=["statistics", "type_word", "weight"]
 )
@@ -125,7 +155,7 @@ def validate_calls(monkeypatch):
     [
         lambda: enumerate_all(3, statistics),
         lambda: sample_statistics(4, 50, 1),
-        lambda: enumerated_partition_functions(2, PARAMETER_GRID[0]),
+        lambda: asep._enumerated_type_weights(2, PARAMETER_GRID[0]),
     ],
     ids=["walk", "sampler", "partition-functions"],
 )

@@ -237,6 +237,21 @@ def test_iter_samples_refuses_at_the_call(n, count):
         iter_samples(n, count, seed=1)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [iter_samples, sample_many, sample_statistics,
+     lambda n, count, seed: sample_uniform(n, seed)],
+    ids=["iter_samples", "sample_many", "sample_statistics", "sample_uniform"],
+)
+def test_negative_seeds_are_refused_before_any_draw(draw, monkeypatch):
+    # `random.Random` seeds with |seed|, so -7 would draw the stream of 7.
+    monkeypatch.setattr(
+        sampler.random, "Random", lambda seed: pytest.fail("a stream was seeded")
+    )
+    with pytest.raises(ValueError, match=r"^need seed >= 0, got -7$"):
+        draw(4, 2, -7)
+
+
 @pytest.mark.parametrize("n, count, seed", [(1, 5, 0), (5, 40, 3), (13, 6, 21)])
 def test_sample_many_is_the_listed_stream(n, count, seed):
     lazy = iter_samples(n, count, seed)

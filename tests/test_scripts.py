@@ -46,6 +46,7 @@ def test_script_runs_to_exit_zero(script, args, tmp_path):
         ("asep_sweep.py", ["--tol", "inf"]),
         ("asep_sweep.py", ["--settings", "-1"]),
         ("clt_diagonal.py", ["--sizes", "5", "--out", "{tmp}/missing/x.csv"]),
+        ("asep_sweep.py", ["--seed", "-1"]),
     ],
 )
 def test_script_refuses_bad_inputs_before_any_work(script, args, tmp_path):

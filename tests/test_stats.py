@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from staircase_tableaux import stats
 from staircase_tableaux.stats import (
     ExactPMF,
     clt_check,
@@ -63,6 +64,14 @@ def test_moments_r_golden_and_formula():
 
 def test_harmonic_pair_small_values():
     assert harmonic_pair(4) == (Fraction(25, 12), Fraction(205, 144))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 13, 50, 300])
+def test_harmonic_pair_is_the_sum_of_fractions(n):
+    h1 = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+    h2 = sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
+    assert harmonic_pair(n) == (h1, h2)
+    assert all(type(h) is Fraction for h in harmonic_pair(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 30])
@@ -204,6 +213,23 @@ def test_draw_integers_rejects_weights_without_a_distribution(weights):
 def test_negative_draw_counts_are_refused(draw, count):
     with pytest.raises(ValueError, match=f"^need count >= 0, got {count}$"):
         draw(count)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: draw_integers((1, 2), 5, seed),
+        lambda seed: dist_r(9).sample(5, seed),
+    ],
+    ids=["draw_integers", "ExactPMF.sample"],
+)
+def test_negative_seeds_are_refused_before_any_draw(draw, monkeypatch):
+    # `random.Random` seeds with |seed|, so -3 would draw the stream of 3.
+    monkeypatch.setattr(
+        stats.random, "Random", lambda seed: pytest.fail("a stream was seeded")
+    )
+    with pytest.raises(ValueError, match=r"^need seed >= 0, got -3$"):
+        draw(-3)
 
 
 def test_zero_draws_are_an_empty_list():
