@@ -45,17 +45,13 @@ from .polyengine import (
 )
 from .sampler import probability_of, sample_statistics
 from .stats import (
+    STATISTICS,
     ExactPMF,
     clt_check,
     dist_A,
-    dist_B,
-    dist_delta,
-    dist_gamma,
     dist_r,
-    harmonic_pair,
     kolmogorov_distance,
     moments_A,
-    moments_delta,
     moments_r,
     pgf_r,
 )
@@ -163,19 +159,20 @@ def _cardinality(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("r-histogram")
 def _r_histogram(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """The r histogram against pgf_r, and the gamma histogram against
-    dist_gamma, each scaled by the tableau count 4**n n! = 2**n (2**n n!)."""
+    """The r histogram against pgf_r and every statistic's histogram against
+    its law, each scaled by the tableau count 4**n n! = 2**n (2**n n!)."""
     bad = []
     for n in range(1, rg.enum + 1):
-        total = total_count(n)
-        r_hist, pgf = _marginal(n, "r"), pgf_r(n)
-        gamma_hist, gamma = _marginal(n, "gamma"), dist_gamma(n)
+        total, pgf = total_count(n), pgf_r(n)
+        r_hist = _marginal(n, "r")
         bad += [("r", n, v) for v in range(n + 1) if r_hist[v] != 2**n * pgf[v]]
-        bad += [
-            ("gamma", n, v)
-            for v in range(n + 1)
-            if gamma_hist[v] != gamma.p(v) * total
-        ]
+        for name, stat in STATISTICS.items():
+            hist, law = _marginal(n, stat.field), stat.law(n)
+            bad += [
+                (name, n, v)
+                for v, w in zip(law.support(), law.weights)
+                if hist[v] * law.denominator != w * total
+            ]
     return _verdict(bad, max_n=rg.enum)
 
 
@@ -191,17 +188,19 @@ def _bernoulli(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("r-moments")
 def _r_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """moments_r against running sums of the Bernoulli(1/(2k)) means and
+    variances, then every statistic's moments against its law's."""
     bad = []
+    mean = var = Fraction(0)
     for n in range(1, rg.sweep + 1):
-        h1, h2 = harmonic_pair(n)
-        want = (h1 / 2, h1 / 2 - h2 / 4)
-        if moments_r(n) != want:
+        p = Fraction(1, 2 * n)
+        mean, var = mean + p, var + p * (1 - p)
+        if moments_r(n) != (mean, var):
             bad.append(("r-closed", n))
-        pmf = dist_r(n)
-        if (pmf.mean(), pmf.variance()) != want:
-            bad.append(("r-pmf", n))
-        if moments_delta(n)[0] != n - h1 / 2 or dist_delta(n).mean() != n - want[0]:
-            bad.append(("delta-mean", n))
+        for name, stat in STATISTICS.items():
+            law = stat.law(n)
+            if (law.mean(), law.variance()) != stat.moments(n):
+                bad.append((name, n))
     return _verdict(bad, max_n=rg.sweep)
 
 
@@ -226,19 +225,19 @@ def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("diagonal-distribution")
 def _diagonal_distribution(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """The a_diag and b_diag histograms and laws against the V row."""
     bad = []
     for n in range(1, rg.enum + 1):
-        a_hist, b_hist = _marginal(n, "a_diag"), _marginal(n, "b_diag")
-        total = total_count(n)
-        row = build_V(n)[n]
-        da, db = dist_A(n), dist_B(n)
+        total, row = total_count(n), build_V(n)[n]
+        reads = [
+            (_marginal(n, stat.field), stat.law(n))
+            for stat in (STATISTICS["a"], STATISTICS["b"])
+        ]
         for m in range(n + 1):
             want = 2**n * row[m]
-            if (
-                a_hist[m] != want
-                or b_hist[m] != want
-                or da.p(m) != Fraction(want, total)
-                or db.p(m) != Fraction(want, total)
+            if any(
+                hist[m] != want or law.p(m) != Fraction(want, total)
+                for hist, law in reads
             ):
                 bad.append((n, m))
     return _verdict(bad, max_n=rg.enum)
@@ -286,6 +285,9 @@ def _triangles(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("bivariate-series")
 def _series(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """The series expansion against the V rows.  The `pole_constants` leg
+    certifies only a three-term series inversion of s/(e^s - 1), not the
+    tableaux or their laws."""
     rep = bivariate_series_check(12)
     poles = pole_constants()
     ok = rep.ok and poles == (Fraction(1), Fraction(-1, 2), Fraction(1, 6))

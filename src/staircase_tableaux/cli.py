@@ -71,17 +71,9 @@ from .polyengine import (
 # `bench/layers.py` wraps it as `cli.build_c`.
 from .polyengine import build_c  # noqa: F401
 from .sampler import RNG_ID, iter_samples, sample_statistics
-from .stats import (
-    ExactPMF,
-    dist_A,
-    dist_B,
-    dist_delta,
-    dist_gamma,
-    dist_r,
-    moments_A,
-    moments_delta,
-    moments_r,
-)
+from .stats import STATISTICS, ExactPMF
+# `bench/layers.py` wraps `cli.dist_r` and `cli.dist_A`, so both stay bound.
+from .stats import dist_A, dist_r  # noqa: F401
 
 SCHEMA = "staircase-tableaux/1"
 SEED_ENV = "STAIRCASE_TABLEAUX_SEED"
@@ -99,20 +91,8 @@ _DIST_LIMIT = 1000
 _TRIANGLE_LIMIT = 200
 _Z_ORDER_LIMIT = 100
 
-_DIST_FNS = {
-    "r": dist_r,
-    "delta": dist_delta,
-    "gamma": dist_gamma,
-    "a": dist_A,
-    "b": dist_B,
-}
-_MOMENT_FNS = {
-    "r": moments_r,
-    "delta": moments_delta,
-    "gamma": moments_delta,
-    "a": moments_A,
-    "b": moments_A,
-}
+# `dist` reads each law here, where `bench/layers.py` wraps the r and a slots.
+_DIST_FNS = {name: s.law for name, s in STATISTICS.items()}
 
 # --------------------------------------------------------------------------
 # output plumbing
@@ -385,7 +365,7 @@ def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
     _check_stat_size(args.n)
-    mean, variance = _MOMENT_FNS[args.stat](args.n)
+    mean, variance = STATISTICS[args.stat].moments(args.n)
     if args.fmt == "csv":
         rows = [
             ("mean", mean.numerator, mean.denominator),
@@ -558,12 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, _cmd_sample, ("text", "csv", "json"))
 
     p = sub.add_parser("dist", help="exact law of a tableau statistic")
-    p.add_argument("--stat", choices=sorted(_DIST_FNS), required=True)
+    p.add_argument("--stat", choices=sorted(STATISTICS), required=True)
     p.add_argument("--n", type=int, required=True)
     add_common(p, _cmd_dist, ("text", "csv", "json"))
 
     p = sub.add_parser("moments", help="exact mean and variance of a statistic")
-    p.add_argument("--stat", choices=sorted(_MOMENT_FNS), required=True)
+    p.add_argument("--stat", choices=sorted(STATISTICS), required=True)
     p.add_argument("--n", type=int, required=True)
     add_common(p, _cmd_moments, ("text", "csv", "json"))
 

@@ -5,11 +5,13 @@ of independent Bernoulli variables J_k with P(J_k = 1) = 1/(2k), giving the
 probability generating function prod_k (z + 2k - 1)/(2k) and harmonic-number
 moments.  The beta/delta total is n - r exactly, the alpha/gamma total shares
 its law by transposition, and both diagonal statistics follow the type-B
-Eulerian law V(n, m)/(2**n n!).  Every law is held as integer weights over
-the one denominator 2**n n! (the coefficients of prod_k (z + 2k - 1), or the
-V row), and `Fraction` appears only where a probability or moment is read
-out.  `kolmogorov_distance` reads a law's distance to its normal limit in
-floats, from the exact integer CDF; `clt_check` runs it on samples.
+Eulerian law V(n, m)/(2**n n!).  `STATISTICS`, keyed by CLI name, is the one
+table of statistics: each entry's `StatVector` field, law and moments.  Every
+law is held as integer weights over the one denominator 2**n n! (the
+coefficients of prod_k (z + 2k - 1), or the V row), and `Fraction` appears
+only where a probability or moment is read out.  `kolmogorov_distance` reads
+a law's distance to its normal limit in floats, from the exact integer CDF;
+`clt_check` runs it on samples.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import factorial, lcm
 from statistics import NormalDist
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polyengine import convolve, two_term_step, v_row
 
@@ -146,11 +148,6 @@ def dist_delta(n: int) -> ExactPMF:
     return ExactPMF(0, base.weights[::-1], base.denominator)
 
 
-def dist_gamma(n: int) -> ExactPMF:
-    """Law of the alpha/gamma total; equals dist_delta by transposition."""
-    return dist_delta(n)
-
-
 def moments_delta(n: int) -> tuple[Fraction, Fraction]:
     mean, var = moments_r(n)
     return n - mean, var
@@ -160,11 +157,6 @@ def dist_A(n: int) -> ExactPMF:
     """Diagonal alpha/gamma count: V(n, m) / (2**n n!)."""
     _need_positive(n)
     return ExactPMF(0, v_row(n), 2**n * factorial(n))
-
-
-def dist_B(n: int) -> ExactPMF:
-    """Diagonal beta/delta count; shares the law of dist_A (symmetric row)."""
-    return dist_A(n)
 
 
 def moments_A(n: int) -> tuple[Fraction, Fraction]:
@@ -178,6 +170,26 @@ def moments_A(n: int) -> tuple[Fraction, Fraction]:
     if n == 1:
         return Fraction(1, 2), Fraction(1, 4)
     return Fraction(n, 2), Fraction(n + 1, 12)
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """A `StatVector` field with its exact law and its (mean, variance)."""
+
+    field: str
+    law: Callable[[int], ExactPMF]
+    moments: Callable[[int], tuple[Fraction, Fraction]]
+
+
+#: Each statistic by its CLI name.  gamma shares delta's law by transposition
+#: and b shares a's (the V row is symmetric), so they point at that one law.
+STATISTICS: dict[str, Statistic] = {
+    "r": Statistic("r", dist_r, moments_r),
+    "delta": Statistic("delta", dist_delta, moments_delta),
+    "gamma": Statistic("gamma", dist_delta, moments_delta),
+    "a": Statistic("a_diag", dist_A, moments_A),
+    "b": Statistic("b_diag", dist_A, moments_A),
+}
 
 
 def kolmogorov_distance(pmf: ExactPMF, mean: float, sd: float) -> float:

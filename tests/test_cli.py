@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,8 +30,8 @@ from staircase_tableaux.cli import (
     build_parser,
     main,
 )
-from staircase_tableaux.core import from_text, statistics, validate
-from staircase_tableaux.stats import ExactPMF
+from staircase_tableaux.core import StatVector, from_text, statistics, validate
+from staircase_tableaux.stats import STATISTICS, ExactPMF
 
 
 def run(capsys, *argv):
@@ -187,6 +189,23 @@ def test_statistic_laws_reject_n_below_one(capsys, command, stat, n):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: need n >= 1, got {n}\n"
+
+
+def test_statistic_choices_come_from_the_one_table():
+    # A statistic added to `stats.STATISTICS` reaches both subcommands, and
+    # the table and `StatVector` name the same fields.
+    assert {s.field for s in STATISTICS.values()} == {
+        f.name for f in dataclasses.fields(StatVector)
+    }
+    subcommands = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for command in ("dist", "moments"):
+        (stat,) = [
+            a for a in subcommands[command]._actions if a.dest == "stat"
+        ]
+        assert list(stat.choices) == sorted(STATISTICS)
 
 
 def test_triangles_csv_has_the_whitney_row(capsys):

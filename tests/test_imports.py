@@ -5,9 +5,10 @@ imported or run.  Exempt are ``__future__`` imports, the re-exports a
 module lists in ``__all__`` (those of ``__init__.py``) and the names that
 ``bench/layers.py`` wraps in a module's namespace (``pkg.mod:name``), which
 stay bound for the traced benchmark run even where the module itself no
-longer calls them (today ``sampler.statistics`` and ``cli.build_c``).  The
-layer table is read as ``tests/test_bench_targets.py`` reads it, so nothing
-is written under ``bench/``.
+longer calls them (today ``sampler.statistics``, ``cli.build_c``,
+``cli.dist_r`` and ``cli.dist_A``).  The layer table is read as
+``tests/test_bench_targets.py`` reads it, so nothing is written under
+``bench/``.
 """
 
 from __future__ import annotations

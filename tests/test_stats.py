@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import stats
 from staircase_tableaux.stats import (
+    STATISTICS,
     ExactPMF,
     clt_check,
     dist_A,
-    dist_B,
     dist_delta,
-    dist_gamma,
     dist_r,
     draw_integers,
     harmonic_pair,
@@ -95,7 +94,7 @@ def test_delta_is_r_reflected(n):
 
 def test_gamma_shares_delta_law():
     for n in (1, 2, 5, 9):
-        assert dist_gamma(n).probs == dist_delta(n).probs
+        assert STATISTICS["gamma"].law(n).probs == dist_delta(n).probs
 
 
 def test_moments_delta_formula():
@@ -121,7 +120,7 @@ def test_dist_A_three_golden():
 
 def test_dist_B_equals_dist_A():
     for n in (1, 2, 6):
-        assert dist_B(n).probs == dist_A(n).probs
+        assert STATISTICS["b"].law(n).probs == dist_A(n).probs
 
 
 def test_moments_A_one_is_the_exception():
