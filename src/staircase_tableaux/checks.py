@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, sqrt
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from .asep import (
@@ -314,21 +315,24 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("sampler-chi-square")
 def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """Every statistic's histogram from one sampled run against its law."""
     from scipy.stats import chi2 as chi2_dist
 
     n, draws = rg.enum, rg.chi_draws
-    hist = Counter(s.r for s in sample_statistics(n, draws, seed))
-    pmf = dist_r(n)
-    chi2 = sum(
-        (hist[v] - draws * float(pmf.p(v))) ** 2 / (draws * float(pmf.p(v)))
-        for v in pmf.support()
-    )
-    p_value = float(chi2_dist.sf(chi2, len(pmf.support()) - 1))
+    sampled = sample_statistics(n, draws, seed)
+    legs = {}
+    for name, stat in STATISTICS.items():
+        hist = Counter(map(attrgetter(stat.field), sampled))
+        law = stat.law(n)
+        want = {v: draws * float(law.p(v)) for v in law.support()}
+        chi2 = sum((hist[v] - e) ** 2 / e for v, e in want.items())
+        p_value = float(chi2_dist.sf(chi2, len(want) - 1))
+        legs[name] = {"chi2": chi2, "p_value": p_value}
     measured: dict[str, Any] = {
-        "n": n, "draws": draws, "chi2": chi2, "p_value": p_value,
+        "n": n, "draws": draws, **legs["r"], "legs": legs,
         "ks_n": rg.ks_n, "ks_draws": None, "ks": None, "ks_exact": None,
     }
-    ok = p_value > 1e-3
+    ok = all(leg["p_value"] > 1e-3 for leg in legs.values())
     if rg.ks_n is not None:
         mean, var = moments_A(rg.ks_n)
         ks_draws, law = 10**5, dist_A(rg.ks_n)

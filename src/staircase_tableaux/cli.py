@@ -37,11 +37,12 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
@@ -270,11 +271,12 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-_STAT_HEADER = ("n", "r", "delta", "gamma", "a_diag", "b_diag")
+_STAT_HEADER = ("n", *(f.name for f in fields(StatVector)))
+_stat_values = attrgetter(*_STAT_HEADER[1:])
 
 
-def _stat_row(n: int, s: StatVector) -> tuple[int, int, int, int, int, int]:
-    return (n, s.r, s.delta, s.gamma, s.a_diag, s.b_diag)
+def _stat_row(n: int, s: StatVector) -> tuple[int, ...]:
+    return (n, *_stat_values(s))
 
 
 def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:

@@ -13,19 +13,19 @@ Boxes of the new column at non-AG rows stay empty (anything there would sit
 left of that row's beta/delta).  Upper boxes are addressed by slot index
 1..r counting AG rows from the bottom.  Every tableau arises from exactly
 one fill sequence, which is what makes the DFS below an exact enumeration
-and gives the sampler its uniformity.  `_place` writes a fill for `extend`,
-the sampler and the walk's interior columns.  The walk's last column is read
-from two cached tables that every walk shares: `_leaf_items` holds the cells
-each fill writes there, keyed by the AG rows, and `_leaf_stats` the
-`StatVector` of each leaf, keyed by three counts the walk keeps along the
-path (the AG rows, the alpha/gamma entries and the diagonal ones) and the
-number of cells.  The tableaux the walk and the sampler finish are valid by
-construction, so `core._grown` builds them marked as checked, and they are
-never validated; `_place` takes a fill's two parts, so the sampler writes
-the (bottom, upper) pairs it draws without building a `ColumnFill`.  Each
-tableau the visitor walk yields is also stamped with its `StatVector`
-rather than read back from the cells; the sampler's tableaux are not
-stamped.
+and gives the sampler its uniformity.  `_place` is the one code that writes
+a fill: for `extend`, the sampler and every column of the walk.  The walk's
+last column is read from two cached tables that every walk shares:
+`_leaf_items` holds the cells `_place` writes there, keyed by the AG rows,
+and `_leaf_stats` the `StatVector` of each leaf, keyed by three counts the
+walk keeps along the path (the AG rows, the alpha/gamma entries and the
+diagonal ones) and the number of cells.  The tableaux the walk and the
+sampler finish are valid by construction, so `core._grown` builds them
+marked as checked, and they are never validated; `_place` takes a fill's two
+parts, so the sampler writes the (bottom, upper) pairs it draws without
+building a `ColumnFill`.  Each tableau the visitor walk yields is also
+stamped with its `StatVector` rather than read back from the cells; the
+sampler's tableaux are not stamped.
 """
 
 from __future__ import annotations
@@ -82,15 +82,17 @@ class ColumnFill:
 
     @property
     def has_ag_upper(self) -> bool:
-        return any(s.is_ag for _, s in self.upper)
+        # An alpha/gamma upper entry can only be the topmost one.
+        return bool(self.upper) and self.upper[-1][1].is_ag
 
     @property
     def r_change(self) -> int:
         """Change in the AG-row count when this fill is applied: -j for a
-        fill in class j of `counting`."""
+        fill in class j of `counting`.  Each beta/delta upper entry covers
+        one AG row."""
         if self.bottom.is_ag:
             return 1
-        return -sum(1 for _, s in self.upper if s.is_bd)
+        return self.has_ag_upper - len(self.upper)
 
 
 @lru_cache(maxsize=None)
@@ -123,26 +125,15 @@ def legal_fills(r: int) -> tuple[ColumnFill, ...]:
 
 
 @lru_cache(maxsize=None)
-def _stamped_fills(r: int) -> tuple[tuple[ColumnFill, int, int, int], ...]:
-    """`legal_fills(r)`, each with its `r_change`, the alpha/gamma entries it
-    writes and the alpha/gamma entries it writes on the diagonal (its bottom
-    box): the table the walk's interior steps and `_leaf_stats` read."""
-    return tuple(
-        (f, f.r_change, f.bottom.is_ag + f.has_ag_upper, int(f.bottom.is_ag))
-        for f in legal_fills(r)
-    )
-
-
-@lru_cache(maxsize=None)
 def _leaf_items(n: int, ag_rows: tuple[int, ...]) -> tuple[dict, ...]:
-    """Per fill of `legal_fills`, the cells it writes into a size-n walk's
-    last column above the AG rows `ag_rows`, in `_place`'s order (dicts:
+    """Per fill of `legal_fills`, the cells `_place` writes into a size-n
+    walk's last column above the AG rows `ag_rows`, in its order (dicts:
     `dict.update` copies them fastest)."""
-    bottom, above = (n, 1), [(row, 1) for row in ag_rows]
-    return tuple(
-        {bottom: f.bottom, **{above[-k]: s for k, s in f.upper}}
-        for f in legal_fills(len(ag_rows))
-    )
+    fills = legal_fills(len(ag_rows))
+    columns = tuple({} for _ in fills)
+    for column, f in zip(columns, fills):
+        _place(column, list(ag_rows), n, 1, f.bottom, f.upper)
+    return columns
 
 
 @lru_cache(maxsize=None)
@@ -151,8 +142,11 @@ def _leaf_stats(n: int, r: int, n_ag: int, size: int, a_diag: int) -> tuple:
     when the path has r AG rows, n_ag alpha/gamma entries (a_diag on the
     diagonal) and `size` cells."""
     return tuple(
-        _stat_vector(n, r + dr, size + 1 + len(f.upper), n_ag + d_ag, a_diag + d_diag)
-        for f, dr, d_ag, d_diag in _stamped_fills(r)
+        _stat_vector(
+            n, r + f.r_change, size + 1 + len(f.upper),
+            n_ag + f.bottom.is_ag + f.has_ag_upper, a_diag + f.bottom.is_ag,
+        )
+        for f in legal_fills(r)
     )
 
 
@@ -256,12 +250,12 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
             count += len(items)
             return
         depth = len(cells)
-        for fill, _, d_ag, d_diag in _stamped_fills(r):
+        for fill in legal_fills(r):
             rec(
                 m + 1,
                 _place(cells, ag_rows, m + 1, n - m, fill.bottom, fill.upper),
-                n_ag + d_ag,
-                a_diag + d_diag,
+                n_ag + fill.bottom.is_ag + fill.has_ag_upper,
+                a_diag + fill.bottom.is_ag,
             )
             # Dicts pop in reverse insertion order: this undoes the step.
             while len(cells) > depth:

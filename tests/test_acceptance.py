@@ -17,6 +17,7 @@ import pytest
 
 from staircase_tableaux.asep import PARAMETER_GRID
 from staircase_tableaux.checks import CheckResult, verify_suite
+from staircase_tableaux.stats import STATISTICS
 
 SEED = 20250823
 
@@ -123,17 +124,21 @@ def test_c11_sampled_statistics_match_the_limit_laws():
     pytest.importorskip("scipy.stats")
     res = _run("sampler-chi-square")
     m = res.measured
+    worst = min(leg["p_value"] for leg in m["legs"].values())
     ok = (
         res.passed
         and (m["n"], m["draws"]) == (5, 10**5)
         and m["p_value"] > 0.001
+        and set(m["legs"]) == set(STATISTICS)
+        and worst > 0.001
         and (m["ks_n"], m["ks_draws"]) == (2000, 10**5)
         and m["ks"] < 0.01
     )
     _report(
         ok,
         "sampler-statistics",
-        f"chi2={m['chi2']:.3f} p={m['p_value']:.4f}; ks={m['ks']:.5f} "
+        f"chi2={m['chi2']:.3f} p={m['p_value']:.4f} (worst leg {worst:.4f}); "
+        f"ks={m['ks']:.5f} "
         f"(exact {m['ks_exact']:.2e})",
     )
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import staircase_tableaux
-from staircase_tableaux import checks, counting
+from staircase_tableaux import checks, cli, counting
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import (
     SEED_ENV,
@@ -194,9 +194,10 @@ def test_statistic_laws_reject_n_below_one(capsys, command, stat, n):
 def test_statistic_choices_come_from_the_one_table():
     # A statistic added to `stats.STATISTICS` reaches both subcommands, and
     # the table and `StatVector` name the same fields.
-    assert {s.field for s in STATISTICS.values()} == {
-        f.name for f in dataclasses.fields(StatVector)
-    }
+    fields = tuple(f.name for f in dataclasses.fields(StatVector))
+    assert {s.field for s in STATISTICS.values()} == set(fields)
+    # The enumerate/sample CSV columns follow the same fields, in order.
+    assert cli._STAT_HEADER == ("n", *fields)
     subcommands = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)

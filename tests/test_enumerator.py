@@ -91,6 +91,31 @@ def test_r_change_accounting():
     assert ColumnFill(B, ((1, B), (2, A))).r_change == -1
 
 
+@pytest.mark.parametrize("r", range(7))
+def test_fill_counts_read_off_the_top_entry_match_their_definitions(r):
+    # The O(1) properties lean on the filling rules (an alpha/gamma upper
+    # entry is the topmost); these are their definitions, entry by entry.
+    for f in legal_fills(r):
+        assert f.has_ag_upper == any(s.is_ag for _, s in f.upper)
+        bd_upper = sum(1 for _, s in f.upper if s.is_bd)
+        assert f.r_change == (1 if f.bottom.is_ag else -bd_upper)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_leaf_columns_are_the_cells_each_fill_writes(n):
+    # Each cached last column holds the cells slot k writes on AG row
+    # ag_rows[-k], bottom box first, keys in the same order.
+    for mask in range(1 << (n - 1)):
+        ag_rows = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
+        above = [(row, 1) for row in ag_rows]
+        want = [
+            {(n, 1): f.bottom, **{above[-k]: s for k, s in f.upper}}
+            for f in legal_fills(len(ag_rows))
+        ]
+        got = enumerator._leaf_items.__wrapped__(n, ag_rows)  # past the cache
+        assert [list(c.items()) for c in got] == [list(c.items()) for c in want]
+
+
 # ----------------------------------------------------------- extend / split
 
 

@@ -1,4 +1,4 @@
-"""Defect witnesses: each test puts one named defect into the code a check
+"""Defect witnesses: each entry puts one named defect into the code a check
 certifies, never into the check, and requires the check to fail.  A gate
 that passes under its witness cannot see the defect it names.
 """
@@ -7,23 +7,177 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from staircase_tableaux import checks, stats
-from staircase_tableaux.checks import verify_suite
+import pytest
+
+from staircase_tableaux import asep, checks, enumerator, polyengine, sampler, stats
+from staircase_tableaux.checks import CHECK_NAMES, verify_suite
+from staircase_tableaux.core import GreekSymbol
+from staircase_tableaux.enumerator import ColumnFill
+
+#: Checks with no witness yet.  Empty: every check has one below.
+_NO_WITNESS: frozenset[str] = frozenset()
 
 
-def test_moment_check_sees_a_wrong_closed_form(monkeypatch):
-    # An H_n off by 1/7 must fail c04's closed-form leg.  The defect goes
-    # wherever the package binds `harmonic_pair`, so a check that derives
-    # its expected value from it sees the same error and cannot catch it.
-    true_pair = stats.harmonic_pair
+def _drop_last_fill(mp):
+    # The walk's fill table loses one fill, so one branch is never walked.
+    real = enumerator.legal_fills
+    mp.setattr(enumerator, "legal_fills", lambda r: real(r)[:-1])
+
+
+def _ag_upper_read_at_the_bottom(mp):
+    # `has_ag_upper` reads the lowest upper entry, not the topmost, so a
+    # fill with beta/delta below its alpha/gamma entry is miscounted.
+    mp.setattr(
+        ColumnFill,
+        "has_ag_upper",
+        property(lambda f: bool(f.upper) and f.upper[0][1].is_ag),
+    )
+
+
+def _pgf_factor_off_by_one(mp):
+    # pgf_r multiplies by z + 2k in place of z + 2k - 1.
+    real = stats.convolve
+    mp.setattr(stats, "convolve", lambda p, q: real(p, (q[0] + 1, *q[1:])))
+
+
+def _wrong_harmonic_number(mp):
+    # An H_n off by 1/7.  The defect goes wherever the package binds
+    # `harmonic_pair`, so a check that derives its expected value from it
+    # sees the same error and cannot catch it.
+    real = stats.harmonic_pair
 
     def wrong_pair(n):
-        h1, h2 = true_pair(n)
+        h1, h2 = real(n)
         return h1 + Fraction(1, 7), h2
 
     for module in (stats, checks):
         if hasattr(module, "harmonic_pair"):
-            monkeypatch.setattr(module, "harmonic_pair", wrong_pair)
-    (res,) = verify_suite(6, names=["r-moments"])
+            mp.setattr(module, "harmonic_pair", wrong_pair)
+
+
+def _stamps_one_diagonal_short(mp):
+    # The walk's stamps are built with a_diag - 1.
+    real = enumerator._stat_vector
+    mp.setattr(
+        enumerator,
+        "_stat_vector",
+        lambda n, r, size, n_ag, a_diag: real(n, r, size, n_ag, a_diag - 1),
+    )
+
+
+def _v_row_mass_moved(mp):
+    # The diagonal law's V row has one unit moved from its last entry to its
+    # first; the row still sums to 2**n n!.
+    real = stats.v_row
+
+    def moved(n):
+        row = real(n)
+        return (row[0] + 1, *row[1:-1], row[-1] - 1)
+
+    mp.setattr(stats, "v_row", moved)
+
+
+def _v_step_mass_moved_inward(mp):
+    # Each V step moves one unit from entries 1 and m - 1 of row m inward,
+    # for m >= 4; every row stays symmetric, starts with 1 and keeps its sum,
+    # so `build_V`'s own row checks pass.
+    real = polyengine._v_step
+
+    def inward(prev, m):
+        row = real(prev, m)
+        if m >= 4:
+            row[1] -= 1
+            row[2] += 1
+            row[-2] -= 1
+            row[-3] += 1
+        return row
+
+    mp.setattr(polyengine, "_v_step", inward)
+
+
+def _split_reads_ag_upper_as_beta(mp):
+    # The decomposition the audit replays reads an alpha/gamma upper entry
+    # of column 1 as beta.
+    real = sampler.split_first_column
+
+    def split(t):
+        parent, fill = real(t)
+        upper = tuple((k, GreekSymbol.BETA) for k, _ in fill.upper)
+        return parent, ColumnFill(fill.bottom, upper)
+
+    mp.setattr(sampler, "split_first_column", split)
+
+
+def _upper_ag_counted_as_diagonal(mp):
+    # The statistics-only draw counts every alpha/gamma upper entry as a
+    # diagonal one: a_diag becomes the whole alpha/gamma count.
+    real = sampler._grow_counts
+
+    def counts(rng, n):
+        r, size, n_ag, _ = real(rng, n)
+        return r, size, n_ag, n_ag
+
+    mp.setattr(sampler, "_grow_counts", counts)
+
+
+def _slot_weight_raised(mp):
+    # One weight of the one-slot table above a delta bottom is raised by 1.
+    real = asep._slot_tables
+
+    def heavier(*args):
+        tables = real(*args)
+        if len(tables) > 1:
+            tables[1][0][0, 0] += 1
+        return tables
+
+    mp.setattr(asep, "_slot_tables", heavier)
+
+
+#: check name -> (n_max, defect, a failure the check must report or None).
+#: Each n_max is the smallest whose ranges reach the defect.
+WITNESSES = {
+    "cardinality": (1, _drop_last_fill, None),
+    "r-histogram": (3, _ag_upper_read_at_the_bottom, None),
+    "bernoulli-convolution": (1, _pgf_factor_off_by_one, None),
+    "r-moments": (6, _wrong_harmonic_number, ("r-closed", 1)),
+    "row-identity": (1, _stamps_one_diagonal_short, None),
+    "diagonal-distribution": (1, _v_row_mass_moved, None),
+    "diagonal-moments": (1, _v_step_mass_moved_inward, None),
+    "triangle-identities": (1, _v_step_mass_moved_inward, None),
+    "bivariate-series": (1, _v_step_mass_moved_inward, None),
+    "sampler-exactness": (3, _split_reads_ag_upper_as_beta, None),
+    "sampler-chi-square": (3, _upper_ag_counted_as_diagonal, None),
+    "asep-grid": (3, _slot_weight_raised, None),
+}
+
+
+def _clear_walk_tables():
+    # The census and the walk's leaf tables are cached per process; a defect
+    # in the walk must neither read clean tables nor leave defective ones.
+    for table in (checks._census, enumerator._leaf_items, enumerator._leaf_stats):
+        table.cache_clear()
+
+
+@pytest.fixture
+def fresh_walk_tables():
+    _clear_walk_tables()
+    yield
+    _clear_walk_tables()
+
+
+@pytest.mark.parametrize("name", list(WITNESSES))
+def test_check_fails_under_its_witness(name, monkeypatch, fresh_walk_tables):
+    n_max, defect, failure = WITNESSES[name]
+    # The same run passes on clean code, so the defect is what fails it.
+    assert verify_suite(n_max, names=[name])[0].passed is True
+    _clear_walk_tables()
+    defect(monkeypatch)
+    (res,) = verify_suite(n_max, names=[name])
     assert res.passed is False
-    assert ("r-closed", 1) in res.measured["failures"]
+    if failure is not None:
+        assert failure in res.measured["failures"]
+
+
+def test_every_check_has_a_witness():
+    assert set(WITNESSES) == set(CHECK_NAMES) - _NO_WITNESS
+    assert not _NO_WITNESS - set(CHECK_NAMES)
