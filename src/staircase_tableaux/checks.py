@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
+from itertools import accumulate
+from math import comb, factorial, sqrt
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -77,6 +78,7 @@ class _Ranges:
     count_six: bool
     sweep: int
     diag: int
+    irwin_hall: int
     tri: int
     oracle: int
     audit: int
@@ -95,6 +97,7 @@ def _ranges(n_max: int) -> _Ranges:
         count_six=full,
         sweep=min(50, max(10, 10 * n_max)),
         diag=min(200, max(20, 40 * n_max)),
+        irwin_hall=min(60, max(20, 40 * n_max)),
         tri=min(30, max(8, 6 * n_max)),
         oracle=min(7, n_max + 2),
         audit=_KEEP_MAX if full else min(n_max, 3),
@@ -246,17 +249,22 @@ def _diagonal_distribution(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]
 
 @_check("diagonal-moments")
 def _diagonal_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """Each V row's mean and variance against `moments_A`, and its prefix
+    sums against the type-B Irwin-Hall form sum_{i<=j} (-1)**i C(n, i)
+    (2j+1-2i)**n, which shares nothing with the recurrence or the moments."""
     rows = build_V(rg.diag)
-    bad = []
+    bad: list[Any] = []
     for n in range(1, rg.diag + 1):
         pmf = ExactPMF(0, rows[n], sum(rows[n]))
-        var = pmf.variance()
-        if (pmf.mean(), var) != moments_A(n):
+        if (pmf.mean(), pmf.variance()) != moments_A(n):
             bad.append(n)
-        # n = 1 really is (1/2, 1/4); the (n+1)/12 form starts at n = 2.
-        elif n >= 2 and var != Fraction(n + 1, 12):
-            bad.append(n)
-    return _verdict(bad, max_n=rg.diag)
+        if n <= rg.irwin_hall and list(accumulate(rows[n])) != [
+            sum((-1) ** i * comb(n, i) * (2 * j + 1 - 2 * i) ** n
+                for i in range(j + 1))
+            for j in range(n + 1)
+        ]:
+            bad.append(("irwin-hall", n))
+    return _verdict(bad, max_n=rg.diag, irwin_hall_max_n=rg.irwin_hall)
 
 
 @_check("triangle-identities")

@@ -39,9 +39,10 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from decimal import Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -57,7 +58,7 @@ from .asep import (
 )
 from .checks import CHECK_NAMES, verify_suite
 from .core import StatVector, statistics as tableau_statistics, to_line
-from .counting import completion_count, total_count
+from .counting import total_count
 # `bench/layers.py` wraps `cli.completions`, the table's recurrence oracle.
 from .counting import completions  # noqa: F401
 from .enumerator import _ENUM_LIMIT, enumerate_all
@@ -243,19 +244,20 @@ def _open_out(path: str | None) -> Iterator[Any]:
 
 
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+    """The total 4**n n!, and with ``--table`` every completion count
+    N(k, r), each row k stepped along r from 4**k k! by factors 2k + 1."""
     limit = _TABLE_LIMIT if args.table else _COUNT_LIMIT
     if not 0 <= args.n <= limit:
         scope = " with --table" if args.table else ""
         raise ValueError(f"need 0 <= n <= {limit}{scope}, got {args.n}")
     total = total_count(args.n)
+    rows = []
     if args.table:
-        rows = [
-            (k, r, str(completion_count(k, r)))
-            for k in range(args.n + 1)
-            for r in range(args.n - k + 1)
-        ]
-    else:
-        rows = []
+        for k in range(args.n + 1):
+            value, step = total_count(k), 2 * k + 1
+            for r in range(args.n - k + 1):
+                rows.append((k, r, str(value)))
+                value *= step
     if args.fmt == "json":
         table = ("table", _TRIPLE_ROW, rows) if args.table else None
         _write_json(out, _metadata(args), {"total": str(total)}, table)
@@ -324,28 +326,35 @@ def _check_stat_size(n: int) -> None:
         raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {n}")
 
 
-def _pmf_rows(pmf: ExactPMF) -> list[tuple[int, str, str]]:
+def _pmf_rows(pmf: ExactPMF, bound: int) -> list[tuple[int, str, str]]:
     """(value, numerator, denominator) of each probability in lowest terms,
-    the two integers as decimal strings."""
+    as decimal strings, for a denominator whose prime factors are 2 and the
+    primes <= `bound` (2**n n! and n).  A weight's odd part gives up its
+    factors of lcm(odd numbers <= bound) a common factor at a time, so no
+    gcd runs on two full-size integers, and each reduced denominator is an
+    exact `Decimal` quotient, printed in linear time: its context traps
+    `Inexact` and `Rounded`, so a factor that does not divide it raises."""
     denom = pmf.denominator
-    # gcd(w, denom) is 2**t gcd(w >> t, odd) with t the lesser power of two
-    # in w and denom: every law is over 2**n n!, which carries about 2n
-    # factors of two, and the gcd runs faster on the odd part.
     twos = (denom & -denom).bit_length() - 1
-    odd = denom >> twos
+    odd_lcm = lcm(*range(3, bound + 1, 2))
+    big = Decimal(denom)
+    exact = Context(prec=big.adjusted() + 1, traps=[Inexact, Rounded])
     # Each distinct weight is reduced and printed once, with no `Fraction`
     # per entry: a V row is symmetric, so half its entries repeat.
-    reduced: dict[int, tuple[str, str]] = {}
+    reduced: dict[int, tuple[str, str]] = {0: ("0", "1")}
     rows = []
     for v, w in enumerate(pmf.weights, pmf.offset):
         p = reduced.get(w)
         if p is None:
-            if w:
-                t = min(twos, (w & -w).bit_length() - 1)
-                g = gcd(w >> t, odd) << t
-            else:
-                g = denom
-            p = reduced[w] = (str(w // g), str(denom // g))
+            t = (w & -w).bit_length() - 1
+            x, g = w >> t, 1
+            h = gcd(x, odd_lcm)
+            while h > 1:
+                g *= h
+                x //= h
+                h = gcd(x, h)
+            g = gcd(denom, g) << min(t, twos)
+            p = reduced[w] = (str(w // g), str(exact.divide(big, g)))
         rows.append((v, *p))
     return rows
 
@@ -354,7 +363,7 @@ def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
     _check_stat_size(args.n)
     # The rows hold every decimal string, so the law and its integer weights
     # are freed before the payload is written.
-    rows = _pmf_rows(_DIST_FNS[args.stat](args.n))
+    rows = _pmf_rows(_DIST_FNS[args.stat](args.n), args.n)
     if args.fmt == "csv":
         _write_csv(out, _metadata(args), ("value", "numerator", "denominator"), rows)
     elif args.fmt == "json":

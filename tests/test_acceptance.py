@@ -81,7 +81,9 @@ def test_c06_diagonal_histogram_is_the_v_row():
 
 
 def test_c07_diagonal_moments_to_two_hundred():
-    _exact("diagonal-moments", "diagonal-moments", max_n=200)
+    _exact(
+        "diagonal-moments", "diagonal-moments", max_n=200, irwin_hall_max_n=60
+    )
 
 
 def test_c08_triangle_cross_checks():

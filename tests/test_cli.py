@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import hashlib
 import io
 import json
@@ -413,6 +414,19 @@ def test_count_table_json_is_pinned_under_optimize_flag():
     # The streamed row writer must not depend on `assert`.
     src = Path(staircase_tableaux.__file__).resolve().parents[1]
     argv = "count --n 40 --table --format json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "staircase_tableaux", *argv.split(),
+         "--no-timestamp"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == _PINNED[argv]
+
+
+def test_dist_json_is_pinned_under_optimize_flag():
+    # The exactness guards of the reduction must not depend on `assert`.
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    argv = "dist --stat a --n 300 --format json"
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "staircase_tableaux", *argv.split(),
          "--no-timestamp"],
@@ -972,8 +986,37 @@ def test_seed_zero_is_still_accepted(capsys, monkeypatch):
 
 
 def test_pmf_rows_print_a_zero_weight_as_zero_over_one():
-    rows = _pmf_rows(ExactPMF(0, (0, 3, 1), 4))
+    rows = _pmf_rows(ExactPMF(0, (0, 3, 1), 4), 2)
     assert rows == [(0, "0", "1"), (1, "3", "4"), (2, "1", "4")]
+
+
+@pytest.mark.parametrize("name", sorted(STATISTICS))
+def test_pmf_rows_reduce_each_law_as_fraction_does(name):
+    # From n = 1, where the law is over 2 and no odd prime is <= n.
+    for n in range(1, 41):
+        law = STATISTICS[name].law(n)
+        want = [
+            (v, str(p.numerator), str(p.denominator))
+            for v, p in zip(law.support(), law.probs)
+        ]
+        assert _pmf_rows(law, n) == want, n
+
+
+def test_pmf_rows_strip_a_factor_the_weight_holds_to_a_higher_power():
+    # 27 = 3**3 against 48 = 2**4 * 3: only one factor 3 is common.
+    rows = _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
+    assert rows == [(0, "9", "16"), (1, "7", "16")]
+
+
+def test_pmf_rows_raise_when_a_common_factor_does_not_divide(monkeypatch):
+    # A cap that returns three times the true gcd leaves 48 / 9, which the
+    # denominator's Decimal context refuses instead of rounding.
+    real = cli.gcd
+    monkeypatch.setattr(
+        cli, "gcd", lambda a, b: real(a, b) * (3 if a == 48 else 1)
+    )
+    with pytest.raises(decimal.Inexact):
+        _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -9,7 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from staircase_tableaux import asep, checks, enumerator, polyengine, sampler, stats
+from staircase_tableaux import (
+    asep,
+    checks,
+    cli,
+    enumerator,
+    polyengine,
+    sampler,
+    stats,
+)
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.core import GreekSymbol
 from staircase_tableaux.enumerator import ColumnFill
@@ -95,6 +103,28 @@ def _v_step_mass_moved_inward(mp):
     mp.setattr(polyengine, "_v_step", inward)
 
 
+def _v_row_third_difference(mp):
+    # Row 20 of the V triangle gains the third difference (1, -3, 3, -1) on
+    # entries 2..5 and its mirror image on entries 18..15, so the row stays
+    # symmetric and keeps its sum, mean and variance: a third difference
+    # sums to zero against 1, m and m**2.  The defect goes wherever the
+    # package binds `build_V`.
+    real = polyengine.build_V
+
+    def perturbed(n):
+        rows = list(real(n))
+        if n >= 20:
+            row = list(rows[20])
+            for m, d in zip(range(2, 6), (1, -3, 3, -1)):
+                row[m] += d
+                row[20 - m] += d
+            rows[20] = tuple(row)
+        return tuple(rows)
+
+    for module in (polyengine, checks, cli):
+        mp.setattr(module, "build_V", perturbed)
+
+
 def _split_reads_ag_upper_as_beta(mp):
     # The decomposition the audit replays reads an alpha/gamma upper entry
     # of column 1 as beta.
@@ -133,22 +163,32 @@ def _slot_weight_raised(mp):
     mp.setattr(asep, "_slot_tables", heavier)
 
 
-#: check name -> (n_max, defect, a failure the check must report or None).
-#: Each n_max is the smallest whose ranges reach the defect.
-WITNESSES = {
-    "cardinality": (1, _drop_last_fill, None),
-    "r-histogram": (3, _ag_upper_read_at_the_bottom, None),
-    "bernoulli-convolution": (1, _pgf_factor_off_by_one, None),
-    "r-moments": (6, _wrong_harmonic_number, ("r-closed", 1)),
-    "row-identity": (1, _stamps_one_diagonal_short, None),
-    "diagonal-distribution": (1, _v_row_mass_moved, None),
-    "diagonal-moments": (1, _v_step_mass_moved_inward, None),
-    "triangle-identities": (1, _v_step_mass_moved_inward, None),
-    "bivariate-series": (1, _v_step_mass_moved_inward, None),
-    "sampler-exactness": (3, _split_reads_ag_upper_as_beta, None),
-    "sampler-chi-square": (3, _upper_ag_counted_as_diagonal, None),
-    "asep-grid": (3, _slot_weight_raised, None),
-}
+#: (check name, n_max, defect, a failure the check must report or None).
+#: Each n_max is the smallest whose ranges reach the defect.  A check may
+#: have several witnesses, such as one per leg.
+WITNESSES = [
+    ("cardinality", 1, _drop_last_fill, None),
+    ("r-histogram", 3, _ag_upper_read_at_the_bottom, None),
+    ("bernoulli-convolution", 1, _pgf_factor_off_by_one, None),
+    ("r-moments", 6, _wrong_harmonic_number, ("r-closed", 1)),
+    ("row-identity", 1, _stamps_one_diagonal_short, None),
+    ("diagonal-distribution", 1, _v_row_mass_moved, None),
+    ("diagonal-moments", 1, _v_step_mass_moved_inward, None),
+    ("diagonal-moments", 1, _v_row_third_difference, ("irwin-hall", 20)),
+    ("triangle-identities", 1, _v_step_mass_moved_inward, None),
+    ("bivariate-series", 1, _v_step_mass_moved_inward, None),
+    ("sampler-exactness", 3, _split_reads_ag_upper_as_beta, None),
+    ("sampler-chi-square", 3, _upper_ag_counted_as_diagonal, None),
+    ("asep-grid", 3, _slot_weight_raised, None),
+]
+
+
+def _witness_id(k: int) -> str:
+    """The check's name, suffixed by the defect for a check's later witness."""
+    name, _, defect, _ = WITNESSES[k]
+    if any(w[0] == name for w in WITNESSES[:k]):
+        return f"{name}:{defect.__name__.lstrip('_')}"
+    return name
 
 
 def _clear_walk_tables():
@@ -165,9 +205,14 @@ def fresh_walk_tables():
     _clear_walk_tables()
 
 
-@pytest.mark.parametrize("name", list(WITNESSES))
-def test_check_fails_under_its_witness(name, monkeypatch, fresh_walk_tables):
-    n_max, defect, failure = WITNESSES[name]
+@pytest.mark.parametrize(
+    "name, n_max, defect, failure",
+    WITNESSES,
+    ids=[_witness_id(k) for k in range(len(WITNESSES))],
+)
+def test_check_fails_under_its_witness(
+    name, n_max, defect, failure, monkeypatch, fresh_walk_tables
+):
     # The same run passes on clean code, so the defect is what fails it.
     assert verify_suite(n_max, names=[name])[0].passed is True
     _clear_walk_tables()
@@ -179,5 +224,6 @@ def test_check_fails_under_its_witness(name, monkeypatch, fresh_walk_tables):
 
 
 def test_every_check_has_a_witness():
-    assert set(WITNESSES) == set(CHECK_NAMES) - _NO_WITNESS
+    witnessed = {name for name, *_ in WITNESSES}
+    assert witnessed == set(CHECK_NAMES) - _NO_WITNESS
     assert not _NO_WITNESS - set(CHECK_NAMES)
