@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, sqrt
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .asep import (
     PARAMETER_GRID,
@@ -31,9 +31,10 @@ from .asep import (
     build_chain,
     verify_steady_state,
 )
-from .core import StatVector, Tableau, _read_statistics, statistics
+from .core import StatVector, Tableau, _read_statistics, ag_row_indices
+from .core import statistics
 from .counting import total_count
-from .enumerator import enumerate_all
+from .enumerator import _place, enumerate_all
 from .polyengine import (
     V_explicit,
     bivariate_series_check,
@@ -45,7 +46,7 @@ from .polyengine import (
     pgf_B,
     pole_constants,
 )
-from .sampler import probability_of, sample_statistics
+from .sampler import _fill, probability_of, sample_statistics
 from .stats import (
     STATISTICS,
     ExactPMF,
@@ -55,7 +56,6 @@ from .stats import (
     kolmogorov_distance,
     moments_A,
     moments_r,
-    pgf_r,
 )
 
 #: Sizes whose census keeps the tableaux themselves, for the sampler audit.
@@ -163,13 +163,11 @@ def _cardinality(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("r-histogram")
 def _r_histogram(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """The r histogram against pgf_r and every statistic's histogram against
-    its law, each scaled by the tableau count 4**n n! = 2**n (2**n n!)."""
+    """Every statistic's histogram against its law, scaled by the tableau
+    count 4**n n!."""
     bad = []
     for n in range(1, rg.enum + 1):
-        total, pgf = total_count(n), pgf_r(n)
-        r_hist = _marginal(n, "r")
-        bad += [("r", n, v) for v in range(n + 1) if r_hist[v] != 2**n * pgf[v]]
+        total = total_count(n)
         for name, stat in STATISTICS.items():
             hist, law = _marginal(n, stat.field), stat.law(n)
             bad += [
@@ -182,10 +180,18 @@ def _r_histogram(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("bernoulli-convolution")
 def _bernoulli(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """dist_r(n)'s n + 1 weights w against sum_v w[v] z**v = prod_{k<=n}
+    (z + 2k - 1) at z = 0..n, points that fix a degree-n polynomial: plain
+    integer products that share no step with `two_term_step`."""
     bad = []
+    products = [1] * (rg.sweep + 1)  # the product at z = 0..sweep
     for n in range(1, rg.sweep + 1):
+        products = [p * (z + 2 * n - 1) for z, p in enumerate(products)]
         d = dist_r(n)
-        if d.offset != 0 or d.weights != pgf_r(n):
+        if d.offset != 0 or len(d.weights) != n + 1 or any(
+            sum(w * z**v for v, w in enumerate(d.weights)) != products[z]
+            for z in range(n + 1)
+        ):
             bad.append(n)
     return _verdict(bad, max_n=rg.sweep)
 
@@ -210,18 +216,16 @@ def _r_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("row-identity")
 def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """r + delta = n on the walk's distinct stamps (``violations`` counts the
-    tableaux that carry a failing one), and each stamp equal to the
-    statistics read off its cells on the tableaux kept (n <= _KEEP_MAX)."""
-    bad = sum(
-        k for n in range(1, rg.enum + 1)
-        for s, k in _census(n)[0].items() if s.r + s.delta != n
-    )
-    stamp_bad = sum(
-        t._stats != _read_statistics(t)
-        for n in range(1, rg.enum + 1)
-        for t in _census(n)[1]
-    )
+    """r + delta = n on the tableaux kept (n <= _KEEP_MAX), r and delta
+    read off the cells without `_stat_vector`, which raises on a violation;
+    then each stamp against `_read_statistics` on the tableaux that split n."""
+    kept = [t for n in range(1, rg.enum + 1) for t in _census(n)[1]]
+    split = [
+        t for t in kept
+        if len(ag_row_indices(t)) + sum(s.is_bd for s in t.cells.values()) == t.n
+    ]
+    bad = len(kept) - len(split)
+    stamp_bad = sum(t._stats != _read_statistics(t) for t in split)
     return bad == 0 and stamp_bad == 0, {
         "max_n": rg.enum, "violations": bad, "stamp_mismatches": stamp_bad,
     }
@@ -308,22 +312,74 @@ def _series(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     }
 
 
+def _kernel_choices(r: int) -> Iterator[tuple[int, int, bool, int, int]]:
+    """Every (r, j, with_ag, rank, coins) that `sampler._columns` can yield
+    above r AG rows, written from its draw bounds: class j = -1..r; for
+    j = -1 a bottom coin; else a subclass, a rank below C(r, j), or below
+    C(r, j + 1) with an alpha/gamma upper entry, and one coin for the bottom
+    and each upper entry."""
+    for coins in range(2):
+        yield r, -1, False, 0, coins
+    for j in range(r + 1):
+        for with_ag in (False, True):
+            for rank in range(comb(r, j + with_ag)):
+                for coins in range(2 ** (j + with_ag + 1)):
+                    yield r, j, with_ag, rank, coins
+
+
+def _kernel_tableaux(n: int) -> list[Tableau]:
+    """The size-n tableau of each choice sequence the kernel can draw,
+    built as `sampler._grow` builds it: each column's choices through `_fill`
+    and `_place`, r stepped as `_columns` steps it."""
+    out: list[Tableau] = []
+
+    def grow(m: int, r: int, cells: dict, ag_rows: list[int]) -> None:
+        if m == n:
+            out.append(Tableau(n, cells))
+            return
+        for choice in _kernel_choices(r):
+            column = dict(cells)
+            rows = _place(column, ag_rows, m + 1, n - m, *_fill(*choice))
+            j = choice[1]
+            grow(m + 1, r + 1 if j < 0 else r - j, column, rows)
+
+    grow(0, 0, {}, [])
+    return out
+
+
 @_check("sampler-exactness")
 def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """Two legs over the census kept (n <= _KEEP_MAX).  `probability_of`
+    must give each tableau 1/(4**n n!): that certifies the decomposition and
+    the AG-row bookkeeping.  And every choice sequence of the draw kernel,
+    mapped through `_fill` and `_place`, must give each census tableau
+    exactly once: that certifies the slots and letters a draw writes, not
+    the draw weights."""
     cases = 0
-    bad = []
+    bad: list[Any] = []
+    sequences, distinct = {}, {}
     for n in range(1, rg.audit + 1):
         target = Fraction(1, total_count(n))
         for t in _census(n)[1]:
             cases += 1
             if probability_of(n, t) != target:
                 bad.append(n)
-    return _verdict(bad, max_n=rg.audit, cases=cases)
+        grown = _kernel_tableaux(n)
+        found = set(grown)
+        sequences[str(n)], distinct[str(n)] = len(grown), len(found)
+        if len(grown) != len(found) or found != set(_census(n)[1]):
+            bad.append(("kernel", n))
+    return _verdict(
+        bad, max_n=rg.audit, cases=cases,
+        kernel_sequences=sequences, kernel_tableaux=distinct,
+    )
 
 
 @_check("sampler-chi-square")
 def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """Every statistic's histogram from one sampled run against its law."""
+    """Every statistic's histogram from one sampled run against its law.
+    The KS leg draws from `dist_A(n).sample`, not from the tableau sampler,
+    so it certifies `draw_integers` against the exact diagonal law."""
     from scipy.stats import chi2 as chi2_dist
 
     n, draws = rg.enum, rg.chi_draws

@@ -76,7 +76,7 @@ def completions(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def total_count(n: int) -> int:
-    """Number of staircase tableaux of size n: 4**n n!."""
+    """Number of staircase tableaux of size n: 4**n n! = N(n, 0)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return 4**n * factorial(n)
+    return completion_count(n, 0)

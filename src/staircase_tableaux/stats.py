@@ -26,7 +26,7 @@ from math import factorial, lcm
 from statistics import NormalDist
 from typing import Callable, Sequence
 
-from .polyengine import convolve, two_term_step, v_row
+from .polyengine import two_term_step, v_row
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,6 @@ def harmonic_pair(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(sum(parts), big_l), Fraction(sum(p * p for p in parts), big_l**2)
 
 
-def pgf_r(n: int) -> tuple[int, ...]:
-    """Numerators over 2**n n! of the PGF prod_{k=1..n} (z + 2k - 1) / (2k),
-    lowest degree first: the factors z + 2k - 1 multiplied out by `convolve`."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    acc: tuple[int, ...] = (1,)
-    for k in range(1, n + 1):
-        acc = convolve(acc, (2 * k - 1, 1))
-    return acc
-
-
 def _need_positive(n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -125,8 +114,8 @@ def dist_r(n: int) -> ExactPMF:
     Scaling the k-th factor by 2k keeps the weights integral,
     w'[v] = (2k - 1) w[v] + w[v - 1], over 2**n n!: one `two_term_step`
     per factor, fed the constant coefficient sequences repeat(2k - 1) and
-    repeat(1).  Deliberately not read off pgf_r: the two routes are compared
-    by the bernoulli-convolution check.
+    repeat(1).  The bernoulli-convolution check evaluates the weights against
+    the product itself.
     """
     _need_positive(n)
     weights = [1]

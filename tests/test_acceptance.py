@@ -73,7 +73,11 @@ def test_c05_rows_split_between_r_and_delta():
     res = _run("row-identity")
     m = res.measured
     ok = res.passed and m["max_n"] == 5 and m["violations"] == 0
-    _report(ok, "row-identity", f"r+delta=n on all tableaux, bad={m['violations']}")
+    _report(
+        ok, "row-identity",
+        f"r+delta=n read off the cells of the kept tableaux, "
+        f"bad={m['violations']}",
+    )
 
 
 def test_c06_diagonal_histogram_is_the_v_row():
@@ -113,13 +117,21 @@ def test_c09_bivariate_series_and_pole_constants():
 def test_c10_sampler_weights_are_exactly_uniform():
     res = _run("sampler-exactness")
     m = res.measured
+    census = {"1": 4, "2": 32, "3": 384, "4": 6144}
     ok = (
         res.passed
         and m["max_n"] == 4
-        and m["cases"] == 4 + 32 + 384 + 6144
+        and m["cases"] == sum(census.values())
+        and m["kernel_sequences"] == m["kernel_tableaux"] == census
         and m["failures"] == []
     )
-    _report(ok, "sampler-exactness", f"{m['cases']} tableaux, bad={m['failures']}")
+    _report(
+        ok,
+        "sampler-exactness",
+        f"{m['cases']} tableaux, {m['kernel_sequences']['4']} kernel sequences "
+        f"giving {m['kernel_tableaux']['4']} tableaux at n=4, "
+        f"bad={m['failures']}",
+    )
 
 
 def test_c11_sampled_statistics_match_the_limit_laws():

@@ -274,16 +274,10 @@ def test_equality_and_hash_ignore_the_cells_type():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_walk_stamps_match_the_cells(n):
-    bad = []
-
-    def visit(t):
-        stamp = statistics(t)
-        if t._stats is None or stamp != statistics(Tableau(t.n, dict(t.cells))):
-            bad.append(to_line(t))
-
-    assert enumerate_all(n, visit) == 4**n * factorial(n)
-    assert bad == []
+def test_walk_stamps_match_the_cells(n, walk_record):
+    record = walk_record(n)
+    assert record.count == 4**n * factorial(n)
+    assert record.stamp_mismatches == []
 
 
 @pytest.mark.parametrize(

@@ -240,26 +240,13 @@ def test_walk_order_is_stable():
     )
 
 
-def _leaf_digest(n: int) -> str:
-    """sha256 over the walk's leaves in order, each its cells in insertion
-    order (`to_line` would sort them) and its stamp."""
-    digest = hashlib.sha256()
-
-    def visit(t):
-        s = t._stats
-        cells = ";".join(f"{i} {j} {c.value}" for (i, j), c in t.cells.items())
-        stamp = f"{s.r} {s.delta} {s.gamma} {s.a_diag} {s.b_diag}"
-        digest.update(f"{cells}|{stamp}\n".encode())
-
-    enumerate_all(n, visit)
-    return digest.hexdigest()
-
-
 _WALK_5_DIGEST = "a0acd16fb8b0956c406d8fe78f71e5fe42eb4a1292fc56dcd9ab7e9931703b1d"
 
 
-def test_walk_leaves_in_insertion_order_are_pinned_at_five():
-    assert _leaf_digest(5) == _WALK_5_DIGEST
+def test_walk_leaves_in_insertion_order_are_pinned_at_five(walk_record):
+    # The digest runs over the leaves in order, each its cells in insertion
+    # order and its stamp (`WalkRecord` in conftest.py).
+    assert walk_record(5).digest == _WALK_5_DIGEST
 
 
 def _leaf_table_sizes() -> tuple[int, int]:
@@ -269,16 +256,16 @@ def _leaf_table_sizes() -> tuple[int, int]:
     )
 
 
-def test_leaf_tables_are_shared_by_later_walks():
+def test_leaf_tables_are_shared_by_later_walks(leaf_digest):
     enumerator._leaf_items.cache_clear()
     enumerator._leaf_stats.cache_clear()
-    first_3 = _leaf_digest(3)
+    first_3 = leaf_digest(3)
     after_3 = _leaf_table_sizes()
-    assert _leaf_digest(5) == _WALK_5_DIGEST
+    assert leaf_digest(5) == _WALK_5_DIGEST
     after_5 = _leaf_table_sizes()
     # One last column per set of AG rows among rows 1..4, one stamp row per
     # (r, n_ag, size, a_diag) that a path of four columns reaches.
     assert (after_5[0] - after_3[0], after_5[1] - after_3[1]) == (16, 24)
-    assert _leaf_digest(3) == first_3
-    assert _leaf_digest(5) == _WALK_5_DIGEST
+    assert leaf_digest(3) == first_3
+    assert leaf_digest(5) == _WALK_5_DIGEST
     assert _leaf_table_sizes() == after_5

@@ -23,18 +23,18 @@ from staircase_tableaux.stats import (
     moments_A,
     moments_delta,
     moments_r,
-    pgf_r,
 )
 
 
 # ------------------------------------------------------------------- r law
 
 
-def test_pgf_r_small_goldens():
-    # Numerators over 2**n n!: (1 + z)/2 and (3 + 4z + z^2)/8.
-    assert pgf_r(0) == (1,)
-    assert pgf_r(1) == (1, 1)
-    assert pgf_r(2) == (3, 4, 1)
+def test_dist_r_weights_small_goldens():
+    # Numerators over 2**n n!: (1 + z)/2, (3 + 4z + z^2)/8 and
+    # (1 + z)(3 + z)(5 + z)/48.
+    assert dist_r(1).weights == (1, 1)
+    assert dist_r(2).weights == (3, 4, 1)
+    assert dist_r(3).weights == (15, 23, 9, 1)
 
 
 def test_dist_r_two_golden():
@@ -43,15 +43,17 @@ def test_dist_r_two_golden():
     assert d.probs == (Fraction(3, 8), Fraction(1, 2), Fraction(1, 8))
 
 
-@given(n=st.integers(1, 40))
+@given(n=st.integers(1, 40), z=st.integers(-60, 60))
 @settings(max_examples=40, deadline=None)
-def test_bernoulli_convolution_equals_pgf_coefficients(n):
-    # dist_r convolves the Bernoulli factors itself; pgf_r multiplies out the
-    # factors z + 2k - 1.  Both are numerators over 2**n n!.
+def test_bernoulli_convolution_equals_pgf_coefficients(n, z):
+    # dist_r convolves the Bernoulli factors; its weights, numerators over
+    # 2**n n!, are the coefficients of prod_k (z + 2k - 1), read at z.
     d = dist_r(n)
-    assert d.offset == 0
-    assert d.weights == pgf_r(n)
-    assert d.denominator == sum(pgf_r(n)) == 2**n * math.factorial(n)
+    assert d.offset == 0 and len(d.weights) == n + 1
+    assert sum(w * z**v for v, w in enumerate(d.weights)) == math.prod(
+        z + 2 * k - 1 for k in range(1, n + 1)
+    )
+    assert d.denominator == 2**n * math.factorial(n)
 
 
 def test_moments_r_golden_and_formula():

@@ -6,6 +6,7 @@ that passes under its witness cannot see the defect it names.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -42,10 +43,21 @@ def _ag_upper_read_at_the_bottom(mp):
     )
 
 
-def _pgf_factor_off_by_one(mp):
-    # pgf_r multiplies by z + 2k in place of z + 2k - 1.
-    real = stats.convolve
-    mp.setattr(stats, "convolve", lambda p, q: real(p, (q[0] + 1, *q[1:])))
+def _r_law_third_difference(mp):
+    # dist_r's weights gain the third difference (1, -3, 3, -1) on entries
+    # 0..3 for n >= 3, so they keep their sum, mean and variance.  The
+    # defect goes wherever the package binds `dist_r`.
+    real = stats.dist_r
+
+    def perturbed(n):
+        d = real(n)
+        if n < 3:
+            return d
+        w = [a + b for a, b in zip(d.weights, (1, -3, 3, -1))]
+        return stats.ExactPMF(0, (*w, *d.weights[4:]), d.denominator)
+
+    for module in (stats, checks):
+        mp.setattr(module, "dist_r", perturbed)
 
 
 def _wrong_harmonic_number(mp):
@@ -71,6 +83,20 @@ def _stamps_one_diagonal_short(mp):
         "_stat_vector",
         lambda n, r, size, n_ag, a_diag: real(n, r, size, n_ag, a_diag - 1),
     )
+
+
+def _leaf_loses_its_diagonal_cell(mp):
+    # The walk's last column loses the diagonal cell of its first fill, so
+    # those leaves break r + delta = n while their stamps, made from the
+    # path's counts, still split n.
+    real = enumerator._leaf_items
+
+    @lru_cache(maxsize=None)
+    def dropped(n, ag_rows):
+        first, *rest = real(n, ag_rows)
+        return ({c: s for c, s in first.items() if c != (n, 1)}, *rest)
+
+    mp.setattr(enumerator, "_leaf_items", dropped)
 
 
 def _v_row_mass_moved(mp):
@@ -138,6 +164,27 @@ def _split_reads_ag_upper_as_beta(mp):
     mp.setattr(sampler, "split_first_column", split)
 
 
+def _upper_entries_take_the_first_letter(mp):
+    # Every upper entry a draw writes gets its class's first letter (beta,
+    # or alpha on top): only the bottom coin reaches `_fill`.  The defect
+    # goes wherever the package binds `_fill`.
+    real = sampler._fill
+
+    def first_letter(r, j, with_ag, rank, coins):
+        return real(r, j, with_ag, rank, coins & 1)
+
+    for module in (sampler, checks):
+        mp.setattr(module, "_fill", first_letter)
+
+
+def _every_rank_unranks_the_first_subset(mp):
+    # The slot subset of every draw is the lexicographically first one.
+    real = sampler._unrank_subset
+    mp.setattr(
+        sampler, "_unrank_subset", lambda r, size, index: real(r, size, 0)
+    )
+
+
 def _upper_ag_counted_as_diagonal(mp):
     # The statistics-only draw counts every alpha/gamma upper entry as a
     # diagonal one: a_diag becomes the whole alpha/gamma count.
@@ -169,15 +216,18 @@ def _slot_weight_raised(mp):
 WITNESSES = [
     ("cardinality", 1, _drop_last_fill, None),
     ("r-histogram", 3, _ag_upper_read_at_the_bottom, None),
-    ("bernoulli-convolution", 1, _pgf_factor_off_by_one, None),
+    ("bernoulli-convolution", 1, _r_law_third_difference, 3),
     ("r-moments", 6, _wrong_harmonic_number, ("r-closed", 1)),
     ("row-identity", 1, _stamps_one_diagonal_short, None),
+    ("row-identity", 1, _leaf_loses_its_diagonal_cell, None),
     ("diagonal-distribution", 1, _v_row_mass_moved, None),
     ("diagonal-moments", 1, _v_step_mass_moved_inward, None),
     ("diagonal-moments", 1, _v_row_third_difference, ("irwin-hall", 20)),
     ("triangle-identities", 1, _v_step_mass_moved_inward, None),
     ("bivariate-series", 1, _v_step_mass_moved_inward, None),
     ("sampler-exactness", 3, _split_reads_ag_upper_as_beta, None),
+    ("sampler-exactness", 2, _upper_entries_take_the_first_letter, ("kernel", 2)),
+    ("sampler-exactness", 3, _every_rank_unranks_the_first_subset, ("kernel", 3)),
     ("sampler-chi-square", 3, _upper_ag_counted_as_diagonal, None),
     ("asep-grid", 3, _slot_weight_raised, None),
 ]
