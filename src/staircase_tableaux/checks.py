@@ -33,7 +33,12 @@ from .asep import (
 )
 from .core import StatVector, Tableau, _read_statistics, ag_row_indices
 from .core import statistics
-from .counting import total_count
+from .counting import (
+    bd_only_multiplicity,
+    multiplicity,
+    total_count,
+    with_ag_multiplicity,
+)
 from .enumerator import _place, enumerate_all
 from .polyengine import (
     V_explicit,
@@ -46,7 +51,7 @@ from .polyengine import (
     pgf_B,
     pole_constants,
 )
-from .sampler import _fill, probability_of, sample_statistics
+from .sampler import _fill, iter_samples, probability_of, sample_statistics
 from .stats import (
     STATISTICS,
     ExactPMF,
@@ -82,6 +87,7 @@ class _Ranges:
     tri: int
     oracle: int
     audit: int
+    law_draws: int
     chi_draws: int
     ks_n: int | None
     asep: int
@@ -101,6 +107,7 @@ def _ranges(n_max: int) -> _Ranges:
         tri=min(30, max(8, 6 * n_max)),
         oracle=min(7, n_max + 2),
         audit=_KEEP_MAX if full else min(n_max, 3),
+        law_draws=20_000 if full else 5_000,
         chi_draws=10**5 if full else 20_000 if n_max >= 4 else 5_000,
         ks_n=2000 if full else None,
         asep=8 if full else min(n_max, 4),
@@ -216,9 +223,11 @@ def _r_moments(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("row-identity")
 def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """r + delta = n on the tableaux kept (n <= _KEEP_MAX), r and delta
-    read off the cells without `_stat_vector`, which raises on a violation;
-    then each stamp against `_read_statistics` on the tableaux that split n."""
+    """r + delta = n on the tableaux kept, r and delta read off the cells
+    without `_stat_vector`, which raises on a violation; then each stamp
+    against `_read_statistics` on the tableaux that split n.  Both legs read
+    only the kept sizes, n <= min(enum, _KEEP_MAX) (n <= 4 at n_max 6),
+    reported as `kept_max_n`; `max_n` is the census range."""
     kept = [t for n in range(1, rg.enum + 1) for t in _census(n)[1]]
     split = [
         t for t in kept
@@ -227,7 +236,8 @@ def _row_identity(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     bad = len(kept) - len(split)
     stamp_bad = sum(t._stats != _read_statistics(t) for t in split)
     return bad == 0 and stamp_bad == 0, {
-        "max_n": rg.enum, "violations": bad, "stamp_mismatches": stamp_bad,
+        "max_n": rg.enum, "kept_max_n": min(rg.enum, _KEEP_MAX),
+        "violations": bad, "stamp_mismatches": stamp_bad,
     }
 
 
@@ -349,14 +359,30 @@ def _kernel_tableaux(n: int) -> list[Tableau]:
 
 @_check("sampler-exactness")
 def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """Two legs over the census kept (n <= _KEEP_MAX).  `probability_of`
-    must give each tableau 1/(4**n n!): that certifies the decomposition and
-    the AG-row bookkeeping.  And every choice sequence of the draw kernel,
-    mapped through `_fill` and `_place`, must give each census tableau
-    exactly once: that certifies the slots and letters a draw writes, not
-    the draw weights."""
-    cases = 0
+    """Four legs.  The kernel's choices above each r < audit, tallied by
+    class and subclass, must number `multiplicity(r, -1)`,
+    `bd_only_multiplicity(r, j)` and `with_ag_multiplicity(r, j)`: that
+    certifies the class counts the draw weights are built from.  Over the
+    census kept (n <= _KEEP_MAX), `probability_of` must give each tableau
+    1/(4**n n!): that certifies the decomposition and the AG-row
+    bookkeeping.  Every choice sequence of the draw kernel, mapped through
+    `_fill` and `_place`, must give each census tableau exactly once: that
+    certifies the slots and letters a draw writes.  And the tableaux
+    `iter_samples` draws at n = min(audit, 3) must pass a chi-square against
+    the uniform law on the census at p > 1e-3, every draw inside it: that
+    certifies the draw weights."""
+    from scipy.stats import chi2 as chi2_dist
+
     bad: list[Any] = []
+    for r in range(rg.audit):
+        tally = Counter((j, ag) for _, j, ag, _, _ in _kernel_choices(r))
+        want = {(-1, False): multiplicity(r, -1)}
+        for j in range(r + 1):
+            want[j, False] = bd_only_multiplicity(r, j)
+            want[j, True] = with_ag_multiplicity(r, j)
+        if tally != {key: count for key, count in want.items() if count}:
+            bad.append(("classes", r))
+    cases = 0
     sequences, distinct = {}, {}
     for n in range(1, rg.audit + 1):
         target = Fraction(1, total_count(n))
@@ -369,9 +395,18 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
         sequences[str(n)], distinct[str(n)] = len(grown), len(found)
         if len(grown) != len(found) or found != set(_census(n)[1]):
             bad.append(("kernel", n))
+    n, draws = min(rg.audit, 3), rg.law_draws
+    census = _census(n)[1]
+    hist = Counter(iter_samples(n, draws, seed))
+    expected = draws / len(census)
+    chi2 = sum((hist[t] - expected) ** 2 / expected for t in census)
+    p_value = float(chi2_dist.sf(chi2, len(census) - 1))
+    if p_value <= 1e-3 or hist.keys() - set(census):
+        bad.append(("full_law", n))
     return _verdict(
         bad, max_n=rg.audit, cases=cases,
         kernel_sequences=sequences, kernel_tableaux=distinct,
+        full_law={"n": n, "draws": draws, "chi2": chi2, "p_value": p_value},
     )
 
 

@@ -606,7 +606,8 @@ def _resolve_seed(flag: int | None) -> tuple[int, str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` and run its subcommand; returns the process exit status,
-    2 with a one-line ``error:`` on stderr for a refused input."""
+    2 with a one-line ``error:`` on stderr for a refused input or a missing
+    optional dependency (scipy, which only the chi-square checks import)."""
     args = build_parser().parse_args(argv)
     try:
         if "seed" in vars(args):
@@ -621,7 +622,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
         with _open_out(args.out) as out:
             return args.handler(args, out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

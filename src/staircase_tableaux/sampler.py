@@ -8,10 +8,11 @@ beta/delta-only and with-alpha/gamma subclasses) is chosen with probability
     multiplicity(r, j) * N(k-1, r-j) / N(k, r),
 
 where k columns remain and N is the completion count.  Within a class the
-slot subset and the individual symbols are uniform.  Every complete tableau
-then carries probability 1/(4**n n!) exactly; `probability_of` certifies
-this per tableau by replaying the branch and multiplying the stage
-probabilities as integer (numerator, denominator) pairs.
+slot subset and the individual symbols are uniform, so each fill of class j
+is drawn with probability N(k-1, r-j) / N(k, r), and every complete tableau
+carries probability 1/(4**n n!) exactly; `probability_of` replays a
+tableau's columns and multiplies those ratios as integer (numerator,
+denominator) pairs.
 
 The class is drawn lazily.  x is drawn below the closed-form total
 4k (2k+1)**r, and the classes are walked in the order j = -1, 0, 1, ...,
@@ -58,15 +59,16 @@ from .core import _stat_vector, ag_row_indices
 # `sample_statistics` no longer calls `statistics`; the name stays bound
 # because `bench/layers.py` wraps it as `sampler.statistics`.
 from .core import statistics  # noqa: F401
-from .counting import (
+from .counting import completion_count
+# The sampler calls none of the class counts or `ColumnFill`; the names stay
+# bound because `bench/layers.py` wraps them in this module's namespace.
+from .counting import (  # noqa: F401
     bd_only_multiplicity,
-    completion_count,
     multiplicity,
     with_ag_multiplicity,
 )
-# `ColumnFill` is named only in an annotation, and `bench/layers.py` wraps
-# it as `sampler.ColumnFill`.
-from .enumerator import ColumnFill, _place, split_first_column
+from .enumerator import ColumnFill  # noqa: F401
+from .enumerator import _place, split_first_column
 
 RNG_ID = "python-random-mt19937"
 
@@ -299,41 +301,27 @@ def sample_statistics(n: int, count: int, seed: int) -> list[StatVector]:
     return out
 
 
-def _fill_probability(k: int, r: int, fill: ColumnFill) -> tuple[int, int]:
-    """Probability that the column draw at (k, r) produces exactly `fill`, as
-    an unreduced integer (numerator, denominator) pair, accumulated stage by
-    stage (class, subclass, subset, symbols)."""
-    j = -fill.r_change
-    move_mult = multiplicity(r, j)
-    num, den = move_mult * completion_count(k - 1, r - j), completion_count(k, r)
-    if j < 0:
-        return num, den * 2
-    if fill.has_ag_upper:
-        sub, subsets, coins = with_ag_multiplicity(r, j), comb(r, j + 1), 2 ** (j + 2)
-    else:
-        sub, subsets, coins = bd_only_multiplicity(r, j), comb(r, j), 2 ** (j + 1)
-    return num * sub, den * move_mult * subsets * coins
-
-
 def probability_of(n: int, t: Tableau) -> Fraction:
-    """Replay the growth of `t` and multiply its branch probabilities.
+    """Replay the growth of `t` and multiply its column probabilities.
 
-    The stages multiply as integer pairs, made one `Fraction` at the return.
-    For a valid size-n tableau the product must come out to 1/(4**n n!), and
-    it does for any tableau that decomposes: each stage cancels (mult/mult,
-    sub/(C 2**m) = 1) to N(k-1, r-j) / N(k, r), and these telescope.  So
-    `sampler-exactness` certifies the decomposition and the AG-row
-    bookkeeping; the draw kernel is pinned by the tests
-    `test_class_walk_returns_the_linear_scan_class` and
-    `test_columns_draw_the_words_of_the_below_reference`.
+    Each column is peeled off with `split_first_column`; the k-th peeled
+    (k = 1..n) leaves a parent with r AG rows, and a fill of class j above
+    it is drawn with probability N(k-1, r-j) / N(k, r), N being
+    `completion_count`.  The ratios multiply as integer pairs, made one
+    `Fraction` at the return.  For a valid size-n tableau they telescope to
+    1/(4**n n!), so `sampler-exactness` certifies the decomposition and the
+    AG-row bookkeeping; a class j > r raises `ValueError` from
+    `completion_count`.  The class counts the draw kernel is built from and
+    its draw weights are checked by that check's class-count and full-law
+    legs.
     """
     if t.n != n:
         raise ValueError(f"tableau has size {t.n}, expected {n}")
     num = den = 1
     current = t
-    for m in range(n, 0, -1):
-        parent, fill = split_first_column(current)
-        stage = _fill_probability(n - m + 1, len(ag_row_indices(parent)), fill)
-        num, den = num * stage[0], den * stage[1]
-        current = parent
+    for k in range(1, n + 1):
+        current, fill = split_first_column(current)
+        r = len(ag_row_indices(current))
+        num *= completion_count(k - 1, r + fill.r_change)
+        den *= completion_count(k, r)
     return Fraction(num, den)

@@ -70,13 +70,20 @@ def test_c04_r_and_delta_moments_from_pmfs():
 
 
 def test_c05_rows_split_between_r_and_delta():
+    # Both legs read the tableaux the census keeps, n <= 4 (`kept_max_n`);
+    # `max_n` is the census range.
     res = _run("row-identity")
     m = res.measured
-    ok = res.passed and m["max_n"] == 5 and m["violations"] == 0
+    ok = (
+        res.passed
+        and m["max_n"] == 5
+        and m["kept_max_n"] == 4
+        and m["violations"] == 0
+    )
     _report(
         ok, "row-identity",
-        f"r+delta=n read off the cells of the kept tableaux, "
-        f"bad={m['violations']}",
+        f"r+delta=n read off the cells of the kept tableaux "
+        f"(n <= {m['kept_max_n']}), bad={m['violations']}",
     )
 
 
@@ -115,14 +122,18 @@ def test_c09_bivariate_series_and_pole_constants():
 
 
 def test_c10_sampler_weights_are_exactly_uniform():
+    pytest.importorskip("scipy.stats")
     res = _run("sampler-exactness")
     m = res.measured
     census = {"1": 4, "2": 32, "3": 384, "4": 6144}
+    law = m["full_law"]
     ok = (
         res.passed
         and m["max_n"] == 4
         and m["cases"] == sum(census.values())
         and m["kernel_sequences"] == m["kernel_tableaux"] == census
+        and (law["n"], law["draws"]) == (3, 20_000)
+        and law["p_value"] > 1e-3
         and m["failures"] == []
     )
     _report(
@@ -130,6 +141,7 @@ def test_c10_sampler_weights_are_exactly_uniform():
         "sampler-exactness",
         f"{m['cases']} tableaux, {m['kernel_sequences']['4']} kernel sequences "
         f"giving {m['kernel_tableaux']['4']} tableaux at n=4, "
+        f"full law at n=3 chi2={law['chi2']:.1f} p={law['p_value']:.4f}, "
         f"bad={m['failures']}",
     )
 

@@ -868,6 +868,19 @@ def test_verify_suite_refuses_a_negative_seed_before_any_check(monkeypatch):
         verify_suite(2, seed=-5)
 
 
+@pytest.mark.parametrize("suite", ["sampler-exactness", "sampler-chi-square"])
+def test_verify_without_scipy_is_a_one_line_error(suite, capsys, monkeypatch):
+    # scipy is imported only inside the chi-square checks, so the library
+    # runs without it and `verify` refuses such a check as a plain error.
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+    code = main(["verify", "--suite", suite, "--n-max", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 # ------------------------------------------------------------ output paths
 
 

@@ -14,6 +14,7 @@ from staircase_tableaux import (
     asep,
     checks,
     cli,
+    counting,
     enumerator,
     polyengine,
     sampler,
@@ -151,6 +152,56 @@ def _v_row_third_difference(mp):
         mp.setattr(module, "build_V", perturbed)
 
 
+def _c_triangle_coefficient_raised(mp):
+    # The z**0 coefficient of c[3][1] is raised by 1 in the triangle the
+    # path oracle is compared with.
+    real = polyengine.build_c
+
+    def raised(n):
+        rows = real(n)
+        if n < 3:
+            return rows
+        row = list(rows[3])
+        row[1] = (row[1][0] + 1, *row[1][1:])
+        return (*rows[:3], tuple(row), *rows[4:])
+
+    mp.setattr(checks, "build_c", raised)
+
+
+def _c1_row_entry_raised(mp):
+    # Entry 2 of row 4 of the c-triangle at z = 1 is raised by 1.  The
+    # defect goes wherever the package binds `c1_rows`.
+    real = polyengine.c1_rows
+
+    def raised(n):
+        rows = real(n)
+        if n < 4:
+            return rows
+        row = list(rows[4])
+        row[2] += 1
+        return (*rows[:4], tuple(row), *rows[5:])
+
+    for module in (polyengine, checks):
+        mp.setattr(module, "c1_rows", raised)
+
+
+def _with_ag_class_count_raised(mp):
+    # The count of class-j fills with an alpha/gamma upper entry is 1 too
+    # high; a draw's weights are built from the class counts, and
+    # `probability_of` no longer reads them.  The defect goes wherever the
+    # package binds `with_ag_multiplicity`.
+    real = counting.with_ag_multiplicity
+    for module in (counting, sampler, checks):
+        mp.setattr(module, "with_ag_multiplicity", lambda r, j: real(r, j) + 1)
+
+
+def _below_never_draws_its_last_value(mp):
+    # `_below` draws below max(1, bound - 1), so the last slot subset of a
+    # class is never drawn; no n <= 2 draw has two subsets to choose from.
+    real = sampler._below
+    mp.setattr(sampler, "_below", lambda bits, n: real(bits, max(1, n - 1)))
+
+
 def _split_reads_ag_upper_as_beta(mp):
     # The decomposition the audit replays reads an alpha/gamma upper entry
     # of column 1 as beta.
@@ -224,10 +275,14 @@ WITNESSES = [
     ("diagonal-moments", 1, _v_step_mass_moved_inward, None),
     ("diagonal-moments", 1, _v_row_third_difference, ("irwin-hall", 20)),
     ("triangle-identities", 1, _v_step_mass_moved_inward, None),
+    ("triangle-identities", 1, _c_triangle_coefficient_raised, ("oracle", 3, 1)),
+    ("triangle-identities", 1, _c1_row_entry_raised, ("whitney", 4, 2)),
     ("bivariate-series", 1, _v_step_mass_moved_inward, None),
     ("sampler-exactness", 3, _split_reads_ag_upper_as_beta, None),
     ("sampler-exactness", 2, _upper_entries_take_the_first_letter, ("kernel", 2)),
     ("sampler-exactness", 3, _every_rank_unranks_the_first_subset, ("kernel", 3)),
+    ("sampler-exactness", 1, _with_ag_class_count_raised, ("classes", 0)),
+    ("sampler-exactness", 3, _below_never_draws_its_last_value, ("full_law", 3)),
     ("sampler-chi-square", 3, _upper_ag_counted_as_diagonal, None),
     ("asep-grid", 3, _slot_weight_raised, None),
 ]
