@@ -55,6 +55,7 @@ from .sampler import _fill, iter_samples, probability_of, sample_statistics
 from .stats import (
     STATISTICS,
     ExactPMF,
+    chi2_sf,
     clt_check,
     dist_A,
     dist_r,
@@ -369,10 +370,8 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     `_fill` and `_place`, must give each census tableau exactly once: that
     certifies the slots and letters a draw writes.  And the tableaux
     `iter_samples` draws at n = min(audit, 3) must pass a chi-square against
-    the uniform law on the census at p > 1e-3, every draw inside it: that
-    certifies the draw weights."""
-    from scipy.stats import chi2 as chi2_dist
-
+    the uniform law on the census at p > 1e-3 (`stats.chi2_sf`), every draw
+    inside it: that certifies the draw weights."""
     bad: list[Any] = []
     for r in range(rg.audit):
         tally = Counter((j, ag) for _, j, ag, _, _ in _kernel_choices(r))
@@ -400,7 +399,7 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     hist = Counter(iter_samples(n, draws, seed))
     expected = draws / len(census)
     chi2 = sum((hist[t] - expected) ** 2 / expected for t in census)
-    p_value = float(chi2_dist.sf(chi2, len(census) - 1))
+    p_value = chi2_sf(chi2, len(census) - 1)
     if p_value <= 1e-3 or hist.keys() - set(census):
         bad.append(("full_law", n))
     return _verdict(
@@ -412,11 +411,10 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
 
 @_check("sampler-chi-square")
 def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """Every statistic's histogram from one sampled run against its law.
+    """Every statistic's histogram from one sampled run against its law, by
+    chi-square at p > 1e-3 (`stats.chi2_sf`).
     The KS leg draws from `dist_A(n).sample`, not from the tableau sampler,
     so it certifies `draw_integers` against the exact diagonal law."""
-    from scipy.stats import chi2 as chi2_dist
-
     n, draws = rg.enum, rg.chi_draws
     sampled = sample_statistics(n, draws, seed)
     legs = {}
@@ -425,7 +423,7 @@ def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
         law = stat.law(n)
         want = {v: draws * float(law.p(v)) for v in law.support()}
         chi2 = sum((hist[v] - e) ** 2 / e for v, e in want.items())
-        p_value = float(chi2_dist.sf(chi2, len(want) - 1))
+        p_value = chi2_sf(chi2, len(want) - 1)
         legs[name] = {"chi2": chi2, "p_value": p_value}
     measured: dict[str, Any] = {
         "n": n, "draws": draws, **legs["r"], "legs": legs,

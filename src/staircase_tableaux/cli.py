@@ -606,8 +606,7 @@ def _resolve_seed(flag: int | None) -> tuple[int, str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` and run its subcommand; returns the process exit status,
-    2 with a one-line ``error:`` on stderr for a refused input or a missing
-    optional dependency (scipy, which only the chi-square checks import)."""
+    2 with a one-line ``error:`` on stderr for a refused input."""
     args = build_parser().parse_args(argv)
     try:
         if "seed" in vars(args):
@@ -622,7 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
         with _open_out(args.out) as out:
             return args.handler(args, out)
-    except (ValueError, OSError, ImportError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ law is held as integer weights over the one denominator 2**n n! (the
 coefficients of prod_k (z + 2k - 1), or the V row), and `Fraction` appears
 only where a probability or moment is read out.  `kolmogorov_distance` reads
 a law's distance to its normal limit in floats, from the exact integer CDF;
-`clt_check` runs it on samples.
+`clt_check` runs it on samples, and `chi2_sf` gives chi-square tails.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import factorial, lcm
+from math import erfc, exp, factorial, gamma, inf, lcm, lgamma, log, sqrt
 from statistics import NormalDist
 from typing import Callable, Sequence
 
@@ -216,3 +216,35 @@ def clt_check(samples: Sequence[int], mean: float, sd: float) -> float:
     lo = int(min(counts))
     weights = tuple(counts[v] for v in range(lo, int(max(counts)) + 1))
     return kolmogorov_distance(ExactPMF(lo, weights, len(samples)), mean, sd)
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(X > x) for X chi-square on integer df >= 1 degrees of freedom, in
+    closed form (Abramowitz-Stegun 26.4.4-5): with y = x/2, c = (df % 2)/2
+    and t_j = e**-y y**(j+c) / Gamma(j+c+1), the tail is erfc(sqrt(y)) (odd
+    df) plus t_j over j < df // 2, or 1 minus t_j over j >= df // 2.  It sums
+    the side whose terms fall away from t_{df // 2}: none overflows, a huge x
+    gives 0.0, and t_{df // 2} is read off logs once e**-y underflows."""
+    if df < 1 or not x >= 0:
+        raise ValueError(f"need df >= 1 and x >= 0, got df={df}, x={x}")
+    if x == inf:
+        return 0.0
+    y, c, m = x / 2, df % 2 / 2, df // 2
+    if y < 700:
+        t = exp(-y) * y**c / gamma(c + 1)
+        for j in range(1, m + 1):
+            t *= y / (j + c)
+    else:
+        t = exp((m + c) * log(y) - y - lgamma(m + c + 1))
+    if y < m:
+        lower, j = 0.0, m
+        while t > lower * 1e-17:
+            lower += t
+            j += 1
+            t *= y / (j + c)
+        return 1.0 - lower
+    upper = erfc(sqrt(y)) if c else 0.0
+    for j in range(m, 0, -1):
+        t *= (j + c) / y
+        upper += t
+    return upper

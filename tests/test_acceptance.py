@@ -122,7 +122,6 @@ def test_c09_bivariate_series_and_pole_constants():
 
 
 def test_c10_sampler_weights_are_exactly_uniform():
-    pytest.importorskip("scipy.stats")
     res = _run("sampler-exactness")
     m = res.measured
     census = {"1": 4, "2": 32, "3": 384, "4": 6144}
@@ -147,7 +146,6 @@ def test_c10_sampler_weights_are_exactly_uniform():
 
 
 def test_c11_sampled_statistics_match_the_limit_laws():
-    pytest.importorskip("scipy.stats")
     res = _run("sampler-chi-square")
     m = res.measured
     worst = min(leg["p_value"] for leg in m["legs"].values())

@@ -869,16 +869,14 @@ def test_verify_suite_refuses_a_negative_seed_before_any_check(monkeypatch):
 
 
 @pytest.mark.parametrize("suite", ["sampler-exactness", "sampler-chi-square"])
-def test_verify_without_scipy_is_a_one_line_error(suite, capsys, monkeypatch):
-    # scipy is imported only inside the chi-square checks, so the library
-    # runs without it and `verify` refuses such a check as a plain error.
+def test_verify_chi_square_checks_run_without_scipy(suite, capsys, monkeypatch):
+    # A None entry in sys.modules makes any import of scipy fail, so a pass
+    # shows that no code path of these checks reaches for it.
+    monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.setitem(sys.modules, "scipy.stats", None)
     code = main(["verify", "--suite", suite, "--n-max", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 # ------------------------------------------------------------ output paths

@@ -13,6 +13,7 @@ from staircase_tableaux import stats
 from staircase_tableaux.stats import (
     STATISTICS,
     ExactPMF,
+    chi2_sf,
     clt_check,
     dist_A,
     dist_delta,
@@ -308,3 +309,59 @@ def test_clt_check_is_the_distance_of_the_empirical_law():
 def test_kolmogorov_distance_refuses_a_non_positive_sd(sd):
     with pytest.raises(ValueError, match="sd must be positive"):
         kolmogorov_distance(dist_A(5), 2.5, sd)
+
+
+# ------------------------------------------------------- chi-square tail
+
+_CHI2_DFS = [*range(1, 41), 100, 383, 999]
+
+
+def _chi2_grid(df):
+    """400 values of x from 0 to 3 df + 30."""
+    return [(3 * df + 30) * i / 399 for i in range(400)]
+
+
+@pytest.mark.parametrize("df", _CHI2_DFS)
+def test_chi2_sf_matches_scipy_where_the_tail_exceeds_1e_6(df):
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    xs = _chi2_grid(df)
+    for x, want in zip(xs, chi2.sf(xs, df)):
+        if want > 1e-6:
+            assert chi2_sf(x, df) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("df", [1500, 2000, 5000])
+def test_chi2_sf_reads_a_large_df_off_logs_past_the_underflow(df):
+    # From y = x/2 = 700 on, e**-y is no normal float and the first term
+    # comes from logs, where rounding grows with y (2e-12 at df = 5000).
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    xs = [x for x in _chi2_grid(df) if x >= 1400]
+    for x, want in zip(xs, chi2.sf(xs, df)):
+        if want > 1e-6:
+            assert chi2_sf(x, df) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 7.5, 40.0, 300.0])
+def test_chi2_sf_on_one_and_two_df_is_erfc_and_exp(x):
+    assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-14)
+    assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("df", _CHI2_DFS)
+def test_chi2_sf_is_one_at_zero_and_never_increases(df):
+    values = [chi2_sf(x, df) for x in _chi2_grid(df)]
+    assert values[0] == 1.0
+    assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("x, df", [(1e5, 383), (1e7, 1), (1e300, 4), (math.inf, 3)])
+def test_chi2_sf_of_a_huge_statistic_is_zero(x, df):
+    # A running term in linear space overflows at (1e5, 383), and a clamped
+    # inf would read 1.0: a gross sampler defect would then pass c10.
+    assert chi2_sf(x, df) == 0.0
+
+
+@pytest.mark.parametrize("x, df", [(1.0, 0), (-1.0, 3), (math.nan, 3)])
+def test_chi2_sf_refuses_df_below_one_and_x_negative_or_nan(x, df):
+    with pytest.raises(ValueError, match=r"^need df >= 1 and x >= 0"):
+        chi2_sf(x, df)
