@@ -39,7 +39,7 @@ from .counting import (
     total_count,
     with_ag_multiplicity,
 )
-from .enumerator import _place, enumerate_all
+from .enumerator import enumerate_all, legal_fills
 from .polyengine import (
     V_explicit,
     bivariate_series_check,
@@ -51,7 +51,8 @@ from .polyengine import (
     pgf_B,
     pole_constants,
 )
-from .sampler import _fill, iter_samples, probability_of, sample_statistics
+from .sampler import _Choice, _fill, _grow, _grow_counts, iter_samples
+from .sampler import probability_of, sample_statistics
 from .stats import (
     STATISTICS,
     ExactPMF,
@@ -88,6 +89,7 @@ class _Ranges:
     tri: int
     oracle: int
     audit: int
+    bijection: int
     law_draws: int
     chi_draws: int
     ks_n: int | None
@@ -108,6 +110,7 @@ def _ranges(n_max: int) -> _Ranges:
         tri=min(30, max(8, 6 * n_max)),
         oracle=min(7, n_max + 2),
         audit=_KEEP_MAX if full else min(n_max, 3),
+        bijection=n_max + 1,
         law_draws=20_000 if full else 5_000,
         chi_draws=10**5 if full else 20_000 if n_max >= 4 else 5_000,
         ks_n=2000 if full else None,
@@ -323,7 +326,7 @@ def _series(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     }
 
 
-def _kernel_choices(r: int) -> Iterator[tuple[int, int, bool, int, int]]:
+def _kernel_choices(r: int) -> Iterator[_Choice]:
     """Every (r, j, with_ag, rank, coins) that `sampler._columns` can yield
     above r AG rows, written from its draw bounds: class j = -1..r; for
     j = -1 a bottom coin; else a subclass, a rank below C(r, j), or below
@@ -338,40 +341,22 @@ def _kernel_choices(r: int) -> Iterator[tuple[int, int, bool, int, int]]:
                     yield r, j, with_ag, rank, coins
 
 
-def _kernel_tableaux(n: int) -> list[Tableau]:
-    """The size-n tableau of each choice sequence the kernel can draw,
-    built as `sampler._grow` builds it: each column's choices through `_fill`
-    and `_place`, r stepped as `_columns` steps it."""
-    out: list[Tableau] = []
-
-    def grow(m: int, r: int, cells: dict, ag_rows: list[int]) -> None:
-        if m == n:
-            out.append(Tableau(n, cells))
-            return
-        for choice in _kernel_choices(r):
-            column = dict(cells)
-            rows = _place(column, ag_rows, m + 1, n - m, *_fill(*choice))
-            j = choice[1]
-            grow(m + 1, r + 1 if j < 0 else r - j, column, rows)
-
-    grow(0, 0, {}, [])
-    return out
-
-
 @_check("sampler-exactness")
 def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """Four legs.  The kernel's choices above each r < audit, tallied by
+    """Six legs.  Classes: the kernel's choices above each r < audit, by
     class and subclass, must number `multiplicity(r, -1)`,
-    `bd_only_multiplicity(r, j)` and `with_ag_multiplicity(r, j)`: that
-    certifies the class counts the draw weights are built from.  Over the
-    census kept (n <= _KEEP_MAX), `probability_of` must give each tableau
-    1/(4**n n!): that certifies the decomposition and the AG-row
-    bookkeeping.  Every choice sequence of the draw kernel, mapped through
-    `_fill` and `_place`, must give each census tableau exactly once: that
-    certifies the slots and letters a draw writes.  And the tableaux
-    `iter_samples` draws at n = min(audit, 3) must pass a chi-square against
-    the uniform law on the census at p > 1e-3 (`stats.chi2_sf`), every draw
-    inside it: that certifies the draw weights."""
+    `bd_only_multiplicity(r, j)` and `with_ag_multiplicity(r, j)`, behind
+    the draw weights.  Decomposition: `probability_of` must give each census
+    tableau of size n <= audit 1/(4**n n!).  Kernel: `sampler._grow` must
+    grow the choice sequences of each size n <= audit into the census, each
+    tableau once.  Counts: where the kernel leg passes, `_grow_counts` must
+    give each sequence the (r, size, n_ag, a_diag) of `_read_statistics` on
+    its tableau, as tuples, so counts breaking r + delta = n fail, not
+    raise.  Bijection: for r <= n_max + 1, `_fill` must map the choices of
+    class j onto the `legal_fills(r)` that change r by -j, each once.  Full
+    law: the draws of `iter_samples` at n = min(audit, 3) must pass a
+    chi-square against the uniform census law at p > 1e-3 (`chi2_sf`),
+    every draw inside it."""
     bad: list[Any] = []
     for r in range(rg.audit):
         tally = Counter((j, ag) for _, j, ag, _, _ in _kernel_choices(r))
@@ -381,19 +366,37 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
             want[j, True] = with_ag_multiplicity(r, j)
         if tally != {key: count for key, count in want.items() if count}:
             bad.append(("classes", r))
-    cases = 0
+    cases = mismatches = 0
     sequences, distinct = {}, {}
+    paths: list[tuple[tuple[_Choice, ...], int]] = [((), 0)]  # (choices, r)
     for n in range(1, rg.audit + 1):
-        target = Fraction(1, total_count(n))
-        for t in _census(n)[1]:
-            cases += 1
-            if probability_of(n, t) != target:
-                bad.append(n)
-        grown = _kernel_tableaux(n)
+        kept, target = _census(n)[1], Fraction(1, total_count(n))
+        cases += len(kept)
+        bad += [n for t in kept if probability_of(n, t) != target]
+        # Every choice sequence of a size-n draw, r stepped as `_columns`
+        # steps it: r - j after class j, so r + 1 after class -1.
+        paths = [((*seq, c), r - c[1]) for seq, r in paths
+                 for c in _kernel_choices(r)]
+        grown = [_grow(n, seq) for seq, _ in paths]
         found = set(grown)
         sequences[str(n)], distinct[str(n)] = len(grown), len(found)
-        if len(grown) != len(found) or found != set(_census(n)[1]):
+        if len(grown) != len(found) or found != set(kept):
             bad.append(("kernel", n))
+            continue  # `_read_statistics` may raise off the census
+        wrong = sum(
+            _grow_counts(seq) != (s.r, s.delta + s.gamma, s.gamma, s.a_diag)
+            for (seq, _), s in zip(paths, map(_read_statistics, grown))
+        )
+        mismatches += wrong
+        if wrong:
+            bad.append(("counts", n))
+    for r in range(rg.bijection + 1):
+        drawn = Counter((c[1], _fill(*c)) for c in _kernel_choices(r))
+        fills = Counter(
+            (-f.r_change, (f.bottom, f.upper)) for f in legal_fills(r)
+        )
+        if drawn != fills or max(drawn.values()) > 1:
+            bad.append(("bijection", r))
     n, draws = min(rg.audit, 3), rg.law_draws
     census = _census(n)[1]
     hist = Counter(iter_samples(n, draws, seed))
@@ -403,8 +406,9 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     if p_value <= 1e-3 or hist.keys() - set(census):
         bad.append(("full_law", n))
     return _verdict(
-        bad, max_n=rg.audit, cases=cases,
+        bad, max_n=rg.audit, cases=cases, bijection_max_r=rg.bijection,
         kernel_sequences=sequences, kernel_tableaux=distinct,
+        counts_mismatches=mismatches,
         full_law={"n": n, "draws": draws, "chi2": chi2, "p_value": p_value},
     )
 

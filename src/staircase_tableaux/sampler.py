@@ -29,9 +29,10 @@ them, so both draw the same stream.
 (`_columns` is their one source) but keeps only the class counts, so it
 builds no `ColumnFill` and no `Tableau`, and a seed gives the same
 `StatVector`s both ways, r being the walk's final AG-row count; draws with
-equal counts share one `StatVector`.
-`sample_many` hands each drawn fill to `enumerator._place` as its (bottom,
-upper) pair, legal by construction, so it builds no `ColumnFill` either.
+equal counts share one `StatVector`.  `_grow` and `_grow_counts` take the
+choice columns `_columns` yields; `_grow` hands each fill to
+`enumerator._place` as its (bottom, upper) pair, so it builds no
+`ColumnFill` either.
 
 All randomness flows through `random.Random` (Mersenne Twister) seeded by the
 caller, and every draw consumes exactly the `getrandbits` words that
@@ -52,7 +53,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import _AG, _BD, GreekSymbol, StatVector, Tableau, _grown
 from .core import _stat_vector, ag_row_indices
@@ -87,6 +88,9 @@ _COUNT_LIMIT = 10**6
 #: `sample_statistics(5, 10**6, seed)` and caps size-10**4 calls at 1000
 #: draws, about 40 min at 2-3 s a draw.
 _COLUMN_LIMIT = 10**7
+
+#: One column's choices, (r, j, with_ag, rank, coins): see `_columns`.
+_Choice = tuple[int, int, bool, int, int]
 
 
 def _below(bits: Callable[[int], int], n: int) -> int:
@@ -162,9 +166,7 @@ def _unrank_subset(r: int, size: int, index: int) -> list[int]:
     return out
 
 
-def _columns(
-    rng: random.Random, n: int
-) -> Iterator[tuple[int, int, bool, int, int]]:
+def _columns(rng: random.Random, n: int) -> Iterator[_Choice]:
     """All random choices of one size-n draw, column by column in stream
     order.
 
@@ -228,20 +230,21 @@ def _fill(
     return _BD[coins & 1], tuple(upper)
 
 
-def _grow(rng: random.Random, n: int) -> Tableau:
+def _grow(n: int, columns: Iterable[_Choice]) -> Tableau:
+    """The size-n tableau that the choice columns of `_columns` describe."""
     cells: dict = {}
     ag_rows: list[int] = []
-    for m, column in enumerate(_columns(rng, n)):
+    for m, column in enumerate(columns):
         ag_rows = _place(cells, ag_rows, m + 1, n - m, *_fill(*column))
     return _grown(n, cells)
 
 
-def _grow_counts(rng: random.Random, n: int) -> tuple[int, int, int, int]:
+def _grow_counts(columns: Iterable[_Choice]) -> tuple[int, int, int, int]:
     """The final AG-row count (r - j after the last column; r + 1 for j = -1)
     and the cell, alpha/gamma and diagonal alpha/gamma counts of the tableau
-    `_grow` would draw from the same stream."""
+    `_grow` builds from the same choice tuples."""
     r = j = n_bd = n_ag = a_diag = 0
-    for r, j, with_ag, _, _ in _columns(rng, n):
+    for r, j, with_ag, _, _ in columns:
         if j < 0:
             n_ag += 1
             a_diag += 1
@@ -277,7 +280,7 @@ def iter_samples(n: int, count: int, seed: int) -> Iterator[Tableau]:
     drawn when it is asked for.  n, count and n * count are checked at the
     call, before anything is drawn."""
     rng = _stream(n, count, seed)
-    return (_grow(rng, n) for _ in range(count))
+    return (_grow(n, _columns(rng, n)) for _ in range(count))
 
 
 def sample_many(n: int, count: int, seed: int) -> list[Tableau]:
@@ -293,7 +296,7 @@ def sample_statistics(n: int, count: int, seed: int) -> list[StatVector]:
     shared: dict[tuple[int, int, int, int], StatVector] = {}
     out = []
     for _ in range(count):
-        counts = _grow_counts(rng, n)
+        counts = _grow_counts(_columns(rng, n))
         stats = shared.get(counts)
         if stats is None:
             stats = shared[counts] = _stat_vector(n, *counts)

@@ -131,6 +131,8 @@ def test_c10_sampler_weights_are_exactly_uniform():
         and m["max_n"] == 4
         and m["cases"] == sum(census.values())
         and m["kernel_sequences"] == m["kernel_tableaux"] == census
+        and m["counts_mismatches"] == 0
+        and m["bijection_max_r"] == 7
         and (law["n"], law["draws"]) == (3, 20_000)
         and law["p_value"] > 1e-3
         and m["failures"] == []

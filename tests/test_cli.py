@@ -809,11 +809,15 @@ def test_verify_document_is_pinned(capsys):
     ]
 
 
-def test_verify_passes_under_optimize_flag():
+@pytest.mark.parametrize(
+    "suite, n_max", [("cardinality", 2), ("sampler-exactness", 3)]
+)
+def test_verify_passes_under_optimize_flag(suite, n_max):
+    # No gate may depend on `assert`.
     src = Path(staircase_tableaux.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "staircase_tableaux", "verify",
-         "--suite", "cardinality", "--n-max", "2"],
+         "--suite", suite, "--n-max", str(n_max)],
         capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr

@@ -236,16 +236,42 @@ def _every_rank_unranks_the_first_subset(mp):
     )
 
 
+def _ranks_above_four_rows_unrank_the_first_subset(mp):
+    # At r >= 5 AG rows every slot subset is the lexicographically first
+    # one.  No draw of size n <= 5 reaches r = 5, so only the per-column
+    # bijection leg, which runs r up to n_max + 1, can see it.
+    real = sampler._unrank_subset
+    mp.setattr(
+        sampler,
+        "_unrank_subset",
+        lambda r, size, index: real(r, size, 0 if r >= 5 else index),
+    )
+
+
+def _diagonal_box_written_one_row_low(mp):
+    # The draw writes each column's diagonal box one row too low.  The
+    # defect goes only into `sampler`'s binding of `_place`, which only
+    # `_grow` calls, so the walk, the census and `_fill` stay clean.
+    real = sampler._place
+
+    def low(cells, ag_rows, bottom_row, col, bottom, upper):
+        return real(cells, ag_rows, bottom_row + 1, col, bottom, upper)
+
+    mp.setattr(sampler, "_place", low)
+
+
 def _upper_ag_counted_as_diagonal(mp):
     # The statistics-only draw counts every alpha/gamma upper entry as a
-    # diagonal one: a_diag becomes the whole alpha/gamma count.
+    # diagonal one: a_diag becomes the whole alpha/gamma count.  The defect
+    # goes wherever the package binds `_grow_counts`.
     real = sampler._grow_counts
 
-    def counts(rng, n):
-        r, size, n_ag, _ = real(rng, n)
+    def counts(columns):
+        r, size, n_ag, _ = real(columns)
         return r, size, n_ag, n_ag
 
-    mp.setattr(sampler, "_grow_counts", counts)
+    for module in (sampler, checks):
+        mp.setattr(module, "_grow_counts", counts)
 
 
 def _slot_weight_raised(mp):
@@ -283,6 +309,10 @@ WITNESSES = [
     ("sampler-exactness", 3, _every_rank_unranks_the_first_subset, ("kernel", 3)),
     ("sampler-exactness", 1, _with_ag_class_count_raised, ("classes", 0)),
     ("sampler-exactness", 3, _below_never_draws_its_last_value, ("full_law", 3)),
+    ("sampler-exactness", 4, _ranks_above_four_rows_unrank_the_first_subset,
+     ("bijection", 5)),
+    ("sampler-exactness", 1, _diagonal_box_written_one_row_low, ("kernel", 1)),
+    ("sampler-exactness", 2, _upper_ag_counted_as_diagonal, ("counts", 2)),
     ("sampler-chi-square", 3, _upper_ag_counted_as_diagonal, None),
     ("asep-grid", 3, _slot_weight_raised, None),
 ]
