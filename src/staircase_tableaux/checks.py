@@ -51,12 +51,12 @@ from .polyengine import (
     pgf_B,
     pole_constants,
 )
-from .sampler import _Choice, _fill, _grow, _grow_counts, iter_samples
-from .sampler import probability_of, sample_statistics
+from .sampler import _Choice, _class_of, _fill, _grow, _grow_counts
+from .sampler import iter_samples, probability_of, sample_statistics
 from .stats import (
     STATISTICS,
     ExactPMF,
-    chi2_sf,
+    chi_square,
     clt_check,
     dist_A,
     dist_r,
@@ -67,6 +67,10 @@ from .stats import (
 
 #: Sizes whose census keeps the tableaux themselves, for the sampler audit.
 _KEEP_MAX = 4
+
+#: Largest k (columns left) and r (AG rows) at which the sampler audit
+#: probes every class stretch of the class walk, at every n_max.
+_CLASSES_MAX = 25
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,7 @@ class _Ranges:
     law_draws: int
     chi_draws: int
     ks_n: int | None
+    sampled_n: int | None
     asep: int
     z_oracle: int
 
@@ -114,6 +119,7 @@ def _ranges(n_max: int) -> _Ranges:
         law_draws=20_000 if full else 5_000,
         chi_draws=10**5 if full else 20_000 if n_max >= 4 else 5_000,
         ks_n=2000 if full else None,
+        sampled_n=60 if n_max >= 4 else None,
         asep=8 if full else min(n_max, 4),
         z_oracle=min(n_max, 4),
     )
@@ -343,10 +349,13 @@ def _kernel_choices(r: int) -> Iterator[_Choice]:
 
 @_check("sampler-exactness")
 def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """Six legs.  Classes: the kernel's choices above each r < audit, by
+    """Seven legs.  Classes: the kernel's choices above each r < audit, by
     class and subclass, must number `multiplicity(r, -1)`,
     `bd_only_multiplicity(r, j)` and `with_ag_multiplicity(r, j)`, behind
-    the draw weights.  Decomposition: `probability_of` must give each census
+    the draw weights.  Stretches: for k, r <= 25, `_class_of` must answer
+    class j, with C(r, j), C(r, j + 1) and (2k-1)**(r-j), at both ends of
+    its multiplicity(r, j) (2k-1)**(r-j) draws, which must fill
+    4k (2k+1)**r.  Decomposition: `probability_of` must give each census
     tableau of size n <= audit 1/(4**n n!).  Kernel: `sampler._grow` must
     grow the choice sequences of each size n <= audit into the census, each
     tableau once.  Counts: where the kernel leg passes, `_grow_counts` must
@@ -355,8 +364,10 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     raise.  Bijection: for r <= n_max + 1, `_fill` must map the choices of
     class j onto the `legal_fills(r)` that change r by -j, each once.  Full
     law: the draws of `iter_samples` at n = min(audit, 3) must pass a
-    chi-square against the uniform census law at p > 1e-3 (`chi2_sf`),
-    every draw inside it."""
+    chi-square against the uniform census law at p > 1e-3, every draw
+    inside it.  The stretch and bijection legs make every draw of size
+    n <= n_max + 2 exactly uniform, given the subclass split that `_columns`
+    draws inline, which the exact legs read only up to n = audit."""
     bad: list[Any] = []
     for r in range(rg.audit):
         tally = Counter((j, ag) for _, j, ag, _, _ in _kernel_choices(r))
@@ -366,6 +377,21 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
             want[j, True] = with_ag_multiplicity(r, j)
         if tally != {key: count for key, count in want.items() if count}:
             bad.append(("classes", r))
+    for k in range(1, _CLASSES_MAX + 1):
+        for r in range(_CLASSES_MAX + 1):
+            total, start, ok = 4 * k * (2 * k + 1) ** r, 0, True
+            for j in range(-1, r + 1):
+                # Class -1 picks no slot subset, so it carries no binomials.
+                binomials = (comb(r, j), comb(r, j + 1)) if j >= 0 else (0, 0)
+                power = (2 * k - 1) ** (r - j)
+                want = (j, *binomials, power)
+                end = start + multiplicity(r, j) * power
+                ok = ok and end <= total and (
+                    _class_of(start, k, r) == want == _class_of(end - 1, k, r)
+                )
+                start = end
+            if not ok or start != total:
+                bad.append(("stretch", k, r))
     cases = mismatches = 0
     sequences, distinct = {}, {}
     paths: list[tuple[tuple[_Choice, ...], int]] = [((), 0)]  # (choices, r)
@@ -400,40 +426,51 @@ def _sampler_exactness(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     n, draws = min(rg.audit, 3), rg.law_draws
     census = _census(n)[1]
     hist = Counter(iter_samples(n, draws, seed))
-    expected = draws / len(census)
-    chi2 = sum((hist[t] - expected) ** 2 / expected for t in census)
-    p_value = chi2_sf(chi2, len(census) - 1)
+    uniform = draws / len(census)
+    chi2, _, p_value = chi_square([(hist[t], uniform) for t in census])
     if p_value <= 1e-3 or hist.keys() - set(census):
         bad.append(("full_law", n))
     return _verdict(
         bad, max_n=rg.audit, cases=cases, bijection_max_r=rg.bijection,
+        classes_max_k=_CLASSES_MAX,
         kernel_sequences=sequences, kernel_tableaux=distinct,
         counts_mismatches=mismatches,
         full_law={"n": n, "draws": draws, "chi2": chi2, "p_value": p_value},
     )
 
 
-@_check("sampler-chi-square")
-def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
-    """Every statistic's histogram from one sampled run against its law, by
-    chi-square at p > 1e-3 (`stats.chi2_sf`).
-    The KS leg draws from `dist_A(n).sample`, not from the tableau sampler,
-    so it certifies `draw_integers` against the exact diagonal law."""
-    n, draws = rg.enum, rg.chi_draws
+def _statistic_legs(n: int, draws: int, seed: int) -> dict[str, dict[str, float]]:
+    """`chi_square` of each statistic's law against its sampled histogram."""
     sampled = sample_statistics(n, draws, seed)
     legs = {}
     for name, stat in STATISTICS.items():
         hist = Counter(map(attrgetter(stat.field), sampled))
         law = stat.law(n)
-        want = {v: draws * float(law.p(v)) for v in law.support()}
-        chi2 = sum((hist[v] - e) ** 2 / e for v, e in want.items())
-        p_value = chi2_sf(chi2, len(want) - 1)
+        bins = [(hist[v], draws * float(law.p(v))) for v in law.support()]
+        chi2, _, p_value = chi_square(bins)
         legs[name] = {"chi2": chi2, "p_value": p_value}
+    return legs
+
+
+@_check("sampler-chi-square")
+def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
+    """Each statistic's sampled histogram against its law by chi-square at
+    p > 1e-3 (`_statistic_legs`): at n = min(n_max, 5), and from n_max 4 on
+    at n = 60, past the census, in 5,000 draws.  The KS leg draws from
+    `dist_A(n).sample`, not from the tableau sampler, so it certifies
+    `ExactPMF.sample` against the exact diagonal law."""
+    n, draws = rg.enum, rg.chi_draws
+    legs = _statistic_legs(n, draws, seed)
     measured: dict[str, Any] = {
         "n": n, "draws": draws, **legs["r"], "legs": legs,
         "ks_n": rg.ks_n, "ks_draws": None, "ks": None, "ks_exact": None,
+        "sampled_n": rg.sampled_n, "sampled_draws": None, "sampled_legs": None,
     }
     ok = all(leg["p_value"] > 1e-3 for leg in legs.values())
+    if rg.sampled_n is not None:
+        far = _statistic_legs(rg.sampled_n, 5_000, seed)
+        measured.update(sampled_draws=5_000, sampled_legs=far)
+        ok = ok and all(leg["p_value"] > 1e-3 for leg in far.values())
     if rg.ks_n is not None:
         mean, var = moments_A(rg.ks_n)
         ks_draws, law = 10**5, dist_A(rg.ks_n)

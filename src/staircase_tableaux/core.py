@@ -42,6 +42,8 @@ class GreekSymbol(Enum):
     GAMMA = "G"
     DELTA = "D"
 
+    __hash__ = object.__hash__  # `==` is identity; Enum's hash runs in Python
+
     @property
     def is_ag(self) -> bool:
         """Alpha/gamma class: the column-restricted symbols."""
@@ -58,8 +60,7 @@ class GreekSymbol(Enum):
         return self in _SITE
 
 
-# Tuples rather than sets: membership then tests identity, while hashing an
-# Enum member is a Python-level call.  The order is the sampler's draw order.
+# Tuples, in the sampler's draw order: membership tests identity, no hash.
 _AG = (GreekSymbol.ALPHA, GreekSymbol.GAMMA)
 _BD = (GreekSymbol.BETA, GreekSymbol.DELTA)
 _SITE = (GreekSymbol.ALPHA, GreekSymbol.DELTA)

@@ -314,9 +314,8 @@ def probability_of(n: int, t: Tableau) -> Fraction:
     `Fraction` at the return.  For a valid size-n tableau they telescope to
     1/(4**n n!), so `sampler-exactness` certifies the decomposition and the
     AG-row bookkeeping; a class j > r raises `ValueError` from
-    `completion_count`.  The class counts the draw kernel is built from and
-    its draw weights are checked by that check's class-count and full-law
-    legs.
+    `completion_count`.  The draw weights are read by its class-count,
+    stretch and full-law legs.
     """
     if t.n != n:
         raise ValueError(f"tableau has size {t.n}, expected {n}")

@@ -11,7 +11,7 @@ law is held as integer weights over the one denominator 2**n n! (the
 coefficients of prod_k (z + 2k - 1), or the V row), and `Fraction` appears
 only where a probability or moment is read out.  `kolmogorov_distance` reads
 a law's distance to its normal limit in floats, from the exact integer CDF;
-`clt_check` runs it on samples, and `chi2_sf` gives chi-square tails.
+`clt_check` runs it on samples, and `chi_square` tests sampled histograms.
 """
 
 from __future__ import annotations
@@ -72,27 +72,15 @@ class ExactPMF:
         """Exact inverse-transform draws: an integer uniform below the
         denominator is bisected into the cumulative weights, so each value is
         hit with exactly its rational probability."""
-        return draw_integers(self.weights, count, seed, offset=self.offset)
-
-
-def draw_integers(
-    weights: Sequence[int], count: int, seed: int, offset: int = 0
-) -> list[int]:
-    """Categorical draws proportional to integer weights, bias-free."""
-    if count < 0:
-        raise ValueError(f"need count >= 0, got {count}")
-    if seed < 0:  # `random.Random` would draw the stream of -seed
-        raise ValueError(f"need seed >= 0, got {seed}")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    cum = list(accumulate(weights))
-    if not cum or cum[-1] <= 0:
-        raise ValueError("weights must have positive total")
-    total = cum[-1]
-    rng = random.Random(seed)
-    return [
-        offset + bisect_right(cum, rng.randrange(total)) for _ in range(count)
-    ]
+        if count < 0:
+            raise ValueError(f"need count >= 0, got {count}")
+        if seed < 0:  # `random.Random` would draw the stream of -seed
+            raise ValueError(f"need seed >= 0, got {seed}")
+        cum, rng = list(accumulate(self.weights)), random.Random(seed)
+        return [
+            self.offset + bisect_right(cum, rng.randrange(self.denominator))
+            for _ in range(count)
+        ]
 
 
 def harmonic_pair(n: int) -> tuple[Fraction, Fraction]:
@@ -248,3 +236,14 @@ def chi2_sf(x: float, df: int) -> float:
         t *= (j + c) / y
         upper += t
     return upper
+
+
+def chi_square(bins: Sequence[tuple[int, float]]) -> tuple[float, int, float]:
+    """Pearson's (chi2, df, p) over (observed, expected) bins, summed in bin
+    order, with every bin expecting under 5 draws pooled into one last bin."""
+    kept = [(o, e) for o, e in bins if e >= 5]
+    low = [(o, e) for o, e in bins if e < 5]
+    if low:
+        kept.append((sum(o for o, _ in low), sum(e for _, e in low)))
+    chi2 = sum((o - e) ** 2 / e for o, e in kept)
+    return chi2, len(kept) - 1, chi2_sf(chi2, len(kept) - 1)

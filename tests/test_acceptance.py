@@ -133,6 +133,7 @@ def test_c10_sampler_weights_are_exactly_uniform():
         and m["kernel_sequences"] == m["kernel_tableaux"] == census
         and m["counts_mismatches"] == 0
         and m["bijection_max_r"] == 7
+        and m["classes_max_k"] == 25
         and (law["n"], law["draws"]) == (3, 20_000)
         and law["p_value"] > 1e-3
         and m["failures"] == []
@@ -151,19 +152,24 @@ def test_c11_sampled_statistics_match_the_limit_laws():
     res = _run("sampler-chi-square")
     m = res.measured
     worst = min(leg["p_value"] for leg in m["legs"].values())
+    far = min(leg["p_value"] for leg in m["sampled_legs"].values())
     ok = (
         res.passed
         and (m["n"], m["draws"]) == (5, 10**5)
         and m["p_value"] > 0.001
         and set(m["legs"]) == set(STATISTICS)
         and worst > 0.001
+        and (m["sampled_n"], m["sampled_draws"]) == (60, 5_000)
+        and set(m["sampled_legs"]) == set(STATISTICS)
+        and far > 0.001
         and (m["ks_n"], m["ks_draws"]) == (2000, 10**5)
         and m["ks"] < 0.01
     )
     _report(
         ok,
         "sampler-statistics",
-        f"chi2={m['chi2']:.3f} p={m['p_value']:.4f} (worst leg {worst:.4f}); "
+        f"chi2={m['chi2']:.3f} p={m['p_value']:.4f} (worst leg {worst:.4f}, "
+        f"at n=60 {far:.4f}); "
         f"ks={m['ks']:.5f} "
         f"(exact {m['ks_exact']:.2e})",
     )

@@ -810,7 +810,8 @@ def test_verify_document_is_pinned(capsys):
 
 
 @pytest.mark.parametrize(
-    "suite, n_max", [("cardinality", 2), ("sampler-exactness", 3)]
+    "suite, n_max",
+    [("cardinality", 2), ("sampler-exactness", 3), ("sampler-chi-square", 4)],
 )
 def test_verify_passes_under_optimize_flag(suite, n_max):
     # No gate may depend on `assert`.

@@ -14,11 +14,11 @@ from staircase_tableaux.stats import (
     STATISTICS,
     ExactPMF,
     chi2_sf,
+    chi_square,
     clt_check,
     dist_A,
     dist_delta,
     dist_r,
-    draw_integers,
     harmonic_pair,
     kolmogorov_distance,
     moments_A,
@@ -192,8 +192,12 @@ def test_draws_are_deterministic_and_in_support():
     assert d.sample(500, seed=12) != a
 
 
+# The `draw_integers` tests name the helper that `ExactPMF.sample` absorbed;
+# they draw from a hand-built law with an offset.
+
+
 def test_draw_integers_respects_offset():
-    values = draw_integers((1, 1, 2), 2000, seed=3, offset=5)
+    values = ExactPMF(5, (1, 1, 2), 4).sample(2000, seed=3)
     assert set(values) <= {5, 6, 7}
     assert values.count(7) > values.count(5)
 
@@ -201,13 +205,13 @@ def test_draw_integers_respects_offset():
 @pytest.mark.parametrize("weights", [[], [2, -1], [0, 0]])
 def test_draw_integers_rejects_weights_without_a_distribution(weights):
     with pytest.raises(ValueError, match="weights must"):
-        draw_integers(weights, 5, 0)
+        ExactPMF(0, tuple(weights), sum(weights)).sample(5, 0)
 
 
 @pytest.mark.parametrize(
     "draw, count",
     [
-        (lambda count: draw_integers((1, 2), count, 0), -3),
+        (lambda count: ExactPMF(4, (1, 2), 3).sample(count, 0), -3),
         (lambda count: dist_r(3).sample(count, 1), -2),
     ],
     ids=["draw_integers", "ExactPMF.sample"],
@@ -220,7 +224,7 @@ def test_negative_draw_counts_are_refused(draw, count):
 @pytest.mark.parametrize(
     "draw",
     [
-        lambda seed: draw_integers((1, 2), 5, seed),
+        lambda seed: ExactPMF(4, (1, 2), 3).sample(5, seed),
         lambda seed: dist_r(9).sample(5, seed),
     ],
     ids=["draw_integers", "ExactPMF.sample"],
@@ -235,7 +239,7 @@ def test_negative_seeds_are_refused_before_any_draw(draw, monkeypatch):
 
 
 def test_zero_draws_are_an_empty_list():
-    assert draw_integers((1, 2), 0, 0) == dist_r(3).sample(0, 1) == []
+    assert ExactPMF(4, (1, 2), 3).sample(0, 0) == dist_r(3).sample(0, 1) == []
 
 
 def test_draw_frequencies_track_the_pmf():
@@ -365,3 +369,16 @@ def test_chi2_sf_of_a_huge_statistic_is_zero(x, df):
 def test_chi2_sf_refuses_df_below_one_and_x_negative_or_nan(x, df):
     with pytest.raises(ValueError, match=r"^need df >= 1 and x >= 0"):
         chi2_sf(x, df)
+
+
+def test_chi_square_without_low_bins_is_the_plain_sum():
+    # Terms 1/8, 16/16, 16/32 and 4/8, each exact in binary.
+    bins = [(9, 8.0), (12, 16.0), (36, 32.0), (6, 8.0)]
+    assert chi_square(bins) == (2.125, 3, chi2_sf(2.125, 3))
+
+
+def test_chi_square_pools_the_low_bins_into_one_last_bin():
+    # The bins expecting under 5 pool wherever they sit, into (6, 4.0); the
+    # one expecting exactly 5 stays.  Terms 4/8, 0, 16/16 and 4/4.
+    bins = [(4, 2.0), (10, 8.0), (1, 1.5), (5, 5.0), (20, 16.0), (1, 0.5)]
+    assert chi_square(bins) == (2.5, 3, chi2_sf(2.5, 3))

@@ -248,6 +248,25 @@ def _ranks_above_four_rows_unrank_the_first_subset(mp):
     )
 
 
+def _class_zero_stretch_doubled_above_four_rows(mp):
+    # At r >= 5 AG rows the first multiplicity(r, 0) (2k-1)**r draws of
+    # class 1's stretch answer class 0, so class 0 is drawn about twice as
+    # often.  No draw of size n <= 5 reaches r = 5.  The defect goes
+    # wherever the package binds `_class_of`.
+    real = sampler._class_of
+
+    def doubled(x, k, r):
+        got = real(x, k, r)
+        if r < 5 or got[0] != 1:
+            return got
+        zero = counting.multiplicity(r, 0) * (2 * k - 1) ** r
+        first = 2 * (2 * k - 1) ** (r + 1) + zero  # class 1's first draw
+        return (0, 1, r, got[3] * (2 * k - 1)) if x - first < zero else got
+
+    for module in (sampler, checks):
+        mp.setattr(module, "_class_of", doubled)
+
+
 def _diagonal_box_written_one_row_low(mp):
     # The draw writes each column's diagonal box one row too low.  The
     # defect goes only into `sampler`'s binding of `_place`, which only
@@ -313,7 +332,11 @@ WITNESSES = [
      ("bijection", 5)),
     ("sampler-exactness", 1, _diagonal_box_written_one_row_low, ("kernel", 1)),
     ("sampler-exactness", 2, _upper_ag_counted_as_diagonal, ("counts", 2)),
+    ("sampler-exactness", 1, _class_zero_stretch_doubled_above_four_rows,
+     ("stretch", 1, 5)),
     ("sampler-chi-square", 3, _upper_ag_counted_as_diagonal, None),
+    ("sampler-chi-square", 4, _class_zero_stretch_doubled_above_four_rows,
+     None),
     ("asep-grid", 3, _slot_weight_raised, None),
 ]
 
