@@ -361,8 +361,8 @@ def _pmf_rows(pmf: ExactPMF, bound: int) -> list[tuple[int, str, str]]:
 
 def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
     _check_stat_size(args.n)
-    # The rows hold every decimal string, so the law and its integer weights
-    # are freed before the payload is written.
+    # The rows hold every decimal string, so the law is freed before the
+    # payload is written; its integer weights stay in the law's one-row cache.
     rows = _pmf_rows(_DIST_FNS[args.stat](args.n), args.n)
     if args.fmt == "csv":
         _write_csv(out, _metadata(args), ("value", "numerator", "denominator"), rows)

@@ -9,9 +9,12 @@ Eulerian law V(n, m)/(2**n n!).  `STATISTICS`, keyed by CLI name, is the one
 table of statistics: each entry's `StatVector` field, law and moments.  Every
 law is held as integer weights over the one denominator 2**n n! (the
 coefficients of prod_k (z + 2k - 1), or the V row), and `Fraction` appears
-only where a probability or moment is read out.  `kolmogorov_distance` reads
-a law's distance to its normal limit in floats, from the exact integer CDF;
-`clt_check` runs it on samples, and `chi_square` tests sampled histograms.
+only where a probability or moment is read out.  Each of the two rows
+(`_r_row`, `v_row`) is kept for the last n asked per process as one shared
+tuple; every call still wraps it in a fresh, checked `ExactPMF`.
+`kolmogorov_distance` reads a law's distance to its normal limit in floats,
+from the exact integer CDF; `clt_check` runs it on samples, and `chi_square`
+tests sampled histograms.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import erfc, exp, factorial, gamma, inf, lcm, lgamma, log, sqrt
 from statistics import NormalDist
@@ -106,10 +110,17 @@ def dist_r(n: int) -> ExactPMF:
     the product itself.
     """
     _need_positive(n)
+    return ExactPMF(0, _r_row(n), 2**n * factorial(n))
+
+
+@lru_cache(maxsize=1)
+def _r_row(n: int) -> tuple[int, ...]:
+    """The coefficients of prod_{k<=n} (z + 2k - 1), kept for the last n
+    as one shared tuple, like `v_row`."""
     weights = [1]
     for k in range(1, n + 1):
         weights = two_term_step(weights, repeat(2 * k - 1), repeat(1))
-    return ExactPMF(0, tuple(weights), 2**n * factorial(n))
+    return tuple(weights)
 
 
 def moments_r(n: int) -> tuple[Fraction, Fraction]:

@@ -483,8 +483,20 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
     sample = ["sample", "--n", "5", "--count", "4", "--format", "json",
               "--no-timestamp"]
+    dist = ["dist", "--n", "30", "--stat"]
     calls = [
         (None, ["dist", "--stat", "a", "--n", "1001"]),
+        # Each law's row is cached for its last n: a repeat, a statistic
+        # sharing the row, and a row evicted and built again.
+        (None, [*dist, "a"]),
+        (None, [*dist, "a"]),
+        (None, [*dist, "b"]),
+        (None, [*dist, "r"]),
+        (None, [*dist, "delta"]),
+        (None, ["dist", "--n", "31", "--stat", "a"]),
+        (None, ["dist", "--n", "31", "--stat", "r"]),
+        (None, [*dist, "a"]),
+        (None, [*dist, "r"]),
         (None, [*sample, "--seed", "3"]),
         ("12", sample),
         (None, ["--version"]),

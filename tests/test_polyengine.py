@@ -170,7 +170,13 @@ def test_v_row_prefix_sums_are_rounded_irwin_hall_sums():
     ],
     ids=["V-symmetry", "V-sum", "v_row-sum", "W-ends"],
 )
-def test_triangle_guards_raise_without_assert(monkeypatch, name, wrap, build):
+def test_triangle_guards_raise_without_assert(
+    request, monkeypatch, name, wrap, build
+):
+    # v_row keeps its last row: a cached v_row(4) would skip the guard, and a
+    # row built under the defect must not outlive the test.
+    v_row.cache_clear()
+    request.addfinalizer(v_row.cache_clear)
     monkeypatch.setattr(polyengine, name, wrap(getattr(polyengine, name)))
     with pytest.raises(RuntimeError):
         build(4)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase_tableaux import stats
+from staircase_tableaux.polyengine import build_V, v_row
 from staircase_tableaux.stats import (
     STATISTICS,
     ExactPMF,
@@ -157,6 +158,38 @@ def test_diagonal_cumulants_are_irwin_hall_plus_sheppard():
         if n >= 2:
             assert m2 == Fraction(n + 1, 12)
         assert (m4 - 3 * m2**2 == Fraction(-(n + 1), 120)) == (n >= 4), n
+
+
+# ------------------------------------------------------------ row caches
+
+
+def test_each_law_row_is_kept_for_its_last_n():
+    # dist_A and dist_r wrap one cached row per kernel in a fresh ExactPMF:
+    # a repeat hands out the same tuple, delta reverses r's cached row, and
+    # a row evicted by n + 1 is built again, still exact.
+    n = 23
+    a, r = dist_A(n), dist_r(n)
+    assert dist_A(n) is not a and dist_A(n).weights is a.weights
+    assert dist_r(n) is not r and dist_r(n).weights is r.weights
+    assert type(a.weights) is type(r.weights) is tuple
+    before = stats._r_row.cache_info()
+    assert dist_delta(n).weights == r.weights[::-1]
+    after = stats._r_row.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    dist_A(n + 1)
+    dist_r(n + 1)
+    v_misses, r_misses = v_row.cache_info().misses, stats._r_row.cache_info().misses
+    assert dist_A(n).weights == v_row(n) == build_V(n)[n]
+    weights = dist_r(n).weights
+    assert v_row.cache_info().misses == v_misses + 1
+    assert stats._r_row.cache_info().misses == r_misses + 1
+    # The bernoulli-convolution check's evaluation at z = 0..n.
+    assert len(weights) == n + 1 and all(
+        sum(w * z**v for v, w in enumerate(weights))
+        == math.prod(z + 2 * k - 1 for k in range(1, n + 1))
+        for z in range(n + 1)
+    )
 
 
 # ----------------------------------------------------------------- sampling

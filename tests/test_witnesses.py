@@ -350,9 +350,11 @@ def _witness_id(k: int) -> str:
 
 
 def _clear_walk_tables():
-    # The census and the walk's leaf tables are cached per process; a defect
-    # in the walk must neither read clean tables nor leave defective ones.
-    for table in (checks._census, enumerator._leaf_items, enumerator._leaf_stats):
+    # The census, the walk's leaf tables and the two law rows are cached per
+    # process; a defect must neither read clean tables nor leave defective
+    # ones.
+    for table in (checks._census, enumerator._leaf_items, enumerator._leaf_stats,
+                  polyengine.v_row, stats._r_row):
         table.cache_clear()
 
 
