@@ -41,7 +41,7 @@ from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from decimal import Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -326,14 +326,22 @@ def _check_stat_size(n: int) -> None:
         raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {n}")
 
 
-def _pmf_rows(pmf: ExactPMF, bound: int) -> list[tuple[int, str, str]]:
+@lru_cache(maxsize=2)
+def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[tuple[int, str, str], ...]:
     """(value, numerator, denominator) of each probability in lowest terms,
     as decimal strings, for a denominator whose prime factors are 2 and the
     primes <= `bound` (2**n n! and n).  A weight's odd part gives up its
     factors of lcm(odd numbers <= bound) a common factor at a time, so no
     gcd runs on two full-size integers, and each reduced denominator is an
     exact `Decimal` quotient, printed in linear time: its context traps
-    `Inexact` and `Rounded`, so a factor that does not divide it raises."""
+    `Inexact` and `Rounded`, so a factor that does not divide it raises.
+
+    The last two renderings are kept, keyed by the law's value (offset,
+    weights, denominator) and `bound`, so a law that differs in any weight
+    is rendered afresh, and `a` and `b`, one symmetric V row, share an
+    entry.  Two entries serve a process that alternates two laws; they hold
+    at most about 8 MiB at n = 1000.  The rows are a tuple, so no caller can
+    change what the next one is handed."""
     denom = pmf.denominator
     twos = (denom & -denom).bit_length() - 1
     odd_lcm = lcm(*range(3, bound + 1, 2))
@@ -356,13 +364,13 @@ def _pmf_rows(pmf: ExactPMF, bound: int) -> list[tuple[int, str, str]]:
             g = gcd(denom, g) << min(t, twos)
             p = reduced[w] = (str(w // g), str(exact.divide(big, g)))
         rows.append((v, *p))
-    return rows
+    return tuple(rows)
 
 
 def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
     _check_stat_size(args.n)
-    # The rows hold every decimal string, so the law is freed before the
-    # payload is written; its integer weights stay in the law's one-row cache.
+    # The rows stay in `_pmf_rows`' two-entry cache, which keeps the law as
+    # its key; the integer weights also stay in the kernels' one-row caches.
     rows = _pmf_rows(_DIST_FNS[args.stat](args.n), args.n)
     if args.fmt == "csv":
         _write_csv(out, _metadata(args), ("value", "numerator", "denominator"), rows)

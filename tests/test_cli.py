@@ -497,6 +497,18 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
         (None, ["dist", "--n", "31", "--stat", "r"]),
         (None, [*dist, "a"]),
         (None, [*dist, "r"]),
+        # The last two renderings are cached by law: a repeat, the same law
+        # in every format, and a three-law rotation that evicts.
+        (None, [*dist, "a"]),
+        (None, [*dist, "a"]),
+        (None, [*dist, "a", "--format", "json", "--no-timestamp"]),
+        (None, [*dist, "a", "--format", "csv", "--no-timestamp"]),
+        (None, [*dist, "a", "--format", "text"]),
+        (None, [*dist, "r"]),
+        (None, [*dist, "delta"]),
+        (None, [*dist, "a"]),
+        (None, [*dist, "r"]),
+        (None, [*dist, "delta"]),
         (None, [*sample, "--seed", "3"]),
         ("12", sample),
         (None, ["--version"]),
@@ -1015,7 +1027,7 @@ def test_seed_zero_is_still_accepted(capsys, monkeypatch):
 
 def test_pmf_rows_print_a_zero_weight_as_zero_over_one():
     rows = _pmf_rows(ExactPMF(0, (0, 3, 1), 4), 2)
-    assert rows == [(0, "0", "1"), (1, "3", "4"), (2, "1", "4")]
+    assert rows == ((0, "0", "1"), (1, "3", "4"), (2, "1", "4"))
 
 
 @pytest.mark.parametrize("name", sorted(STATISTICS))
@@ -1023,28 +1035,49 @@ def test_pmf_rows_reduce_each_law_as_fraction_does(name):
     # From n = 1, where the law is over 2 and no odd prime is <= n.
     for n in range(1, 41):
         law = STATISTICS[name].law(n)
-        want = [
+        want = tuple(
             (v, str(p.numerator), str(p.denominator))
             for v, p in zip(law.support(), law.probs)
-        ]
+        )
         assert _pmf_rows(law, n) == want, n
 
 
 def test_pmf_rows_strip_a_factor_the_weight_holds_to_a_higher_power():
     # 27 = 3**3 against 48 = 2**4 * 3: only one factor 3 is common.
     rows = _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
-    assert rows == [(0, "9", "16"), (1, "7", "16")]
+    assert rows == ((0, "9", "16"), (1, "7", "16"))
 
 
-def test_pmf_rows_raise_when_a_common_factor_does_not_divide(monkeypatch):
+def test_pmf_rows_raise_when_a_common_factor_does_not_divide(
+    request, monkeypatch
+):
     # A cap that returns three times the true gcd leaves 48 / 9, which the
-    # denominator's Decimal context refuses instead of rounding.
+    # denominator's Decimal context refuses instead of rounding.  The law's
+    # clean rendering may be cached, and must not answer for the defect.
+    _pmf_rows.cache_clear()
+    request.addfinalizer(_pmf_rows.cache_clear)
     real = cli.gcd
     monkeypatch.setattr(
         cli, "gcd", lambda a, b: real(a, b) * (3 if a == 48 else 1)
     )
     with pytest.raises(decimal.Inexact):
         _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
+
+
+def test_pmf_rows_answer_an_equal_law_from_the_cache(request, monkeypatch):
+    # A hit is keyed by the law's value and does no arithmetic; a law with
+    # other weights over the same denominator and size is rendered afresh.
+    _pmf_rows.cache_clear()
+    request.addfinalizer(_pmf_rows.cache_clear)
+    rows = _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
+
+    def refuse(a, b):
+        raise AssertionError("gcd ran")
+
+    monkeypatch.setattr(cli, "gcd", refuse)
+    assert _pmf_rows(ExactPMF(0, (27, 21), 48), 3) is rows
+    with pytest.raises(AssertionError, match="gcd ran"):
+        _pmf_rows(ExactPMF(0, (21, 27), 48), 3)
 
 
 def test_unknown_subcommand_exits_via_argparse():
