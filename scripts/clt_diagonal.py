@@ -18,17 +18,23 @@ from pathlib import Path
 
 from staircase_tableaux.stats import dist_A, kolmogorov_distance, moments_A
 
+#: Largest size accepted: building the V row takes time growing like n**3.
+_SIZE_MAX = 4000
+
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
         "--sizes", type=int, nargs="+", default=[50, 200, 800, 2000],
-        help="tableau sizes to test",
+        help=f"tableau sizes to test, each in 1..{_SIZE_MAX}",
     )
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args(argv)
     if min(args.sizes) < 1:
         ap.error(f"--sizes must all be at least 1, got {min(args.sizes)}")
+    if max(args.sizes) > _SIZE_MAX:
+        ap.error(f"--sizes must all be at most {_SIZE_MAX}, "
+                 f"got {max(args.sizes)}")
     if args.out and not Path(args.out).parent.is_dir():
         ap.error(f"--out: no directory {Path(args.out).parent}")
     return args

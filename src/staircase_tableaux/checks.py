@@ -57,7 +57,6 @@ from .stats import (
     STATISTICS,
     ExactPMF,
     chi_square,
-    clt_check,
     dist_A,
     dist_r,
     kolmogorov_distance,
@@ -456,14 +455,16 @@ def _statistic_legs(n: int, draws: int, seed: int) -> dict[str, dict[str, float]
 def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
     """Each statistic's sampled histogram against its law by chi-square at
     p > 1e-3 (`_statistic_legs`): at n = min(n_max, 5), and from n_max 4 on
-    at n = 60, past the census, in 5,000 draws.  The KS leg draws from
-    `dist_A(n).sample`, not from the tableau sampler, so it certifies
-    `ExactPMF.sample` against the exact diagonal law."""
+    at n = 60, past the census, in 5,000 draws.  At n_max 6 the normality
+    leg reads the exact Kolmogorov distance of the diagonal law at n = 2000
+    and gates it below 0.01 and within Berry-Esseen's 0.56 / sd: the V row is
+    real-rooted (Brenti), so A_n is a sum of independent Bernoullis, and the
+    continuity-corrected distance is the sup over half-integers only."""
     n, draws = rg.enum, rg.chi_draws
     legs = _statistic_legs(n, draws, seed)
     measured: dict[str, Any] = {
         "n": n, "draws": draws, **legs["r"], "legs": legs,
-        "ks_n": rg.ks_n, "ks_draws": None, "ks": None, "ks_exact": None,
+        "ks_n": rg.ks_n, "ks_exact": None, "ks_bound": None,
         "sampled_n": rg.sampled_n, "sampled_draws": None, "sampled_legs": None,
     }
     ok = all(leg["p_value"] > 1e-3 for leg in legs.values())
@@ -473,12 +474,10 @@ def _sampler_statistics(rg: _Ranges, seed: int) -> tuple[bool, dict[str, Any]]:
         ok = ok and all(leg["p_value"] > 1e-3 for leg in far.values())
     if rg.ks_n is not None:
         mean, var = moments_A(rg.ks_n)
-        ks_draws, law = 10**5, dist_A(rg.ks_n)
-        ks = clt_check(law.sample(ks_draws, seed), float(mean), sqrt(var))
-        # Not gated: the exact distance shows what the sampled one estimates.
-        ks_exact = kolmogorov_distance(law, float(mean), sqrt(var))
-        measured.update(ks_draws=ks_draws, ks=ks, ks_exact=ks_exact)
-        ok = ok and ks < 0.01
+        ks_exact = kolmogorov_distance(dist_A(rg.ks_n), float(mean), sqrt(var))
+        ks_bound = 0.56 / sqrt(var)  # Shevtsova's Berry-Esseen constant
+        measured.update(ks_exact=ks_exact, ks_bound=ks_bound)
+        ok = ok and ks_exact < 0.01 and ks_exact <= ks_bound
     return ok, measured
 
 

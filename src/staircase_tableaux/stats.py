@@ -13,19 +13,15 @@ only where a probability or moment is read out.  Each of the two rows
 (`_r_row`, `v_row`) is kept for the last n asked per process as one shared
 tuple; every call still wraps it in a fresh, checked `ExactPMF`.
 `kolmogorov_distance` reads a law's distance to its normal limit in floats,
-from the exact integer CDF; `clt_check` runs it on samples, and `chi_square`
-tests sampled histograms.
+from the exact integer CDF, and `chi_square` tests sampled histograms.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import erfc, exp, factorial, gamma, inf, lcm, lgamma, log, sqrt
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -71,20 +67,6 @@ class ExactPMF:
     def _moment(self, k: int) -> int:
         """sum_v v**k weight(v), an integer."""
         return sum(v**k * w for v, w in zip(self.support(), self.weights))
-
-    def sample(self, count: int, seed: int) -> list[int]:
-        """Exact inverse-transform draws: an integer uniform below the
-        denominator is bisected into the cumulative weights, so each value is
-        hit with exactly its rational probability."""
-        if count < 0:
-            raise ValueError(f"need count >= 0, got {count}")
-        if seed < 0:  # `random.Random` would draw the stream of -seed
-            raise ValueError(f"need seed >= 0, got {seed}")
-        cum, rng = list(accumulate(self.weights)), random.Random(seed)
-        return [
-            self.offset + bisect_right(cum, rng.randrange(self.denominator))
-            for _ in range(count)
-        ]
 
 
 def harmonic_pair(n: int) -> tuple[Fraction, Fraction]:
@@ -201,20 +183,6 @@ def kolmogorov_distance(pmf: ExactPMF, mean: float, sd: float) -> float:
         cum += w
         ks = max(ks, abs(cum / total - hi))
     return ks
-
-
-def clt_check(samples: Sequence[int], mean: float, sd: float) -> float:
-    """`kolmogorov_distance` from the empirical law of integer-valued
-    samples (their counts over len(samples)) to normal(mean, sd).  Requires
-    at least 10**4 samples."""
-    if len(samples) < 10**4:
-        raise ValueError("clt_check needs at least 10**4 samples")
-    counts = Counter(samples)
-    if any(v != int(v) for v in counts):
-        raise ValueError("clt_check expects integer-valued samples")
-    lo = int(min(counts))
-    weights = tuple(counts[v] for v in range(lo, int(max(counts)) + 1))
-    return kolmogorov_distance(ExactPMF(lo, weights, len(samples)), mean, sd)
 
 
 def chi2_sf(x: float, df: int) -> float:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from staircase_tableaux.stats import (
     ExactPMF,
     chi2_sf,
     chi_square,
-    clt_check,
     dist_A,
     dist_delta,
     dist_r,
@@ -209,107 +207,27 @@ def test_exact_pmf_reads_weights_over_the_denominator():
     assert d.variance() == Fraction(17, 36)
 
 
-def test_seeded_draw_streams_are_pinned():
-    # A seed must keep producing the same draws from each law.
-    assert dist_A(50).sample(8, 7) == [28, 23, 22, 29, 26, 27, 27, 23]
-    assert dist_r(9).sample(8, 7) == [1, 1, 1, 3, 0, 0, 2, 0]
-    assert dist_delta(9).sample(8, 7) == [8, 7, 8, 9, 6, 6, 8, 6]
-
-
-def test_draws_are_deterministic_and_in_support():
-    d = dist_r(4)
-    a = d.sample(500, seed=11)
-    b = d.sample(500, seed=11)
-    assert a == b
-    assert set(a) <= set(d.support())
-    assert d.sample(500, seed=12) != a
-
-
-# The `draw_integers` tests name the helper that `ExactPMF.sample` absorbed;
-# they draw from a hand-built law with an offset.
-
-
-def test_draw_integers_respects_offset():
-    values = ExactPMF(5, (1, 1, 2), 4).sample(2000, seed=3)
-    assert set(values) <= {5, 6, 7}
-    assert values.count(7) > values.count(5)
-
-
 @pytest.mark.parametrize("weights", [[], [2, -1], [0, 0]])
 def test_draw_integers_rejects_weights_without_a_distribution(weights):
     with pytest.raises(ValueError, match="weights must"):
-        ExactPMF(0, tuple(weights), sum(weights)).sample(5, 0)
+        ExactPMF(0, tuple(weights), sum(weights))
 
 
-@pytest.mark.parametrize(
-    "draw, count",
-    [
-        (lambda count: ExactPMF(4, (1, 2), 3).sample(count, 0), -3),
-        (lambda count: dist_r(3).sample(count, 1), -2),
-    ],
-    ids=["draw_integers", "ExactPMF.sample"],
-)
-def test_negative_draw_counts_are_refused(draw, count):
-    with pytest.raises(ValueError, match=f"^need count >= 0, got {count}$"):
-        draw(count)
+# --------------------------------------------------------- normal distance
 
 
-@pytest.mark.parametrize(
-    "draw",
-    [
-        lambda seed: ExactPMF(4, (1, 2), 3).sample(5, seed),
-        lambda seed: dist_r(9).sample(5, seed),
-    ],
-    ids=["draw_integers", "ExactPMF.sample"],
-)
-def test_negative_seeds_are_refused_before_any_draw(draw, monkeypatch):
-    # `random.Random` seeds with |seed|, so -3 would draw the stream of 3.
-    monkeypatch.setattr(
-        stats.random, "Random", lambda seed: pytest.fail("a stream was seeded")
-    )
-    with pytest.raises(ValueError, match=r"^need seed >= 0, got -3$"):
-        draw(-3)
-
-
-def test_zero_draws_are_an_empty_list():
-    assert ExactPMF(4, (1, 2), 3).sample(0, 0) == dist_r(3).sample(0, 1) == []
-
-
-def test_draw_frequencies_track_the_pmf():
-    d = dist_r(3)
-    n_draws = 20_000
-    draws = d.sample(n_draws, seed=99)
-    for v in d.support():
-        assert abs(draws.count(v) / n_draws - float(d.p(v))) < 0.02
-
-
-# ------------------------------------------------------------- CLT check
-
-
-def test_clt_check_input_validation():
-    good = [0, 1] * 5000
-    with pytest.raises(ValueError):
-        clt_check(good[:100], 0.5, 0.5)
-    with pytest.raises(ValueError):
-        clt_check(good, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        clt_check([0.5] * 10**4, 0.5, 0.5)
-
-
-def test_clt_check_accepts_a_near_normal_lattice_law():
+def test_kolmogorov_distance_accepts_a_near_normal_lattice_law():
     d = dist_A(80)
-    samples = d.sample(20_000, seed=2024)
     mean = float(d.mean())
     sd = math.sqrt(float(d.variance()))
-    assert clt_check(samples, mean, sd) < 0.03
+    assert kolmogorov_distance(d, mean, sd) < 0.03
 
 
-def test_clt_check_flags_a_displaced_reference():
+def test_kolmogorov_distance_flags_a_displaced_reference():
     d = dist_A(80)
-    samples = d.sample(20_000, seed=2024)
     mean = float(d.mean())
     sd = math.sqrt(float(d.variance()))
-    assert clt_check(samples, mean + 2 * sd, sd) > 0.3
+    assert kolmogorov_distance(d, mean + 2 * sd, sd) > 0.3
 
 
 def _normal_limit_A(n):
@@ -327,19 +245,6 @@ def _normal_limit_A(n):
 )
 def test_kolmogorov_distance_of_the_diagonal_law_is_pinned(n, expected):
     assert kolmogorov_distance(dist_A(n), *_normal_limit_A(n)) == expected
-
-
-def test_clt_check_is_the_distance_of_the_empirical_law():
-    samples = dist_A(20).sample(10**4, 20250823)
-    mean, sd = _normal_limit_A(20)
-    hist = Counter(samples)
-    empirical = ExactPMF(
-        min(hist),
-        tuple(hist[v] for v in range(min(hist), max(hist) + 1)),
-        len(samples),
-    )
-    assert clt_check(samples, mean, sd) == 0.004728493055636718
-    assert clt_check(samples, mean, sd) == kolmogorov_distance(empirical, mean, sd)
 
 
 @pytest.mark.parametrize("sd", [0.0, -1.0, float("nan")])

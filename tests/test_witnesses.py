@@ -112,6 +112,25 @@ def _v_row_mass_moved(mp):
     mp.setattr(stats, "v_row", moved)
 
 
+def _v_row_center_split_above_1000(mp):
+    # Above n = 1000 the V row's central entry gives its weight, half each,
+    # to entries 0 and n; the row keeps its sum and its symmetry, so
+    # `ExactPMF` accepts it.  No check reads the row past n = 60 but c11's
+    # exact normality leg at n = 2000.
+    real = stats.v_row
+
+    def split(n):
+        row = list(real(n))
+        if n > 1000:
+            half = row[n // 2] // 2
+            row[0] += half
+            row[n] += half
+            row[n // 2] -= 2 * half
+        return tuple(row)
+
+    mp.setattr(stats, "v_row", split)
+
+
 def _v_step_mass_moved_inward(mp):
     # Each V step moves one unit from entries 1 and m - 1 of row m inward,
     # for m >= 4; every row stays symmetric, starts with 1 and keeps its sum,
@@ -337,6 +356,7 @@ WITNESSES = [
     ("sampler-chi-square", 3, _upper_ag_counted_as_diagonal, None),
     ("sampler-chi-square", 4, _class_zero_stretch_doubled_above_four_rows,
      None),
+    ("sampler-chi-square", 6, _v_row_center_split_above_1000, None),
     ("asep-grid", 3, _slot_weight_raised, None),
 ]
 
