@@ -26,6 +26,7 @@ from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import (
     SEED_ENV,
     _TRIPLE_ROW,
+    _count_table,
     _pmf_rows,
     _write_json,
     build_parser,
@@ -357,6 +358,12 @@ _PINNED = {
     # `json.dump(..., indent=2)` printed them before rows were streamed.
     "count --n 120 --table --format json":
         "02b08cca9caaa58310be596bab21c57c2d451f1021c029d80ec5f9de5b373438",
+    # The bench-sized table in the other formats, as the per-row writers
+    # (`csv.writer` and one f-string per row) printed it.
+    "count --n 120 --table --format csv":
+        "efc27c4f8ab3e248f7c7afab24d10b8a7aa5c13874fb4c216ec6de38fc535591",
+    "count --n 120 --table --format text":
+        "6f619f8536b33f694b630b3630813cde8ad9a853251db338828428fedacfb7fe",
     "triangles --which c1 --n-max 20 --format json":
         "13a2c683da9effd48d0b3610edd7df29399abc07120ac452f5ac85f027f1984d",
     "count --n 0 --table --format json":
@@ -398,7 +405,11 @@ def test_count_table_prints_what_the_recurrence_gives(capsys, n):
     assert json.loads(out)["table"] == expected
 
 
-def test_count_table_never_runs_the_recurrence(capsys, monkeypatch):
+def test_count_table_never_runs_the_recurrence(capsys, request, monkeypatch):
+    # A cached table would answer without reaching the patched functions.
+    _count_table.cache_clear()
+    request.addfinalizer(_count_table.cache_clear)
+
     def refuse(*args):
         raise AssertionError("count --table ran the O(n**3) recurrence")
 
@@ -408,6 +419,39 @@ def test_count_table_never_runs_the_recurrence(capsys, monkeypatch):
     code, out = run(capsys, *argv.split(), "--no-timestamp")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv]
+
+
+def test_count_table_repeats_print_the_first_bytes(capsys, request):
+    # The one-entry cache is keyed by (n, format): a repeat is a hit, and an
+    # interleaved request evicts, yet every call prints its pinned bytes.
+    _count_table.cache_clear()
+    request.addfinalizer(_count_table.cache_clear)
+    first = {}
+    for n, fmt in [(120, "json"), (120, "json"), (120, "csv"), (120, "json"),
+                   (40, "text"), (120, "text"), (40, "text"), (40, "text")]:
+        argv = f"count --n {n} --table --format {fmt}"
+        code, out = run(capsys, *argv.split(), "--no-timestamp")
+        assert code == 0
+        assert out == first.setdefault(argv, out), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv]
+        assert _count_table.cache_info().currsize <= 1
+    assert _count_table.cache_info().hits == 2
+
+
+def test_count_table_answers_a_repeat_from_the_cache(request, monkeypatch):
+    # A hit does no arithmetic; another format is rendered afresh.
+    _count_table.cache_clear()
+    request.addfinalizer(_count_table.cache_clear)
+    text = _count_table(120, "csv")
+
+    def refuse(n):
+        raise AssertionError("total_count ran")
+
+    monkeypatch.setattr(cli, "total_count", refuse)
+    assert _count_table(120, "csv") is text
+    with pytest.raises(AssertionError, match="total_count ran"):
+        _count_table(120, "text")
+    assert _count_table.cache_info().currsize <= 1
 
 
 def test_count_table_json_is_pinned_under_optimize_flag():
@@ -946,6 +990,21 @@ def test_refused_request_leaves_the_out_path_untouched(capsys, tmp_path, argv):
         _assert_one_line_error(capsys, main([*argv.split(), "--out", str(target)]))
     assert existing.read_bytes() == b"previous\n"
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv", ["dist --stat a --n 300", "count --n 40 --table", "triangles --which c1"]
+)
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
+    # The file is written through a 64 KiB buffer; the dist payload is
+    # larger than that, so the buffer is flushed before the file is closed.
+    args = [*argv.split(), "--format", fmt, "--no-timestamp"]
+    code, out = run(capsys, *args)
+    assert code == 0
+    target = tmp_path / "out"
+    assert main([*args, "--out", str(target)]) == 0
+    assert target.read_bytes() == out.encode()
 
 
 def test_out_into_a_missing_directory_is_a_one_line_error(capsys, tmp_path):
