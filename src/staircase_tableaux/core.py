@@ -21,9 +21,10 @@ stamped from counts the walk keeps along the path; `statistics` returns that
 stamp and reads the cells of every other tableau.  A tableau's `cells` is a
 read-only `FrozenCells`, so a marked or stamped tableau cannot change after
 its check, and tableaux compare and hash by (n, cells); `Tableau` is
-slotted, so a tableau has no `__dict__`.  What is read off a tableau is a
-plain value: `type_word` gives the diagonal as a bit string, `label_uq` a
-dict from each empty box to its `Label`.
+slotted, so a tableau has no `__dict__`.  A walk leaf's cells are built on
+their first read, so a visitor that reads only the stamp copies no cells.
+What is read off a tableau is a plain value: `type_word` gives the diagonal
+as a bit string, `label_uq` a dict from each empty box to its `Label`.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class Tableau:
     _stats: StatVector | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -213,14 +215,15 @@ def validate(t: Tableau) -> list[Violation]:
     the first entry seen in a row is its leftmost and the first seen in a
     column its topmost; a box outside the shape still counts as seen.
     """
+    cells = t.cells
     out = [
         Violation("empty-diagonal", t.diagonal_cell(i))
         for i in range(1, t.n + 1)
-        if t.diagonal_cell(i) not in t.cells
+        if t.diagonal_cell(i) not in cells
     ]
     rows: set[int] = set()
     cols: set[int] = set()
-    for (i, j), s in sorted(t.cells.items()):
+    for (i, j), s in sorted(cells.items()):
         if not t.in_shape((i, j)):
             out.append(Violation("cell-outside-shape", (i, j)))
         elif s.is_bd and i in rows:
@@ -245,34 +248,57 @@ def check_valid(t: Tableau) -> None:
         object.__setattr__(t, "_checked", True)
 
 
-def _grown(n: int, cells: dict, stats: StatVector | None = None, items=()) -> Tableau:
-    """A tableau built valid by construction, marked as checked and stamped
-    with `stats` (None: unstamped), skipping `__post_init__`: its cells are
-    one `FrozenCells` copy of `cells` updated with the cells `items`."""
-    t = object.__new__(Tableau)
-    frozen = FrozenCells(cells)
-    dict.update(frozen, items)
-    _set_n(t, n)
-    _set_cells(t, frozen)
-    _set_checked(t, True)
-    _set_stats(t, stats)
+def _grown(n: int, cells: dict) -> Tableau:
+    """A tableau built valid by construction and marked as checked, skipping
+    `__post_init__`: its cells are one `FrozenCells` copy of `cells`."""
+    t = _leaf(n, None, cells, {})
+    _cells(t)
     return t
 
 
-# `_grown`'s setters: each slot's descriptor, bound once, so no call looks
-# the slot up by name as `object.__setattr__` does.
+def _leaf(n: int, stats: StatVector | None, snapshot: dict, column: dict) -> Tableau:
+    """A checked tableau stamped with `stats`, its cells built on first read."""
+    t = _new(Tableau)
+    _set_n(t, n)
+    _set_checked(t, True)
+    _set_stats(t, stats)
+    _set_parts(t, (snapshot, column))
+    return t
+
+
+# `object.__new__` and each slot's descriptor, bound once, so no call looks
+# a slot up by name as `object.__setattr__` does.
+_new = object.__new__
+_get_cells = Tableau.cells.__get__
 _set_n = Tableau.n.__set__
 _set_cells = Tableau.cells.__set__
 _set_checked = Tableau._checked.__set__
 _set_stats = Tableau._stats.__set__
+_set_parts = Tableau._parts.__set__
+
+
+def _cells(t: Tableau) -> Mapping[Cell, GreekSymbol]:
+    """`Tableau.cells`, built from `_parts` on the first read and then kept."""
+    parts = t._parts
+    if parts is None:
+        return _get_cells(t)
+    cells = FrozenCells(parts[0])
+    dict.update(cells, parts[1])
+    _set_cells(t, cells)
+    _set_parts(t, None)
+    return cells
+
+
+Tableau.cells = property(_cells, _set_cells)  # type: ignore[assignment]
 
 
 def type_word(t: Tableau) -> str:
     """The diagonal read NE to SW as a bit string, "1" where alpha/delta
     fills the site: the ASEP state, in `asep.state_bits`' encoding."""
     check_valid(t)
+    cells = t.cells
     return "".join(
-        "1" if t.cells[t.diagonal_cell(i)].fills_site else "0"
+        "1" if cells[t.diagonal_cell(i)].fills_site else "0"
         for i in range(1, t.n + 1)
     )
 
@@ -291,6 +317,7 @@ def label_uq(t: Tableau) -> dict[Cell, Label]:
     under ``python -O``.
     """
     check_valid(t)
+    cells = t.cells
     labels: dict[Cell, Label] = {}
     for i, (j0, s0) in _leftmost(t).items():
         if s0.is_bd:
@@ -300,7 +327,7 @@ def label_uq(t: Tableau) -> dict[Cell, Label]:
     for j in range(1, t.n + 1):
         nearest_below: GreekSymbol | None = None
         for i in range(t.n + 1 - j, 0, -1):
-            s = t.cells.get((i, j))
+            s = cells.get((i, j))
             if s is not None:
                 nearest_below = s
             elif (i, j) not in labels:
@@ -309,7 +336,7 @@ def label_uq(t: Tableau) -> dict[Cell, Label]:
                 labels[(i, j)] = (
                     Label.U if nearest_below.fills_site else Label.Q
                 )
-    n_empty = t.n * (t.n + 1) // 2 - len(t.cells)
+    n_empty = t.n * (t.n + 1) // 2 - len(cells)
     if len(labels) != n_empty:
         raise RuntimeError(
             f"{len(labels)} labels for {n_empty} empty boxes of a size-{t.n} tableau"

@@ -20,12 +20,11 @@ last column is read from two cached tables that every walk shares:
 and `_leaf_stats` the `StatVector` of each leaf, keyed by three counts the
 walk keeps along the path (the AG rows, the alpha/gamma entries and the
 diagonal ones) and the number of cells.  The tableaux the walk and the
-sampler finish are valid by construction, so `core._grown` builds them
-marked as checked, and they are never validated; `_place` takes a fill's two
-parts, so the sampler writes the (bottom, upper) pairs it draws without
-building a `ColumnFill`.  Each tableau the visitor walk yields is also
-stamped with its `StatVector` rather than read back from the cells; the
-sampler's tableaux are not stamped.
+sampler finish are valid by construction, so `core._leaf` and `core._grown`
+build them marked as checked, and they are never validated; `_place` takes a
+fill's two parts, so the sampler writes the (bottom, upper) pairs it draws
+without building a `ColumnFill`.  A walk leaf is also stamped with its
+`StatVector`, and its cells are built on their first read.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .core import (
     InvalidTableauError,
     Tableau,
     _grown,
+    _leaf,
     _stat_vector,
     ag_row_indices,
     check_valid,
@@ -128,7 +128,7 @@ def legal_fills(r: int) -> tuple[ColumnFill, ...]:
 def _leaf_items(n: int, ag_rows: tuple[int, ...]) -> tuple[dict, ...]:
     """Per fill of `legal_fills`, the cells `_place` writes into a size-n
     walk's last column above the AG rows `ag_rows`, in its order (dicts:
-    `dict.update` copies them fastest)."""
+    `dict.update` merges them fastest)."""
     fills = legal_fills(len(ag_rows))
     columns = tuple({} for _ in fills)
     for column, f in zip(columns, fills):
@@ -218,11 +218,13 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
     Returns the leaf count.  Interior columns are written by `_place` and
     undone after their subtree; each leaf's last column and stamp are read
     from the cached tables `_leaf_items` and `_leaf_stats`, so a leaf makes
-    no Python-level call but `_grown` and `visitor`.  Each tableau handed to
-    `visitor` is born checked and stamped with its `StatVector`: r is the
-    walk's AG-row count, gamma and a_diag are alpha/gamma counts kept along
-    the path, and `core._stat_vector` takes delta as the number of cells
-    minus gamma, so r + delta = n stays a real identity, checked per stamp.
+    no Python-level call but `core._leaf` and `visitor`: the leaves of a
+    parent share one snapshot of the path's cells, and `Tableau.cells` joins
+    it with a leaf's last column on the first read.  Each leaf is born
+    checked and stamped with its `StatVector`: r is the walk's AG-row count,
+    gamma and a_diag are alpha/gamma counts kept along the path, and
+    `core._stat_vector` takes delta as the number of cells minus gamma, so
+    r + delta = n stays a real identity, checked per stamp.
     With `visitor=None` no Tableau objects are materialized: `legal_fills(r)`
     is tallied by class j = -r_change and `counting`'s completion recurrence
     runs on the tallies, never on its multiplicity formula or closed form.
@@ -245,8 +247,9 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
         if m == n - 1:
             items = _leaf_items(n, tuple(ag_rows))
             stats = _leaf_stats(n, r, n_ag, len(cells), a_diag)
+            snapshot = dict(cells)
             for column, stamp in zip(items, stats):
-                visitor(_grown(n, cells, stamp, column))
+                visitor(_leaf(n, stamp, snapshot, column))
             count += len(items)
             return
         depth = len(cells)

@@ -229,18 +229,29 @@ def _walk_leaf():
     return leaves[200]
 
 
+def _read_walk_leaf():
+    t = _walk_leaf()
+    t.cells
+    return t
+
+
 @pytest.mark.parametrize(
     "build",
     [
         _walk_leaf,
+        _read_walk_leaf,
         lambda: sample_uniform(6, 2),
         lambda: split_first_column(sample_uniform(6, 2))[0],
     ],
-    ids=["walk", "sampler", "split"],
+    ids=["walk", "walk-read", "sampler", "split"],
 )
 def test_grown_tableaux_equal_their_constructed_twins(build):
+    # The twin comes from a second build, so each of `==`, `hash` and
+    # `pickle` is the first to read a fresh walk leaf's cells.
+    source = build()
+    twin = Tableau(source.n, dict(source.cells))
+    assert build() == twin and hash(build()) == hash(twin)
     t = build()
-    twin = Tableau(t.n, dict(t.cells))
     back = pickle.loads(pickle.dumps(t))
     for u in (t, back):
         assert u == twin and hash(u) == hash(twin) and repr(u) == repr(twin)

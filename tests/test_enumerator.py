@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staircase_tableaux import enumerator
+from staircase_tableaux import checks, core, enumerator
 from staircase_tableaux.core import (
     FrozenCells,
     GreekSymbol,
@@ -269,3 +269,64 @@ def test_leaf_tables_are_shared_by_later_walks(leaf_digest):
     assert leaf_digest(3) == first_3
     assert leaf_digest(5) == _WALK_5_DIGEST
     assert _leaf_table_sizes() == after_5
+
+
+# ------------------------------------------------- leaf cells, built on read
+
+
+def test_leaves_kept_unread_own_their_cells():
+    # Nothing is read during the walk, so each leaf's cells are built after
+    # the walk's own dict has moved on: from the leaf's snapshot, not that
+    # dict.
+    lines = []
+    enumerate_all(4, lambda t: lines.append(to_line(t)))
+    leaves = []
+    enumerate_all(4, leaves.append)
+    assert all(t._parts is not None for t in leaves)
+    assert [to_line(t) for t in leaves] == lines
+
+
+def test_a_leaf_builds_its_cells_once():
+    leaves = []
+    enumerate_all(3, leaves.append)
+    t = leaves[200]
+    assert t._parts is not None
+    first = t.cells
+    assert type(first) is FrozenCells and t._parts is None
+    assert t.cells is first
+
+
+@pytest.fixture
+def frozen_cells_built(monkeypatch):
+    """How many `FrozenCells` the package builds while the fixture lives."""
+    built = []
+
+    class Counted(FrozenCells):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(core, "FrozenCells", Counted)
+    return built
+
+
+def test_a_statistics_walk_builds_no_cells(frozen_cells_built):
+    assert enumerate_all(4, statistics) == 6144
+    assert frozen_cells_built == []
+
+
+def test_a_cells_reading_walk_builds_them_once_per_leaf(frozen_cells_built):
+    assert enumerate_all(4, to_line) == 6144
+    assert len(frozen_cells_built) == 6144
+
+
+def test_the_census_builds_cells_only_when_a_kept_tableau_is_read(
+    frozen_cells_built,
+):
+    _, kept = checks._census.__wrapped__(4)  # past the cache
+    assert len(kept) == 6144 and frozen_cells_built == []
+    kept[0].cells
+    kept[0].cells
+    assert len(frozen_cells_built) == 1
