@@ -17,10 +17,10 @@ column-growth transfer DP in integers, for n up to the chain's own cap of 8,
 and `partition_functions` returns them as `Fraction`s;
 `_enumerated_type_weights` sums over every tableau instead (n <= 6): it is
 the DP's exact oracle, and `asep-grid` compares the two integer rows.
-`stationary` solves for the law in floats, or returns Z_sigma / Z_n once it
-passes global balance exactly, in integers, on the moves (`_balance_defect`).
-`verify_steady_state` checks the identity and reports the residual
-max |pi P - pi| alongside.
+`stationary` returns Z_sigma / Z_n once it passes global balance exactly,
+in integers, on the moves (`_balance_defect`): as `Fraction`s in exact mode,
+each rounded once to a float in float mode.  `verify_steady_state` reports
+that balance defect and the residual max |pi P - pi| of the law it returns.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from .enumerator import _ENUM_LIMIT, enumerate_all
 if TYPE_CHECKING:
     import numpy as np
 
-#: Largest n of the chain and of the partition-function DP alike; the float
-#: solve is dense in the 2**n states, so larger systems want a sparse one.
-_DENSE_LIMIT = 8
+#: Largest n of the chain and of the partition-function DP alike: the
+#: type-word DP grows about 3x per site, and the balance certificate runs
+#: over all 2**n states.
+_CHAIN_LIMIT = 8
 
 #: Largest denominator of a rate given as text.  Every exact output is a
 #: ratio of integers below 4**n n! D**(n(n+1)/2), D the lcm of the six
@@ -62,7 +63,7 @@ _RATES = ("alpha", "beta", "gamma", "delta", "q", "u")
 
 
 class ReducibleChainError(ValueError):
-    """Stationary solve refused: some parameter is zero, so the chain may not
+    """Stationary law refused: some parameter is zero, so the chain may not
     visit every state and its stationary law need not be unique."""
 
 
@@ -154,8 +155,8 @@ class ASEPChain:
 
     def __post_init__(self) -> None:
         n = self.n
-        if not 1 <= n <= _DENSE_LIMIT:
-            raise ValueError(f"need 1 <= n <= {_DENSE_LIMIT}, got {n}")
+        if not 1 <= n <= _CHAIN_LIMIT:
+            raise ValueError(f"need 1 <= n <= {_CHAIN_LIMIT}, got {n}")
         den, (a, b, g, d, q, u) = self.params.scaled()
         left = 1 << (n - 1)
         moves = []
@@ -182,7 +183,8 @@ class ASEPChain:
 
     def to_numpy(self) -> np.ndarray:
         """The transition matrix as a read-only float array, built once per
-        chain; each entry is its exact probability rounded once."""
+        chain; each entry is its exact probability rounded once.  It needs
+        numpy, which the package installs only with its ``test`` extra."""
         return self._dense
 
     @cached_property
@@ -212,23 +214,15 @@ def _require_positive(params: ASEPParams) -> None:
         )
 
 
-def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.ndarray:
-    """The unique law with pi P = pi, sum pi = 1.
+def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | list[float]:
+    """The unique law with pi P = pi, sum pi = 1: Z_sigma / Z_n, as
+    `Fraction`s in exact mode and each rounded once to a float otherwise.
 
-    Float mode is one dense linear solve.  Exact mode returns
-    Z_sigma / Z_n, accepted only once it passes global balance exactly on the
-    chain's moves: the rates are strictly positive, so the chain is
+    Both modes accept the law only once it passes global balance exactly on
+    the chain's moves: the rates are strictly positive, so the chain is
     irreducible and a balanced law is the law.
     """
     _require_positive(chain.params)
-    if not exact:
-        import numpy as np
-
-        a = chain.to_numpy().T - np.eye(chain.size)
-        a[-1, :] = 1.0
-        b = np.zeros(chain.size)
-        b[-1] = 1.0
-        return np.linalg.solve(a, b)
     weights = _type_weights(chain.n, chain.params)
     defect = _balance_defect(chain, weights)
     if defect:
@@ -237,7 +231,9 @@ def stationary(chain: ASEPChain, exact: bool = False) -> list[Fraction] | np.nda
             f"at {chain.params}: max |pi P - pi| = {defect}"
         )
     total = sum(weights)
-    return [Fraction(w, total) for w in weights]
+    if exact:
+        return [Fraction(w, total) for w in weights]
+    return [w / total for w in weights]  # rounded once, as float(Fraction) is
 
 
 def _balance_defect(chain: ASEPChain, weights: list[int]) -> Fraction:
@@ -308,8 +304,8 @@ def _type_weights(n: int, params: ASEPParams) -> list[int]:
     integer over D, the lcm of their denominators; a size-n tableau has
     n(n+1)/2 boxes, so each Z_sigma is an integer over D**(n(n+1)/2).
     """
-    if not 1 <= n <= _DENSE_LIMIT:
-        raise ValueError(f"need 1 <= n <= {_DENSE_LIMIT}, got {n}")
+    if not 1 <= n <= _CHAIN_LIMIT:
+        raise ValueError(f"need 1 <= n <= {_CHAIN_LIMIT}, got {n}")
     _, (a, b, g, d, q, u) = params.scaled()
     u_pow = [u**k for k in range(n)]
     q_pow = [q**k for k in range(n)]
@@ -373,10 +369,10 @@ def _weight_census(n: int) -> tuple[tuple[tuple[str, WeightMonomial], int], ...]
 
 @dataclass(frozen=True)
 class SteadyStateReport:
-    """``max_deviation`` compares pi with Z_sigma / Z_n and decides ``passed``;
-    ``residual`` is the law's own error max |pi P - pi|, a float in float
-    mode and a Fraction in exact mode.  In exact mode pi is Z_sigma / Z_n
-    itself, so ``max_deviation`` is that balance defect as a float."""
+    """``max_deviation`` is the exact balance defect of Z_sigma / Z_n on the
+    chain's moves, as a float; ``residual`` is max |pi P - pi| of the law the
+    mode returns (that defect in exact mode, the rounded law's float error in
+    float mode).  ``passed`` needs a defect of 0 and ``residual < tol``."""
 
     n: int
     params: ASEPParams
@@ -390,11 +386,9 @@ class SteadyStateReport:
 def verify_steady_state(
     n: int, params: ASEPParams, tol: float = 1e-10, exact: bool = False
 ) -> SteadyStateReport:
-    """Compare the chain's stationary law against Z_sigma / Z_n.
-
-    Float mode solves for the law and compares; exact mode reports the exact
-    balance defect of Z_sigma / Z_n on the chain's moves.
-    """
+    """Check Z_sigma / Z_n against the chain's stationary law: its exact
+    balance defect on the chain's moves, and the residual of the law in the
+    chosen mode."""
     chain = build_chain(n, params)
     _require_positive(params)
     return _steady_state_report(chain, _type_weights(n, params), tol, exact)
@@ -406,20 +400,27 @@ def _steady_state_report(
     """`verify_steady_state` against already computed `_type_weights`, so a
     caller running both modes computes them once.  The rates must be
     strictly positive."""
-    if exact:
-        residual = _balance_defect(chain, weights)
-        max_dev = float(residual)
-    else:
-        import numpy as np
-
-        pi = stationary(chain)
-        residual = float(np.max(np.abs(pi @ chain.to_numpy() - pi)))
-        total = sum(weights)
-        # int / int rounds once, as float(Fraction(w, total)) does.
-        max_dev = max(abs(float(p) - w / total) for p, w in zip(pi, weights))
+    defect = _balance_defect(chain, weights)
+    residual = defect if exact else _float_residual(chain, weights)
     return SteadyStateReport(
-        chain.n, chain.params, max_dev, residual, tol, max_dev < tol, exact
+        chain.n, chain.params, float(defect), residual, tol,
+        not defect and residual < tol, exact,
     )
+
+
+def _float_residual(chain: ASEPChain, weights: list[int]) -> float:
+    """max |pi P - pi| in floats for `stationary`'s float law, over the
+    sparse moves and each state's stay mass."""
+    den, total = chain.denominator, sum(weights)
+    pi = [w / total for w in weights]
+    flow = [0.0] * chain.size
+    for s, moves in enumerate(chain.moves):
+        stay = den
+        for t, w in moves:
+            flow[t] += pi[s] * (w / den)
+            stay -= w
+        flow[s] += pi[s] * (stay / den)
+    return max(abs(f - p) for f, p in zip(flow, pi))
 
 
 #: Fixed parameter settings used by the verification suite.  Chosen to cover

@@ -166,11 +166,26 @@ def test_single_site_closed_form():
 
 
 def test_exact_and_float_solvers_agree():
+    # Float mode is the certified exact law rounded once per state.
     chain = build_chain(3, GENERIC)
     exact = stationary(chain, exact=True)
     approx = stationary(chain)
-    assert max(abs(float(e) - a) for e, a in zip(exact, approx)) < 1e-12
+    assert approx == [float(e) for e in exact]
     assert sum(exact) == 1
+
+
+@pytest.mark.parametrize("params", PARAMETER_GRID)
+def test_float_law_matches_an_independent_dense_solve(params):
+    # numpy's dense solve of pi P = pi, sum pi = 1 shares nothing with the
+    # certified law but the chain's moves.
+    for n in range(1, 9):
+        chain = build_chain(n, params)
+        a = chain.to_numpy().T - np.eye(chain.size)
+        a[-1, :] = 1.0
+        b = np.zeros(chain.size)
+        b[-1] = 1.0
+        solved = np.linalg.solve(a, b)
+        assert np.max(np.abs(solved - stationary(chain))) < 1e-12
 
 
 def test_zero_parameter_refuses_to_solve():
@@ -196,6 +211,21 @@ def test_balance_certificate_rejects_z_from_other_rates(n, monkeypatch):
     rep = verify_steady_state(n, GENERIC, exact=True)
     assert not rep.passed and rep.residual > 0
     assert rep.max_deviation == float(rep.residual)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_fails_a_law_one_unit_off(exact, monkeypatch):
+    # One Z_sigma raised by 1 leaves a balance defect of about 1e-39 at
+    # n = 4, far below any float tolerance; the verdict must still fail.
+    p = ASEPParams.from_strings("1/3", "2/5", "1/7", "3/11", "2/9", "5/6")
+    weights = asep._type_weights(4, p)
+    weights[5] += 1
+    monkeypatch.setattr(asep, "_type_weights", lambda n, params: weights)
+    rep = verify_steady_state(4, p, exact=exact)
+    assert 0 < rep.max_deviation < 1e-30
+    assert rep.passed is False
+    with pytest.raises(RuntimeError, match="fails global balance"):
+        stationary(build_chain(4, p), exact=exact)
 
 
 # --------------------------------------------------------- partition sums

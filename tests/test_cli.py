@@ -715,15 +715,15 @@ _ASEP_PINNED = {
     "1 partition":
         "43553d5705aed973c713177e4f6d16756c678bc01b10a5f3a71bcb1aeb1bfcb0",
     "3 verify":
-        "a6227d2cb69741b0b24352bc4da24e1530dbaad2e383781403e5ec5869db9430",
+        "884a73d12e5af94e16a9d395bcd97d3ef9ff12ffa46829f4de950716e29e3b2e",
     "3 stationary":
-        "6841121c34f8aaba90db7b919233f33f6d179dcf367451a39adf6f1c96c12c7d",
+        "b2eb2ef7536628fb14065de0c672d02992bddbcd7f485bf14eaff316774bed7f",
     "3 partition":
         "c15001d285013390a0f5426305c2bb99b95178a28b7cf57beb4a375dde9b0a50",
     "8 verify":
-        "cbac4cdc879ff302a07dbfc752bb7168bf336348875da40b24a3873a63202ff4",
+        "3adeba03f237c9796282355c8346b11ec7e82880e8eec2630e73a032632a54c4",
     "8 stationary":
-        "f3ffe91a2c72bcc8b5ebe5c3933d725ea3f0d9b631bd70bf339e0040b3327261",
+        "f20c9044b9dd9c09dd3eb6d5a25d9aa685f4bb4076b38a4292e1c1fd3d78eb25",
     "8 partition":
         "853d075d2bed93abb0b0cb2176f9e18215f797826028dc5de25957b32d8fba42",
     "1 stationary --exact":
@@ -907,7 +907,7 @@ def test_asep_exact_passes_under_optimize_flag():
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy serves only the float chain solve, so it is imported on use.
+    # numpy serves only `ASEPChain.to_numpy`, so it is imported on use.
     src = Path(staircase_tableaux.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -917,6 +917,28 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_asep_and_its_check_run_with_numpy_blocked():
+    # A None entry in sys.modules makes any import of numpy fail: numpy is a
+    # test extra, and no `asep` mode nor the asep-grid check reaches for it.
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    runs = [
+        ["asep", "--n", "8", *_PARAMS, "--mode", mode, *exact]
+        for mode in ("stationary", "partition", "verify")
+        for exact in ([], ["--exact"])
+    ]
+    runs.append(["verify", "--n-max", "6", "--suite", "asep-grid"])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None\n"
+         "from staircase_tableaux.cli import main\n"
+         f"print([main(argv) for argv in {runs!r}], file=sys.stderr)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{[0] * len(runs)}\n"
 
 
 def test_verify_suite_function_runs_every_named_check():
