@@ -15,7 +15,8 @@ absent from the cell mapping.  A size-0 tableau (no boxes) is admitted as the
 growth root used by the enumerator and the sampler.  Validation happens once
 per tableau: `check_valid`, behind every statistic, marks a tableau that
 passes, and tableaux grown by the enumerator's walk or the sampler are born
-marked, so never validated.  `validate` and `is_valid` always run the rules.
+marked, so never validated: `_leaf` fills a mutable `_Draft` with `Tableau`'s
+slots and switches its class.  `validate` and `is_valid` always run the rules.
 Beside the check mark, a tableau the walk yields carries its `StatVector`,
 stamped from counts the walk keeps along the path; `statistics` returns that
 stamp and reads the cells of every other tableau.  A tableau's `cells` is a
@@ -45,26 +46,18 @@ class GreekSymbol(Enum):
 
     __hash__ = object.__hash__  # `==` is identity; Enum's hash runs in Python
 
-    @property
-    def is_ag(self) -> bool:
-        """Alpha/gamma class: the column-restricted symbols."""
-        return self in _AG
-
-    @property
-    def is_bd(self) -> bool:
-        """Beta/delta class: the row-restricted symbols."""
-        return self in _BD
-
-    @property
-    def fills_site(self) -> bool:
-        """True if the symbol reads as an occupied site in the type word."""
-        return self in _SITE
+    is_ag: bool  # alpha/gamma class: the column-restricted symbols
+    is_bd: bool  # beta/delta class: the row-restricted symbols
+    fills_site: bool  # reads as an occupied site in the type word
 
 
 # Tuples, in the sampler's draw order: membership tests identity, no hash.
 _AG = (GreekSymbol.ALPHA, GreekSymbol.GAMMA)
 _BD = (GreekSymbol.BETA, GreekSymbol.DELTA)
 _SITE = (GreekSymbol.ALPHA, GreekSymbol.DELTA)
+for _s in GreekSymbol:  # set once, so reading one makes no call
+    _s.is_ag, _s.is_bd, _s.fills_site = _s in _AG, _s in _BD, _s in _SITE
+del _s
 
 
 class Label(Enum):
@@ -120,7 +113,7 @@ class Tableau:
     _stats: StatVector | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _parts: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _parts: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -249,41 +242,47 @@ def check_valid(t: Tableau) -> None:
 
 
 def _grown(n: int, cells: dict) -> Tableau:
-    """A tableau built valid by construction and marked as checked, skipping
-    `__post_init__`: its cells are one `FrozenCells` copy of `cells`."""
-    t = _leaf(n, None, cells, {})
-    _cells(t)
-    return t
+    """A checked tableau, valid by construction, of a `FrozenCells` copy."""
+    return _leaf(n, None, FrozenCells(cells), None)
 
 
-def _leaf(n: int, stats: StatVector | None, snapshot: dict, column: dict) -> Tableau:
-    """A checked tableau stamped with `stats`, its cells built on first read."""
-    t = _new(Tableau)
-    _set_n(t, n)
-    _set_checked(t, True)
-    _set_stats(t, stats)
-    _set_parts(t, (snapshot, column))
-    return t
+class _Draft:
+    """`Tableau`'s slot layout without its frozen `__setattr__`."""
+
+    __slots__ = Tableau.__slots__
 
 
-# `object.__new__` and each slot's descriptor, bound once, so no call looks
-# a slot up by name as `object.__setattr__` does.
-_new = object.__new__
+if _Draft.__slots__ != ("n", "cells", "_checked", "_stats", "_parts"):
+    raise RuntimeError(f"_leaf does not set every slot of {_Draft.__slots__}")
+
+
+def _leaf(n: int, stats: StatVector | None, cells: dict, column: dict | None) -> Tableau:
+    """A checked tableau stamped with `stats`, built as a `_Draft` by plain
+    slot stores, then switched to `Tableau`.  Unless `column` is None, its
+    cells are `cells` joined with `column` on the first read."""
+    t = _Draft()
+    t.n = n
+    t.cells = cells
+    t._checked = True
+    t._stats = stats
+    t._parts = column
+    t.__class__ = Tableau
+    return t  # type: ignore[return-value]
+
+
+# Slot descriptors, bound once: `Tableau.cells` becomes the property below.
 _get_cells = Tableau.cells.__get__
-_set_n = Tableau.n.__set__
 _set_cells = Tableau.cells.__set__
-_set_checked = Tableau._checked.__set__
-_set_stats = Tableau._stats.__set__
 _set_parts = Tableau._parts.__set__
 
 
 def _cells(t: Tableau) -> Mapping[Cell, GreekSymbol]:
-    """`Tableau.cells`, built from `_parts` on the first read and then kept."""
-    parts = t._parts
-    if parts is None:
+    """`Tableau.cells`, joined with the column in `_parts` on the first read."""
+    column = t._parts
+    if column is None:
         return _get_cells(t)
-    cells = FrozenCells(parts[0])
-    dict.update(cells, parts[1])
+    cells = FrozenCells(_get_cells(t))
+    dict.update(cells, column)
     _set_cells(t, cells)
     _set_parts(t, None)
     return cells

@@ -21,9 +21,10 @@ and `_leaf_stats` the `StatVector` of each leaf, keyed by three counts the
 walk keeps along the path (the AG rows, the alpha/gamma entries and the
 diagonal ones) and the number of cells.  The tableaux the walk and the
 sampler finish are valid by construction, so `core._leaf` and `core._grown`
-build them marked as checked, and they are never validated; `_place` takes a
-fill's two parts, so the sampler writes the (bottom, upper) pairs it draws
-without building a `ColumnFill`.  A walk leaf is also stamped with its
+build them marked as checked, each a `core._Draft` filled by plain slot
+stores and switched to `Tableau`, and they are never validated; `_place`
+takes a fill's two parts, so the sampler writes the (bottom, upper) pairs it
+draws without building a `ColumnFill`.  A walk leaf is also stamped with its
 `StatVector`, and its cells are built on their first read.
 """
 
@@ -218,13 +219,13 @@ def enumerate_all(n: int, visitor: Callable[[Tableau], None] | None = None) -> i
     Returns the leaf count.  Interior columns are written by `_place` and
     undone after their subtree; each leaf's last column and stamp are read
     from the cached tables `_leaf_items` and `_leaf_stats`, so a leaf makes
-    no Python-level call but `core._leaf` and `visitor`: the leaves of a
-    parent share one snapshot of the path's cells, and `Tableau.cells` joins
-    it with a leaf's last column on the first read.  Each leaf is born
-    checked and stamped with its `StatVector`: r is the walk's AG-row count,
-    gamma and a_diag are alpha/gamma counts kept along the path, and
-    `core._stat_vector` takes delta as the number of cells minus gamma, so
-    r + delta = n stays a real identity, checked per stamp.
+    no Python-level call but `core._leaf`, which makes none, and `visitor`:
+    the leaves of a parent share one snapshot of the path's cells, and
+    `Tableau.cells` joins it with a leaf's last column on the first read.
+    Each leaf is born checked and stamped with its `StatVector`: r is the
+    walk's AG-row count, gamma and a_diag are alpha/gamma counts kept along
+    the path, and `core._stat_vector` takes delta as the number of cells
+    minus gamma, so r + delta = n stays a real identity, checked per stamp.
     With `visitor=None` no Tableau objects are materialized: `legal_fills(r)`
     is tallied by class j = -r_change and `counting`'s completion recurrence
     runs on the tallies, never on its multiplicity formula or closed form.

@@ -4,6 +4,8 @@
 the stamp test in `test_core` and the leaf pin in `test_enumerator` assert,
 so the n = 5 walk (122,880 leaves) runs once for both.  `leaf_digest(n)`
 walks afresh at every call, for tests of the walk's cached tables.
+`clean_verdict(name, n_max)` is one clean run of a registry check per
+session, shared by the acceptance suite and the defect witnesses.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ from typing import Any, Callable
 
 import pytest
 
+from staircase_tableaux.checks import CheckResult, verify_suite
 from staircase_tableaux.core import Tableau, statistics, to_line
 from staircase_tableaux.enumerator import enumerate_all
+
+#: The seed of every registry check run in the tests.
+SEED = 20250823
 
 
 @dataclass
@@ -63,3 +69,16 @@ def walk_record() -> Callable[[int], WalkRecord]:
 @pytest.fixture
 def leaf_digest() -> Callable[[int], str]:
     return lambda n: _walk(n, check_stamps=False).digest
+
+
+@pytest.fixture(scope="session")
+def clean_verdict() -> Callable[[str, int], CheckResult]:
+    """The result of check `name` at `n_max`, run once per session at `SEED`.
+    Call it only on clean code; its `__wrapped__` runs past the cache."""
+
+    @lru_cache(maxsize=None)
+    def run(name: str, n_max: int) -> CheckResult:
+        (result,) = verify_suite(n_max, seed=SEED, names=[name])
+        return result
+
+    return run

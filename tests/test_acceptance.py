@@ -4,9 +4,11 @@ One test per advertised guarantee, ordered as in the project checklist.  Each
 runs its own check from the `staircase_tableaux.checks` registry (the code
 behind ``staircase-tableaux verify``) at ``n_max = 6``, the full contract,
 then asserts on the check's ``measured`` report both the range it covered and
-its numeric gate, so the contract stays written down here.  Each prints a
-single [PASS]/[FAIL] line with the measured quantity so a bare
-``pytest -v -s tests/test_acceptance.py`` reads as a report.
+its numeric gate, so the contract stays written down here.  Each run is the
+session's one clean run of that check (`clean_verdict`), which the defect
+witnesses in ``test_witnesses.py`` share.  Each prints a single [PASS]/[FAIL]
+line with the measured quantity so a bare ``pytest -v -s
+tests/test_acceptance.py`` reads as a report.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ import math
 import pytest
 
 from staircase_tableaux.asep import PARAMETER_GRID
-from staircase_tableaux.checks import CheckResult, verify_suite
+from staircase_tableaux.checks import CheckResult
 from staircase_tableaux.stats import STATISTICS
 
-SEED = 20250823
 
-
-def _run(name: str) -> CheckResult:
-    (result,) = verify_suite(6, seed=SEED, names=[name])
-    return result
+@pytest.fixture
+def run(clean_verdict):
+    """Each check's result at ``n_max = 6``, the full contract."""
+    return lambda name: clean_verdict(name, 6)
 
 
 def _report(ok: bool, name: str, detail: str) -> None:
@@ -32,9 +33,8 @@ def _report(ok: bool, name: str, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _exact(name: str, label: str, **covered: int) -> None:
+def _exact(res: CheckResult, label: str, **covered: int) -> None:
     """Exact checks: the covered range is pinned and nothing may fail."""
-    res = _run(name)
     m = res.measured
     ok = (
         res.passed
@@ -45,8 +45,8 @@ def _exact(name: str, label: str, **covered: int) -> None:
     _report(ok, label, f"{ranges} exact, failures={m['failures']}")
 
 
-def test_c01_cardinality():
-    res = _run("cardinality")
+def test_c01_cardinality(run):
+    res = run("cardinality")
     counts = res.measured["counts"]
     ok = (
         res.passed
@@ -57,22 +57,22 @@ def test_c01_cardinality():
     _report(ok, "cardinality", f"n=6 count {counts['6']:,} in {res.elapsed_s:.2f}s")
 
 
-def test_c02_r_histogram_matches_generating_polynomial():
-    _exact("r-histogram", "r-histogram", max_n=5)
+def test_c02_r_histogram_matches_generating_polynomial(run):
+    _exact(run("r-histogram"), "r-histogram", max_n=5)
 
 
-def test_c03_bernoulli_convolution_equals_polynomial_coefficients():
-    _exact("bernoulli-convolution", "bernoulli-convolution", max_n=50)
+def test_c03_bernoulli_convolution_equals_polynomial_coefficients(run):
+    _exact(run("bernoulli-convolution"), "bernoulli-convolution", max_n=50)
 
 
-def test_c04_r_and_delta_moments_from_pmfs():
-    _exact("r-moments", "r-moments", max_n=50)
+def test_c04_r_and_delta_moments_from_pmfs(run):
+    _exact(run("r-moments"), "r-moments", max_n=50)
 
 
-def test_c05_rows_split_between_r_and_delta():
+def test_c05_rows_split_between_r_and_delta(run):
     # Both legs read the tableaux the census keeps, n <= 4 (`kept_max_n`);
     # `max_n` is the census range.
-    res = _run("row-identity")
+    res = run("row-identity")
     m = res.measured
     ok = (
         res.passed
@@ -87,25 +87,26 @@ def test_c05_rows_split_between_r_and_delta():
     )
 
 
-def test_c06_diagonal_histogram_is_the_v_row():
-    _exact("diagonal-distribution", "diagonal-distribution", max_n=5)
+def test_c06_diagonal_histogram_is_the_v_row(run):
+    _exact(run("diagonal-distribution"), "diagonal-distribution", max_n=5)
 
 
-def test_c07_diagonal_moments_to_two_hundred():
+def test_c07_diagonal_moments_to_two_hundred(run):
     _exact(
-        "diagonal-moments", "diagonal-moments", max_n=200, irwin_hall_max_n=60
+        run("diagonal-moments"), "diagonal-moments",
+        max_n=200, irwin_hall_max_n=60,
     )
 
 
-def test_c08_triangle_cross_checks():
+def test_c08_triangle_cross_checks(run):
     _exact(
-        "triangle-identities", "triangle-identities",
+        run("triangle-identities"), "triangle-identities",
         oracle_max_n=7, identity_max_n=30,
     )
 
 
-def test_c09_bivariate_series_and_pole_constants():
-    res = _run("bivariate-series")
+def test_c09_bivariate_series_and_pole_constants(run):
+    res = run("bivariate-series")
     m = res.measured
     ok = (
         res.passed
@@ -121,8 +122,8 @@ def test_c09_bivariate_series_and_pole_constants():
     )
 
 
-def test_c10_sampler_weights_are_exactly_uniform():
-    res = _run("sampler-exactness")
+def test_c10_sampler_weights_are_exactly_uniform(run):
+    res = run("sampler-exactness")
     m = res.measured
     census = {"1": 4, "2": 32, "3": 384, "4": 6144}
     law = m["full_law"]
@@ -148,8 +149,8 @@ def test_c10_sampler_weights_are_exactly_uniform():
     )
 
 
-def test_c11_sampled_statistics_match_the_limit_laws():
-    res = _run("sampler-chi-square")
+def test_c11_sampled_statistics_match_the_limit_laws(run):
+    res = run("sampler-chi-square")
     m = res.measured
     worst = min(leg["p_value"] for leg in m["legs"].values())
     far = min(leg["p_value"] for leg in m["sampled_legs"].values())
@@ -175,8 +176,8 @@ def test_c11_sampled_statistics_match_the_limit_laws():
     )
 
 
-def test_c12_stationary_law_equals_weight_ratios():
-    res = _run("asep-grid")
+def test_c12_stationary_law_equals_weight_ratios(run):
+    res = run("asep-grid")
     m = res.measured
     ok = (
         res.passed

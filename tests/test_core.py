@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pickle
+from dataclasses import FrozenInstanceError
 from math import factorial
 from pathlib import Path
 
@@ -52,6 +53,13 @@ def test_singletons_valid_with_expected_type(sym, bit):
     t = Tableau(1, {(1, 1): sym})
     assert is_valid(t)
     assert type_word(t) == bit
+
+
+@pytest.mark.parametrize("sym", list(GreekSymbol), ids=lambda s: s.value)
+def test_symbol_flags_are_membership_in_the_class_tuples(sym):
+    flags = (sym.is_ag, sym.is_bd, sym.fills_site)
+    assert flags == (sym in core._AG, sym in core._BD, sym in core._SITE)
+    assert flags == (sym.value in "AG", sym.value in "BD", sym.value in "AD")
 
 
 def test_size_zero_is_the_empty_root():
@@ -262,15 +270,27 @@ def test_grown_tableaux_equal_their_constructed_twins(build):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: Tableau(2, {(1, 2): A, (2, 1): B}), _walk_leaf,
-     lambda: sample_uniform(6, 2)],
-    ids=["constructor", "walk", "sampler"],
+    [lambda: Tableau(2, {(1, 2): A, (2, 1): B}), _walk_leaf, _read_walk_leaf,
+     lambda: sample_uniform(6, 2),
+     lambda: split_first_column(sample_uniform(6, 2))[0]],
+    ids=["constructor", "walk", "walk-read", "sampler", "split"],
 )
 def test_tableaux_are_slotted(build):
+    # Grown tableaux are built as `core._Draft`s; each must end a frozen
+    # `Tableau`, unread walk leaves included.
     t = build()
+    assert type(t) is Tableau
     assert not hasattr(t, "__dict__")
     with pytest.raises(AttributeError):
         object.__setattr__(t, "extra", 1)
+    with pytest.raises(FrozenInstanceError):
+        t.n = 7
+    with pytest.raises(FrozenInstanceError):
+        t._stats = None
+
+
+def test_the_leaf_draft_has_the_tableau_slot_layout():
+    assert core._Draft.__slots__ == Tableau.__slots__
 
 
 def test_equality_and_hash_ignore_the_cells_type():

@@ -1,6 +1,8 @@
 """Defect witnesses: each entry puts one named defect into the code a check
 certifies, never into the check, and requires the check to fail.  A gate
-that passes under its witness cannot see the defect it names.
+that passes under its witness cannot see the defect it names.  The same run
+passes on clean code: that clean run is the session's one per (check,
+n_max), shared with the acceptance suite (`clean_verdict`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from staircase_tableaux import (
     sampler,
     stats,
 )
-from staircase_tableaux.checks import CHECK_NAMES, verify_suite
+from staircase_tableaux.checks import CHECK_NAMES
 from staircase_tableaux.core import GreekSymbol
 from staircase_tableaux.enumerator import ColumnFill
 
@@ -391,13 +393,13 @@ def fresh_walk_tables():
     ids=[_witness_id(k) for k in range(len(WITNESSES))],
 )
 def test_check_fails_under_its_witness(
-    name, n_max, defect, failure, monkeypatch, fresh_walk_tables
+    name, n_max, defect, failure, clean_verdict, monkeypatch, fresh_walk_tables
 ):
     # The same run passes on clean code, so the defect is what fails it.
-    assert verify_suite(n_max, names=[name])[0].passed is True
+    assert clean_verdict(name, n_max).passed is True
     _clear_walk_tables()
     defect(monkeypatch)
-    (res,) = verify_suite(n_max, names=[name])
+    res = clean_verdict.__wrapped__(name, n_max)  # past the cache
     assert res.passed is False
     if failure is not None:
         assert failure in res.measured["failures"]
