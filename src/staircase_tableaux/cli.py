@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
 from operator import attrgetter
+from stat import S_ISREG
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
@@ -210,18 +211,24 @@ def _write_json(
 
 
 class _OutFile:
-    """The ``--out`` file, opened (so created or truncated) at the first
-    write: a request refused before it writes leaves the path untouched.
-    Its 64 KiB buffer makes an eighth of the default's disk writes."""
+    """The ``--out`` file, opened at the first write: a request refused
+    before it writes leaves the path untouched.  An old file is rewritten in
+    place (truncating it at open costs more than writing it), and
+    `_open_out` cuts a regular file to length at close, never a device or
+    FIFO; mid-write, or after a crash, it may hold the new prefix over the
+    old tail.  Its 64 KiB buffer makes an eighth of the default's writes."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.handle: TextIO | None = None
+        self.regular = False
 
     def write(self, text: str) -> int:
         if self.handle is None:
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+            self.regular = S_ISREG(os.fstat(fd).st_mode)
             self.handle = open(
-                self.path, "w", buffering=1 << 16, encoding="utf-8", newline=""
+                fd, "w", buffering=1 << 16, encoding="utf-8", newline=""
             )
             # Later writes call the file object's own method directly.
             self.write = self.handle.write  # type: ignore[method-assign]
@@ -238,7 +245,9 @@ def _open_out(path: str | None) -> Iterator[Any]:
         yield sink
     finally:
         if sink.handle is not None:
-            sink.handle.close()
+            with sink.handle:  # closed even if the cut raises
+                if sink.regular:
+                    sink.handle.truncate()
 
 
 # --------------------------------------------------------------------------

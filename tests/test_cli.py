@@ -1029,6 +1029,82 @@ def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
     assert target.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_out_over_a_longer_file_leaves_no_stale_tail(capsys, tmp_path, fmt):
+    # An old file is rewritten in place and cut to the new length at close.
+    target = tmp_path / "out"
+    common = ["--format", fmt, "--no-timestamp", "--out", str(target)]
+    assert main(["count", "--n", "40", "--table", *common]) == 0
+    code, out = run(capsys, "count", "--n", "3", "--format", fmt, "--no-timestamp")
+    assert code == 0
+    assert main(["count", "--n", "3", *common]) == 0
+    assert target.read_bytes() == out.encode()
+
+
+_EXACT_LAW_REQUESTS = [
+    "dist --stat r --n 300",
+    "dist --stat a --n 800",
+    "triangles --which c1 --n-max 20",
+    "series-check --z-order 12",
+    "count --n 120 --table",
+]
+
+
+def test_repeated_requests_into_one_out_path_hold_the_stdout_bytes(
+    capsys, tmp_path
+):
+    # Each write lands over the previous request's file, longer or shorter.
+    target = tmp_path / "out.json"
+    for _ in range(2):
+        for argv in _EXACT_LAW_REQUESTS:
+            args = [*argv.split(), "--format", "json", "--no-timestamp"]
+            code, out = run(capsys, *args)
+            assert code == 0
+            assert main([*args, "--out", str(target)]) == 0, argv
+            assert target.read_bytes() == out.encode(), argv
+
+
+@pytest.mark.parametrize(
+    "argv", ["count --n 3", "dist --stat a --n 300 --format json"]
+)
+def test_out_into_dev_null_succeeds(capsys, argv):
+    # A device is written but never cut to length.
+    code = main([*argv.split(), "--out", os.devnull])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (captured.out, captured.err) == ("", "")
+
+
+def test_out_through_a_symlink_writes_its_target_and_keeps_its_mode(
+    capsys, tmp_path
+):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"an older and longer payload\n" * 100)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    code, out = run(capsys, "count", "--n", "3")
+    assert code == 0
+    assert main(["count", "--n", "3", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == out.encode()
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_a_handler_raising_after_a_write_leaves_exactly_its_prefix(
+    capsys, tmp_path, monkeypatch
+):
+    def write_then_raise(out, *_):
+        out.write("# partial\n")
+        raise ValueError("refused mid-write")
+
+    monkeypatch.setattr(cli, "_write_csv", write_then_raise)
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"an older and longer payload\n" * 100)
+    code = main(["count", "--n", "3", "--format", "csv", "--out", str(target)])
+    _assert_one_line_error(capsys, code)
+    assert target.read_bytes() == b"# partial\n"
+
+
 def test_out_into_a_missing_directory_is_a_one_line_error(capsys, tmp_path):
     target = tmp_path / "missing" / "out.txt"
     _assert_one_line_error(capsys, main(["count", "--n", "3", "--out", str(target)]))
