@@ -162,52 +162,77 @@ def _write_csv(
     return writer
 
 
-# One row of a streamed payload, as `json.dump(..., indent=2)` prints it at
-# depth 2: an [int, int, "int"] triple (`triangles`; `_count_table` repeats
-# it) and a `dist` entry {"value": int, "p": ["int", "int"]}.
-_TRIPLE_ROW = '    [\n      {},\n      {},\n      "{}"\n    ]'
-_PMF_ROW = (
-    '    {{\n      "value": {},\n      "p": [\n        "{}",\n'
-    '        "{}"\n      ]\n    }}'
-)
+# Each format's row of a three-field table.  A JSON row starts on a new line,
+# indented as `json.dump(..., indent=2)` prints it at depth 2, and rows are
+# joined by ",".  Every field is an int or the `str` of an int, which neither
+# JSON nor CSV escapes or quotes.
+_TRIPLE_ROW = '\n    [\n      {},\n      {},\n      "{}"\n    ]'
+_TRIPLE_ROWS = {"text": "{}\t{}\t{}\n", "csv": "{},{},{}\n", "json": _TRIPLE_ROW}
+# Each table subcommand's JSON key, CSV header and row templates.
+_TABLES = {
+    "dist": ("pmf", ("value", "numerator", "denominator"), {
+        "text": "{}\t{}/{}\n",
+        "csv": "{},{},{}\n",
+        "json": '\n    {{\n      "value": {},\n      "p": [\n        "{}",\n'
+        '        "{}"\n      ]\n    }}',
+    }),
+    "triangles": ("rows", ("n", "k", "value"), _TRIPLE_ROWS),
+}
+# Rows per `str.format` call and `write`; at n = 800 a `dist` block is about
+# 256 KiB, and larger blocks measured no faster.
+_ROW_BLOCK = 64
+
+
+def _row_blocks(row: str, fields: Sequence[Any], sep: str = "") -> Iterator[str]:
+    """`fields`, three to a row, printed by one `str.format` call on the
+    template `row` repeated per `_ROW_BLOCK` rows, joined by `sep`."""
+    step = 3 * _ROW_BLOCK
+    for start in range(0, len(fields), step):
+        block = fields[start : start + step]
+        lead = sep if start else ""
+        yield (lead + sep.join([row] * (len(block) // 3))).format(*block)
 
 
 def _write_json(
     out: TextIO,
     meta: dict[str, Any],
     payload: dict[str, Any],
-    rows: tuple[str, str, Iterable[Sequence[Any]]] | None = None,
+    rows: tuple[str, Iterable[str]] | None = None,
 ) -> None:
     """Write meta and payload as one indented JSON document.
 
-    `rows`, if given, is (key, row format, row tuples): the document's last
-    member, a list written one row at a time through the row format instead
-    of by `json`'s pure-Python indenting encoder, in the same bytes.  No
-    escaping is needed because every row field is an int or the `str` of an
-    int (digits and a minus sign).
+    `rows`, if given, is (key, text chunks): the document's last member, a
+    list whose rows, each on a new line and joined by "," (`_TRIPLE_ROW`),
+    are written as the chunks come, instead of by `json`'s pure-Python
+    indenting encoder, in the same bytes.
     """
-    doc = dict(meta)
-    doc.update(payload)
+    doc = {**meta, **payload}
     if rows is None:
         json.dump(doc, out, indent=2)
         out.write("\n")
         return
-    key, row_format, items = rows
+    key, chunks = rows
     # The head without its closing "\n}", continued by the rows member.
     out.write(f"{json.dumps(doc, indent=2)[:-2]},\n  {json.dumps(key)}: [")
-    items = iter(items)
-    first = next(items, None)
-    if first is None:
-        out.write("]\n}\n")
+    close = "]\n}\n"
+    for chunk in chunks:
+        out.write(chunk)
+        close = "\n  ]\n}\n"
+    out.write(close)
+
+
+def _write_rows(out: TextIO, args: argparse.Namespace, fields: Sequence[Any]) -> None:
+    """The one writer of a `dist` or `triangles` table (`_TABLES`): `fields`,
+    three to a row, in blocks of rows."""
+    key, header, templates = _TABLES[args.subcommand]
+    if args.fmt == "json":
+        blocks = _row_blocks(templates["json"], fields, ",")
+        _write_json(out, _metadata(args), {}, (key, blocks))
         return
-    out.write("\n" + row_format.format(*first))
-    # Fetched after the first write, which opens an `--out` file and
-    # rebinds its `write` to the file's own method.
-    write = out.write
-    later_row = ",\n" + row_format
-    for row in items:
-        write(later_row.format(*row))
-    write("\n  ]\n}\n")
+    if args.fmt == "csv":
+        _write_csv(out, _metadata(args), header)
+    for block in _row_blocks(templates[args.fmt], fields):
+        out.write(block)
 
 
 class _OutFile:
@@ -260,19 +285,15 @@ def _count_table(n: int, fmt: str) -> str:
     """Every N(k, r), k + r <= n, row k stepped along r from 4**k k! by
     factors 2k + 1, printed in `fmt` by one `str.format` call on a repeated
     row template, with no list of rendered rows (JSON: the `table` rows,
-    closed by `_write_json`).  Only the last table is kept."""
+    which `_write_json` writes as they are).  Only the last table is kept."""
     values: list[int] = []
     for k in range(n + 1):
         value, step = total_count(k), 2 * k + 1
         for r in range(n - k + 1):
             values += (k, r, value)
             value *= step
-    rows = len(values) // 3
-    if fmt == "json":
-        template = ",\n".join([_TRIPLE_ROW] * rows)
-    else:
-        template = ("{},{},{}\n" if fmt == "csv" else "{}\t{}\t{}\n") * rows
-    return template.format(*values)
+    sep = "," if fmt == "json" else ""
+    return sep.join([_TRIPLE_ROWS[fmt]] * (len(values) // 3)).format(*values)
 
 
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
@@ -285,8 +306,8 @@ def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     total = str(total_count(args.n))
     table = _count_table(args.n, args.fmt) if args.table else ""
     if args.fmt == "json":
-        # The rendered rows pass through as one row, printed by "{}".
-        rows = ("table", "{}", [(table,)]) if args.table else None
+        # The rendered rows are written as they are, with no copy.
+        rows = ("table", (table,)) if args.table else None
         _write_json(out, _metadata(args), {"total": total}, rows)
     elif args.fmt == "text":
         out.write(table)
@@ -352,22 +373,27 @@ def _check_stat_size(n: int) -> None:
         raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {n}")
 
 
-@lru_cache(maxsize=2)
-def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[tuple[int, str, str], ...]:
-    """(value, numerator, denominator) of each probability in lowest terms,
-    as decimal strings, for a denominator whose prime factors are 2 and the
-    primes <= `bound` (2**n n! and n).  A weight's odd part gives up its
-    factors of lcm(odd numbers <= bound) a common factor at a time, so no
-    gcd runs on two full-size integers, and each reduced denominator is an
-    exact `Decimal` quotient, printed in linear time: its context traps
+# The last two `_pmf_rows` renderings as (law, bound, fields), newest last.
+_renderings: list[tuple[ExactPMF, int, tuple[int | str, ...]]] = []
+
+
+def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[int | str, ...]:
+    """Each value with its probability in lowest terms, as decimal strings,
+    flat: three fields a value, for a denominator whose prime factors are 2
+    and the primes <= `bound` (2**n n! and n).  A weight's odd part gives up
+    its factors of lcm(odd numbers <= bound) a common factor at a time, so
+    no gcd runs on two full-size integers, and each reduced denominator is
+    an exact `Decimal` quotient, printed in linear time: its context traps
     `Inexact` and `Rounded`, so a factor that does not divide it raises.
 
-    The last two renderings are kept, keyed by the law's value (offset,
-    weights, denominator) and `bound`, so a law that differs in any weight
-    is rendered afresh, and `a` and `b`, one symmetric V row, share an
-    entry.  Two entries serve a process that alternates two laws; they hold
-    at most about 8 MiB at n = 1000.  The rows are a tuple, so no caller can
-    change what the next one is handed."""
+    The last two renderings (at most about 8 MiB at n = 1000) are found by
+    comparing (law, bound) with `==`, never by hashing the law: the law
+    object `stats` hands out again costs a few pointer compares, and a law
+    that differs in any weight is rendered afresh.  The fields are a tuple,
+    so no caller can change what the next one is handed."""
+    for law, b, fields in _renderings:
+        if b == bound and law == pmf:
+            return fields
     denom = pmf.denominator
     twos = (denom & -denom).bit_length() - 1
     odd_lcm = lcm(*range(3, bound + 1, 2))
@@ -376,7 +402,7 @@ def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[tuple[int, str, str], ...]:
     # Each distinct weight is reduced and printed once, with no `Fraction`
     # per entry: a V row is symmetric, so half its entries repeat.
     reduced: dict[int, tuple[str, str]] = {0: ("0", "1")}
-    rows = []
+    rows: list[int | str] = []
     for v, w in enumerate(pmf.weights, pmf.offset):
         p = reduced.get(w)
         if p is None:
@@ -389,22 +415,15 @@ def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[tuple[int, str, str], ...]:
                 h = gcd(x, h)
             g = gcd(denom, g) << min(t, twos)
             p = reduced[w] = (str(w // g), str(exact.divide(big, g)))
-        rows.append((v, *p))
-    return tuple(rows)
+        rows += (v, *p)
+    fields = tuple(rows)
+    _renderings[:] = [*_renderings[-1:], (pmf, bound, fields)]
+    return fields
 
 
 def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
     _check_stat_size(args.n)
-    # The rows stay in `_pmf_rows`' two-entry cache, which keeps the law as
-    # its key; the integer weights also stay in the kernels' one-row caches.
-    rows = _pmf_rows(_DIST_FNS[args.stat](args.n), args.n)
-    if args.fmt == "csv":
-        _write_csv(out, _metadata(args), ("value", "numerator", "denominator"), rows)
-    elif args.fmt == "json":
-        _write_json(out, _metadata(args), {}, ("pmf", _PMF_ROW, rows))
-    else:
-        for v, num, den in rows:
-            out.write(f"{v}\t{num}/{den}\n")
+    _write_rows(out, args, _pmf_rows(_DIST_FNS[args.stat](args.n), args.n))
     return 0
 
 
@@ -423,27 +442,17 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _triangle_rows(which: str, n_max: int) -> list[tuple[int, int, str]]:
-    if which == "V":
-        rows = build_V(n_max)
-    elif which == "W":
-        rows = build_W(n_max)
-    else:
-        rows = c1_rows(n_max)
-    return [(n, k, str(v)) for n, row in enumerate(rows) for k, v in enumerate(row)]
-
-
 def _cmd_triangles(args: argparse.Namespace, out: TextIO) -> int:
     if not 0 <= args.n_max <= _TRIANGLE_LIMIT:
         raise ValueError(f"need 0 <= n-max <= {_TRIANGLE_LIMIT}, got {args.n_max}")
-    rows = _triangle_rows(args.which, args.n_max)
-    if args.fmt == "json":
-        _write_json(out, _metadata(args), {}, ("rows", _TRIPLE_ROW, rows))
-    elif args.fmt == "text":
-        for n, k, value in rows:
-            out.write(f"{n}\t{k}\t{value}\n")
-    else:
-        _write_csv(out, _metadata(args), ("n", "k", "value"), rows)
+    build = {"V": build_V, "W": build_W, "c1": c1_rows}[args.which]
+    fields = [
+        x
+        for n, row in enumerate(build(args.n_max))
+        for k, v in enumerate(row)
+        for x in (n, k, str(v))
+    ]
+    _write_rows(out, args, fields)
     return 0
 
 

@@ -18,8 +18,7 @@ triangles:
 * V-triangle: type-B Eulerian numbers (OEIS A060187), V(n, 0) = 1 and
       V(n, m) = (2m + 1) V(n-1, m) + (2(n - m) + 1) V(n-1, m-1),
   symmetric rows summing to 2**n n!.  `build_V` runs the full recurrence
-  and checks the symmetry; `v_row` steps only the left half and mirrors it,
-  and keeps the last row it built per process as one shared tuple.
+  and checks the symmetry; `v_row` steps only the left half and mirrors it.
 * W-triangle: Whitney numbers of the second kind for m=2 (OEIS A039755),
       W(n, k) = (2k + 1) W(n-1, k) + W(n-1, k-1),
   tied to the c-triangle by c[n][k](1) = 2**k k! W(n, k).
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, combinations, count, repeat
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -158,11 +156,8 @@ def _v_step(prev: Sequence[int], n: int) -> list[int]:
     return two_term_step(prev, count(1, 2), count(2 * n + 1, -2))
 
 
-@lru_cache(maxsize=1)
 def v_row(n: int) -> tuple[int, ...]:
-    """Single V row computed with rolling storage; O(n) memory.  The last
-    row asked for is kept per process and handed out as one shared tuple,
-    so a repeated n (a warm process, or a/b at one n) is not recomputed.
+    """Single V row computed with rolling storage; O(n) memory.
 
     Lets the diagonal statistic's exact distribution reach n in the low
     thousands, where materializing the whole triangle would not fit.  Rows

@@ -9,9 +9,9 @@ Eulerian law V(n, m)/(2**n n!).  `STATISTICS`, keyed by CLI name, is the one
 table of statistics: each entry's `StatVector` field, law and moments.  Every
 law is held as integer weights over the one denominator 2**n n! (the
 coefficients of prod_k (z + 2k - 1), or the V row), and `Fraction` appears
-only where a probability or moment is read out.  Each of the two rows
-(`_r_row`, `v_row`) is kept for the last n asked per process as one shared
-tuple; every call still wraps it in a fresh, checked `ExactPMF`.
+only where a probability or moment is read out.  Each law is built and
+checked once for the last n asked per process and handed out as that one
+frozen `ExactPMF`: a repeat neither rebuilds its row nor re-sums its weights.
 `kolmogorov_distance` reads a law's distance to its normal limit in floats,
 from the exact integer CDF, and `chi_square` tests sampled histograms.
 """
@@ -82,6 +82,7 @@ def _need_positive(n: int) -> None:
         raise ValueError(f"need n >= 1, got {n}")
 
 
+@lru_cache(maxsize=1)
 def dist_r(n: int) -> ExactPMF:
     """Law of the AG-row count, via the independent-Bernoulli convolution.
 
@@ -92,17 +93,10 @@ def dist_r(n: int) -> ExactPMF:
     the product itself.
     """
     _need_positive(n)
-    return ExactPMF(0, _r_row(n), 2**n * factorial(n))
-
-
-@lru_cache(maxsize=1)
-def _r_row(n: int) -> tuple[int, ...]:
-    """The coefficients of prod_{k<=n} (z + 2k - 1), kept for the last n
-    as one shared tuple, like `v_row`."""
     weights = [1]
     for k in range(1, n + 1):
         weights = two_term_step(weights, repeat(2 * k - 1), repeat(1))
-    return tuple(weights)
+    return ExactPMF(0, tuple(weights), 2**n * factorial(n))
 
 
 def moments_r(n: int) -> tuple[Fraction, Fraction]:
@@ -112,6 +106,7 @@ def moments_r(n: int) -> tuple[Fraction, Fraction]:
     return h1 / 2, h1 / 2 - h2 / 4
 
 
+@lru_cache(maxsize=1)
 def dist_delta(n: int) -> ExactPMF:
     """Law of the beta/delta total: the reflection n - r."""
     base = dist_r(n)
@@ -123,6 +118,7 @@ def moments_delta(n: int) -> tuple[Fraction, Fraction]:
     return n - mean, var
 
 
+@lru_cache(maxsize=1)
 def dist_A(n: int) -> ExactPMF:
     """Diagonal alpha/gamma count: V(n, m) / (2**n n!)."""
     _need_positive(n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import decimal
 import hashlib
@@ -25,9 +26,11 @@ from staircase_tableaux import checks, cli, counting
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import (
     SEED_ENV,
+    _ROW_BLOCK,
     _TRIPLE_ROW,
     _count_table,
     _pmf_rows,
+    _row_blocks,
     _write_json,
     build_parser,
     main,
@@ -504,9 +507,48 @@ def test_row_writer_prints_what_json_dump_prints(capsys, tmp_path, argv):
 
 def test_row_writer_prints_an_empty_row_list_as_json_does():
     buf = io.StringIO()
-    _write_json(buf, {"schema": "s"}, {"total": "0"}, ("rows", _TRIPLE_ROW, []))
+    rows = ("rows", _row_blocks(_TRIPLE_ROW, [], ","))
+    _write_json(buf, {"schema": "s"}, {"total": "0"}, rows)
     doc = {"schema": "s", "total": "0", "rows": []}
     assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+# `dist --stat r` at sizes whose row counts are a block less one, a block,
+# a block and one, and two blocks and one; and a triangle over three blocks.
+_BLOCK_EDGE_REQUESTS = [
+    *(f"dist --stat r --n {rows - 1}"
+      for rows in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1)),
+    "triangles --which V --n-max 20",
+]
+
+
+@pytest.mark.parametrize("argv", _BLOCK_EDGE_REQUESTS)
+def test_row_blocks_print_every_row_once_across_block_edges(capsys, argv):
+    # JSON is what `json.dump` prints; CSV rows are what `csv.writer` writes
+    # for them, and text rows hold the same fields.
+    common = "--no-timestamp --format"
+    code, out = run(capsys, *argv.split(), *common.split(), "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    doc = json.loads(out)
+    if argv.startswith("dist"):
+        rows = [[e["value"], *e["p"]] for e in doc["pmf"]]
+        text = "".join(f"{v}\t{num}/{den}\n" for v, num, den in rows)
+    else:
+        rows = doc["rows"]
+        text = "".join(f"{n}\t{k}\t{v}\n" for n, k, v in rows)
+    code, out = run(capsys, *argv.split(), *common.split(), "csv")
+    assert code == 0
+    body = "".join(line for line in out.splitlines(True) if line[0] != "#")
+    parsed = list(csv.reader(io.StringIO(body)))
+    assert [[int(x) for x in row] for row in parsed[1:]] == [
+        [int(x) for x in row] for row in rows
+    ]
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(parsed)
+    assert body == want.getvalue()
+    code, out = run(capsys, *argv.split(), *common.split(), "text")
+    assert (code, out) == (0, text)
 
 
 def _fresh_process(argv):
@@ -1184,7 +1226,16 @@ def test_seed_zero_is_still_accepted(capsys, monkeypatch):
 
 def test_pmf_rows_print_a_zero_weight_as_zero_over_one():
     rows = _pmf_rows(ExactPMF(0, (0, 3, 1), 4), 2)
-    assert rows == ((0, "0", "1"), (1, "3", "4"), (2, "1", "4"))
+    assert rows == (0, "0", "1", 1, "3", "4", 2, "1", "4")
+
+
+def _fraction_rows(law):
+    """`_pmf_rows`' flat fields, reduced by `Fraction`."""
+    return tuple(
+        x
+        for v, p in zip(law.support(), law.probs)
+        for x in (v, str(p.numerator), str(p.denominator))
+    )
 
 
 @pytest.mark.parametrize("name", sorted(STATISTICS))
@@ -1192,27 +1243,20 @@ def test_pmf_rows_reduce_each_law_as_fraction_does(name):
     # From n = 1, where the law is over 2 and no odd prime is <= n.
     for n in range(1, 41):
         law = STATISTICS[name].law(n)
-        want = tuple(
-            (v, str(p.numerator), str(p.denominator))
-            for v, p in zip(law.support(), law.probs)
-        )
-        assert _pmf_rows(law, n) == want, n
+        assert _pmf_rows(law, n) == _fraction_rows(law), n
 
 
 def test_pmf_rows_strip_a_factor_the_weight_holds_to_a_higher_power():
     # 27 = 3**3 against 48 = 2**4 * 3: only one factor 3 is common.
     rows = _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
-    assert rows == ((0, "9", "16"), (1, "7", "16"))
+    assert rows == (0, "9", "16", 1, "7", "16")
 
 
-def test_pmf_rows_raise_when_a_common_factor_does_not_divide(
-    request, monkeypatch
-):
+def test_pmf_rows_raise_when_a_common_factor_does_not_divide(monkeypatch):
     # A cap that returns three times the true gcd leaves 48 / 9, which the
     # denominator's Decimal context refuses instead of rounding.  The law's
     # clean rendering may be cached, and must not answer for the defect.
-    _pmf_rows.cache_clear()
-    request.addfinalizer(_pmf_rows.cache_clear)
+    monkeypatch.setattr(cli, "_renderings", [])
     real = cli.gcd
     monkeypatch.setattr(
         cli, "gcd", lambda a, b: real(a, b) * (3 if a == 48 else 1)
@@ -1221,11 +1265,10 @@ def test_pmf_rows_raise_when_a_common_factor_does_not_divide(
         _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
 
 
-def test_pmf_rows_answer_an_equal_law_from_the_cache(request, monkeypatch):
-    # A hit is keyed by the law's value and does no arithmetic; a law with
+def test_pmf_rows_answer_an_equal_law_from_the_cache(monkeypatch):
+    # A hit is found by the law's value and does no arithmetic; a law with
     # other weights over the same denominator and size is rendered afresh.
-    _pmf_rows.cache_clear()
-    request.addfinalizer(_pmf_rows.cache_clear)
+    monkeypatch.setattr(cli, "_renderings", [])
     rows = _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
 
     def refuse(a, b):
@@ -1235,6 +1278,38 @@ def test_pmf_rows_answer_an_equal_law_from_the_cache(request, monkeypatch):
     assert _pmf_rows(ExactPMF(0, (27, 21), 48), 3) is rows
     with pytest.raises(AssertionError, match="gcd ran"):
         _pmf_rows(ExactPMF(0, (21, 27), 48), 3)
+
+
+def test_pmf_rows_find_a_hit_without_hashing_the_law(capsys, monkeypatch):
+    # The law is compared with `==`, never hashed: two requests for the
+    # same law still print the pinned bytes with hashing refused.
+    def refuse(self):
+        raise AssertionError("the law was hashed")
+
+    monkeypatch.setattr(ExactPMF, "__hash__", refuse)
+    argv = "dist --stat a --n 300 --format json"
+    for _ in range(2):
+        code, out = run(capsys, *argv.split(), "--no-timestamp")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[argv]
+
+
+def test_pmf_rows_render_a_law_with_one_weight_moved_afresh(monkeypatch):
+    # One unit moved between two weights keeps the size, the denominator
+    # and the mass; the moved law gets its own rows, and the true law's
+    # rows stay cached beside them.
+    monkeypatch.setattr(cli, "_renderings", [])
+    n = 9
+    law = STATISTICS["r"].law(n)
+    rows = _pmf_rows(law, n)
+    weights = list(law.weights)
+    weights[0] -= 1
+    weights[n] += 1
+    moved = ExactPMF(0, tuple(weights), law.denominator)
+    got = _pmf_rows(moved, n)
+    assert got == _fraction_rows(moved) != rows
+    assert _pmf_rows(law, n) is rows
+    assert _pmf_rows(moved, n) is got
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from staircase_tableaux import stats
 from staircase_tableaux.polyengine import build_V, v_row
 from staircase_tableaux.stats import (
     STATISTICS,
@@ -161,27 +160,40 @@ def test_diagonal_cumulants_are_irwin_hall_plus_sheppard():
 # ------------------------------------------------------------ row caches
 
 
-def test_each_law_row_is_kept_for_its_last_n():
-    # dist_A and dist_r wrap one cached row per kernel in a fresh ExactPMF:
-    # a repeat hands out the same tuple, delta reverses r's cached row, and
-    # a row evicted by n + 1 is built again, still exact.
-    n = 23
-    a, r = dist_A(n), dist_r(n)
-    assert dist_A(n) is not a and dist_A(n).weights is a.weights
-    assert dist_r(n) is not r and dist_r(n).weights is r.weights
-    assert type(a.weights) is type(r.weights) is tuple
-    before = stats._r_row.cache_info()
-    assert dist_delta(n).weights == r.weights[::-1]
-    after = stats._r_row.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+def test_each_law_row_is_kept_for_its_last_n(monkeypatch):
+    # Each law is built and checked once for its last n: a repeat, and a
+    # statistic sharing the law, hand out the same ExactPMF, whose
+    # __post_init__ ran once, when its row was built.  Delta reverses r's
+    # row, and a law evicted by n + 1 is built and checked again, still
+    # exact.
+    laws = (dist_A, dist_r, dist_delta)
+    for law in laws:
+        law.cache_clear()
+    checked = []
+    real = ExactPMF.__post_init__
 
-    dist_A(n + 1)
-    dist_r(n + 1)
-    v_misses, r_misses = v_row.cache_info().misses, stats._r_row.cache_info().misses
-    assert dist_A(n).weights == v_row(n) == build_V(n)[n]
-    weights = dist_r(n).weights
-    assert v_row.cache_info().misses == v_misses + 1
-    assert stats._r_row.cache_info().misses == r_misses + 1
+    def counted(self):
+        checked.append(self.weights)
+        real(self)
+
+    monkeypatch.setattr(ExactPMF, "__post_init__", counted)
+    n = 23
+    a, r, d = (law(n) for law in laws)
+    assert len(checked) == 3
+    for name, law in (("a", a), ("b", a), ("r", r), ("delta", d), ("gamma", d)):
+        assert STATISTICS[name].law(n) is law, name
+    assert len(checked) == 3
+    assert d.weights == r.weights[::-1]
+    assert type(a.weights) is type(r.weights) is tuple
+
+    for law in laws:
+        law(n + 1)
+    assert len(checked) == 6
+    a_again, r_again = dist_A(n), dist_r(n)
+    assert len(checked) == 8
+    assert a_again is not a and r_again is not r
+    assert a_again.weights == v_row(n) == build_V(n)[n]
+    weights = r_again.weights
     # The bernoulli-convolution check's evaluation at z = 0..n.
     assert len(weights) == n + 1 and all(
         sum(w * z**v for v, w in enumerate(weights))

@@ -371,12 +371,16 @@ def _witness_id(k: int) -> str:
     return name
 
 
+# The three cached laws, bound at import: a defect may rebind their names.
+_LAW_CACHES = (stats.dist_r, stats.dist_delta, stats.dist_A)
+
+
 def _clear_walk_tables():
-    # The census, the walk's leaf tables and the two law rows are cached per
+    # The census, the walk's leaf tables and the three laws are cached per
     # process; a defect must neither read clean tables nor leave defective
     # ones.
     for table in (checks._census, enumerator._leaf_items, enumerator._leaf_stats,
-                  polyengine.v_row, stats._r_row):
+                  *_LAW_CACHES):
         table.cache_clear()
 
 
