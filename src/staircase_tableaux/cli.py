@@ -31,6 +31,7 @@ covered and its ``elapsed_s``.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import os
@@ -86,8 +87,8 @@ SEED_ENV = "STAIRCASE_TABLEAUX_SEED"
 # exceeds it from n = 1309 on, and 2**n n! from n = 1424 on.  The completion
 # table prints O(n**2) such numbers (20,301 rows at n = 200), and a triangle
 # O(n**2), so their caps are lower.  `moments` shares `dist`'s cap.
-# The series check costs about z**4 big-int steps: seconds at z = 100, hours
-# at z = 1000.
+# The series check costs about z**3 big-int steps: a tenth of a second at
+# z = 100, minutes at z = 1000.
 _COUNT_LIMIT = 1000
 _TABLE_LIMIT = 200
 _DIST_LIMIT = 1000
@@ -162,48 +163,67 @@ def _write_csv(
     return writer
 
 
-# Each format's row of a three-field table.  A JSON row starts on a new line,
-# indented as `json.dump(..., indent=2)` prints it at depth 2, and rows are
-# joined by ",".  Every field is an int or the `str` of an int, which neither
-# JSON nor CSV escapes or quotes.
-_TRIPLE_ROW = '\n    [\n      {},\n      {},\n      "{}"\n    ]'
-_TRIPLE_ROWS = {"text": "{}\t{}\t{}\n", "csv": "{},{},{}\n", "json": _TRIPLE_ROW}
-# Each table subcommand's JSON key, CSV header and row templates.
+# Each format's row of a three-int table, a bytes %-template.  A JSON row
+# starts on a new line, indented as `json.dump(..., indent=2)` prints it at
+# depth 2, and rows are joined by ",".  No int needs JSON or CSV escaping.
+_TRIPLE_ROWS = {"text": b"%d\t%d\t%d\n", "csv": b"%d,%d,%d\n",
+                "json": b'\n    [\n      %d,\n      %d,\n      "%d"\n    ]'}
+# Each format's bytes around a `dist` row's numerator and denominator: the
+# lead, a %-template of the value; the middle; and the close.
+_PMF_PIECES = {"text": (b"%d\t", b"/", b"\n"), "csv": (b"%d,", b",", b"\n"),
+               "json": (b'\n    {\n      "value": %d,\n      "p": [\n        "',
+                        b'",\n        "', b'"\n      ]\n    }')}
+# Each table subcommand's JSON key and CSV header.
 _TABLES = {
-    "dist": ("pmf", ("value", "numerator", "denominator"), {
-        "text": "{}\t{}/{}\n",
-        "csv": "{},{},{}\n",
-        "json": '\n    {{\n      "value": {},\n      "p": [\n        "{}",\n'
-        '        "{}"\n      ]\n    }}',
-    }),
-    "triangles": ("rows", ("n", "k", "value"), _TRIPLE_ROWS),
+    "dist": ("pmf", ("value", "numerator", "denominator")),
+    "triangles": ("rows", ("n", "k", "value")),
 }
-# Rows per `str.format` call and `write`; at n = 800 a `dist` block is about
-# 256 KiB, and larger blocks measured no faster.
-_ROW_BLOCK = 64
+# The most buffers one `os.writev` call takes (Linux's IOV_MAX).
+_IOV_MAX = 1024
 
 
-def _row_blocks(row: str, fields: Sequence[Any], sep: str = "") -> Iterator[str]:
-    """`fields`, three to a row, printed by one `str.format` call on the
-    template `row` repeated per `_ROW_BLOCK` rows, joined by `sep`."""
-    step = 3 * _ROW_BLOCK
-    for start in range(0, len(fields), step):
-        block = fields[start : start + step]
-        lead = sep if start else ""
-        yield (lead + sep.join([row] * (len(block) // 3))).format(*block)
+def _triples(fields: Sequence[int], fmt: str) -> bytes:
+    """`fields`, three to a row, printed in `fmt` by one %-format on the
+    repeated row template."""
+    sep = b"," if fmt == "json" else b""
+    return sep.join([_TRIPLE_ROWS[fmt]] * (len(fields) // 3)) % tuple(fields)
+
+
+def _gather(out: Any, pieces: Sequence[bytes]) -> None:
+    """Write the bytes `pieces` after what `out` holds, with no copy: once
+    `out`'s buffer is flushed, `os.writev` gathers them, `_IOV_MAX` a call,
+    into its file descriptor.  `os.write` finishes a short write, and every
+    chunk where `os.writev` is missing.  A stream with no file descriptor
+    (an in-memory one), or whose text is not UTF-8, gets the text."""
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        fd = None
+    if fd is None or codecs.lookup(out.encoding).name != "utf-8":
+        out.write(b"".join(pieces).decode())
+        return
+    out.flush()
+    writev = getattr(os, "writev", None)
+    for start in range(0, len(pieces), _IOV_MAX):
+        chunk = pieces[start : start + _IOV_MAX]
+        done = writev(fd, chunk) if writev else 0
+        if done < sum(map(len, chunk)):
+            rest = memoryview(b"".join(chunk))[done:]
+            while rest:
+                rest = rest[os.write(fd, rest) :]
 
 
 def _write_json(
     out: TextIO,
     meta: dict[str, Any],
     payload: dict[str, Any],
-    rows: tuple[str, Iterable[str]] | None = None,
+    rows: tuple[str, Sequence[bytes]] | None = None,
 ) -> None:
     """Write meta and payload as one indented JSON document.
 
-    `rows`, if given, is (key, text chunks): the document's last member, a
-    list whose rows, each on a new line and joined by "," (`_TRIPLE_ROW`),
-    are written as the chunks come, instead of by `json`'s pure-Python
+    `rows`, if given, is (key, bytes pieces): the document's last member, a
+    list whose rows, each on a new line and joined by ",", are gathered
+    after the head with no copy, instead of printed by `json`'s pure-Python
     indenting encoder, in the same bytes.
     """
     doc = {**meta, **payload}
@@ -211,28 +231,23 @@ def _write_json(
         json.dump(doc, out, indent=2)
         out.write("\n")
         return
-    key, chunks = rows
+    key, pieces = rows
     # The head without its closing "\n}", continued by the rows member.
-    out.write(f"{json.dumps(doc, indent=2)[:-2]},\n  {json.dumps(key)}: [")
-    close = "]\n}\n"
-    for chunk in chunks:
-        out.write(chunk)
-        close = "\n  ]\n}\n"
-    out.write(close)
+    head = f"{json.dumps(doc, indent=2)[:-2]},\n  {json.dumps(key)}: ["
+    close = b"\n  ]\n}\n" if pieces else b"]\n}\n"
+    _gather(out, [head.encode(), *pieces, close])
 
 
-def _write_rows(out: TextIO, args: argparse.Namespace, fields: Sequence[Any]) -> None:
-    """The one writer of a `dist` or `triangles` table (`_TABLES`): `fields`,
-    three to a row, in blocks of rows."""
-    key, header, templates = _TABLES[args.subcommand]
+def _write_rows(out: TextIO, args: argparse.Namespace, rows: Sequence[bytes]) -> None:
+    """The one writer of a `dist` or `triangles` table (`_TABLES`), whose
+    rows are the bytes pieces `rows`."""
+    key, header = _TABLES[args.subcommand]
     if args.fmt == "json":
-        blocks = _row_blocks(templates["json"], fields, ",")
-        _write_json(out, _metadata(args), {}, (key, blocks))
+        _write_json(out, _metadata(args), {}, (key, rows))
         return
     if args.fmt == "csv":
         _write_csv(out, _metadata(args), header)
-    for block in _row_blocks(templates[args.fmt], fields):
-        out.write(block)
+    _gather(out, rows)
 
 
 class _OutFile:
@@ -241,23 +256,23 @@ class _OutFile:
     place (truncating it at open costs more than writing it), and
     `_open_out` cuts a regular file to length at close, never a device or
     FIFO; mid-write, or after a crash, it may hold the new prefix over the
-    old tail.  Its 64 KiB buffer makes an eighth of the default's writes."""
+    old tail.  Text goes through a 64 KiB buffer; `_gather` writes past it."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.handle: TextIO | None = None
         self.regular = False
 
-    def write(self, text: str) -> int:
+    def __getattr__(self, name: str) -> Any:
+        # `write`, `fileno` or `flush`, read once: the first opens the file,
+        # and each is then bound here, so later calls go to the file's own.
         if self.handle is None:
             fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
             self.regular = S_ISREG(os.fstat(fd).st_mode)
-            self.handle = open(
-                fd, "w", buffering=1 << 16, encoding="utf-8", newline=""
-            )
-            # Later writes call the file object's own method directly.
-            self.write = self.handle.write  # type: ignore[method-assign]
-        return self.handle.write(text)
+            self.handle = open(fd, "w", buffering=1 << 16, encoding="utf-8", newline="")
+        method = getattr(self.handle, name)
+        setattr(self, name, method)
+        return method
 
 
 @contextmanager
@@ -281,40 +296,36 @@ def _open_out(path: str | None) -> Iterator[Any]:
 
 
 @lru_cache(maxsize=1)
-def _count_table(n: int, fmt: str) -> str:
+def _count_table(n: int, fmt: str) -> bytes:
     """Every N(k, r), k + r <= n, row k stepped along r from 4**k k! by
-    factors 2k + 1, printed in `fmt` by one `str.format` call on a repeated
-    row template, with no list of rendered rows (JSON: the `table` rows,
-    which `_write_json` writes as they are).  Only the last table is kept."""
+    factors 2k + 1, printed in `fmt` by `_triples` (JSON: the `table` rows,
+    which `_write_json` gathers as they are).  Only the last one is kept."""
     values: list[int] = []
     for k in range(n + 1):
         value, step = total_count(k), 2 * k + 1
         for r in range(n - k + 1):
             values += (k, r, value)
             value *= step
-    sep = "," if fmt == "json" else ""
-    return sep.join([_TRIPLE_ROWS[fmt]] * (len(values) // 3)).format(*values)
+    return _triples(values, fmt)
 
 
 def _cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     """The total 4**n n!, and with ``--table`` every completion count
-    N(k, r) from `_count_table`."""
+    N(k, r) from `_count_table`, written with no copy."""
     limit = _TABLE_LIMIT if args.table else _COUNT_LIMIT
     if not 0 <= args.n <= limit:
         scope = " with --table" if args.table else ""
         raise ValueError(f"need 0 <= n <= {limit}{scope}, got {args.n}")
     total = str(total_count(args.n))
-    table = _count_table(args.n, args.fmt) if args.table else ""
+    table = (_count_table(args.n, args.fmt),) if args.table else ()
     if args.fmt == "json":
-        # The rendered rows are written as they are, with no copy.
-        rows = ("table", (table,)) if args.table else None
+        rows = ("table", table) if args.table else None
         _write_json(out, _metadata(args), {"total": total}, rows)
     elif args.fmt == "text":
-        out.write(table)
-        out.write(total + "\n")
+        _gather(out, [*table, f"{total}\n".encode()])
     elif args.table:
         _write_csv(out, _metadata(args), ("k", "r", "count"))
-        out.write(table)
+        _gather(out, table)
     else:
         _write_csv(out, _metadata(args), ("n", "total"), [(args.n, total)])
     return 0
@@ -373,12 +384,14 @@ def _check_stat_size(n: int) -> None:
         raise ValueError(f"need 1 <= n <= {_DIST_LIMIT}, got {n}")
 
 
-# The last two `_pmf_rows` renderings as (law, bound, fields), newest last.
-_renderings: list[tuple[ExactPMF, int, tuple[int | str, ...]]] = []
+# A `_pmf_rows` rendering: the flat fields, and each format's row pieces
+# (`_pmf_pieces`) once asked for.  The last two as (law, bound, rendering).
+_Rendering = tuple[tuple[int | bytes, ...], dict[str, list[bytes]]]
+_renderings: list[tuple[ExactPMF, int, _Rendering]] = []
 
 
-def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[int | str, ...]:
-    """Each value with its probability in lowest terms, as decimal strings,
+def _pmf_rows(pmf: ExactPMF, bound: int) -> _Rendering:
+    """Each value with its probability in lowest terms, as ASCII digits,
     flat: three fields a value, for a denominator whose prime factors are 2
     and the primes <= `bound` (2**n n! and n).  A weight's odd part gives up
     its factors of lcm(odd numbers <= bound) a common factor at a time, so
@@ -390,10 +403,11 @@ def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[int | str, ...]:
     comparing (law, bound) with `==`, never by hashing the law: the law
     object `stats` hands out again costs a few pointer compares, and a law
     that differs in any weight is rendered afresh.  The fields are a tuple,
-    so no caller can change what the next one is handed."""
-    for law, b, fields in _renderings:
+    so no caller can change what the next one is handed; the pieces of
+    every format share their digits."""
+    for law, b, rendering in _renderings:
         if b == bound and law == pmf:
-            return fields
+            return rendering
     denom = pmf.denominator
     twos = (denom & -denom).bit_length() - 1
     odd_lcm = lcm(*range(3, bound + 1, 2))
@@ -401,8 +415,8 @@ def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[int | str, ...]:
     exact = Context(prec=big.adjusted() + 1, traps=[Inexact, Rounded])
     # Each distinct weight is reduced and printed once, with no `Fraction`
     # per entry: a V row is symmetric, so half its entries repeat.
-    reduced: dict[int, tuple[str, str]] = {0: ("0", "1")}
-    rows: list[int | str] = []
+    reduced: dict[int, tuple[bytes, bytes]] = {0: (b"0", b"1")}
+    rows: list[int | bytes] = []
     for v, w in enumerate(pmf.weights, pmf.offset):
         p = reduced.get(w)
         if p is None:
@@ -414,16 +428,33 @@ def _pmf_rows(pmf: ExactPMF, bound: int) -> tuple[int | str, ...]:
                 x //= h
                 h = gcd(x, h)
             g = gcd(denom, g) << min(t, twos)
-            p = reduced[w] = (str(w // g), str(exact.divide(big, g)))
+            p = reduced[w] = (b"%d" % (w // g), str(exact.divide(big, g)).encode())
         rows += (v, *p)
-    fields = tuple(rows)
-    _renderings[:] = [*_renderings[-1:], (pmf, bound, fields)]
-    return fields
+    rendering: _Rendering = (tuple(rows), {})
+    _renderings[:] = [*_renderings[-1:], (pmf, bound, rendering)]
+    return rendering
+
+
+def _pmf_pieces(fields: Sequence[Any], fmt: str) -> list[bytes]:
+    """`_pmf_rows` fields as `fmt` rows of four bytes pieces (`_PMF_PIECES`):
+    the lead with the value, and the numerator, middle and denominator, the
+    digits shared, not copied.  Each later lead opens with the close."""
+    lead, mid, close = _PMF_PIECES[fmt]
+    pieces: list[bytes] = []
+    start = b""
+    for v, num, den in zip(fields[::3], fields[1::3], fields[2::3]):
+        pieces += (start + lead % v, num, mid, den)
+        start = close + b"," if fmt == "json" else close
+    pieces.append(close)
+    return pieces
 
 
 def _cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
     _check_stat_size(args.n)
-    _write_rows(out, args, _pmf_rows(_DIST_FNS[args.stat](args.n), args.n))
+    fields, pieces = _pmf_rows(_DIST_FNS[args.stat](args.n), args.n)
+    if args.fmt not in pieces:
+        pieces[args.fmt] = _pmf_pieces(fields, args.fmt)
+    _write_rows(out, args, pieces[args.fmt])
     return 0
 
 
@@ -446,13 +477,9 @@ def _cmd_triangles(args: argparse.Namespace, out: TextIO) -> int:
     if not 0 <= args.n_max <= _TRIANGLE_LIMIT:
         raise ValueError(f"need 0 <= n-max <= {_TRIANGLE_LIMIT}, got {args.n_max}")
     build = {"V": build_V, "W": build_W, "c1": c1_rows}[args.which]
-    fields = [
-        x
-        for n, row in enumerate(build(args.n_max))
-        for k, v in enumerate(row)
-        for x in (n, k, str(v))
-    ]
-    _write_rows(out, args, fields)
+    rows = enumerate(build(args.n_max))
+    fields = [x for n, row in rows for k, v in enumerate(row) for x in (n, k, v)]
+    _write_rows(out, args, (_triples(fields, args.fmt),))
     return 0
 
 

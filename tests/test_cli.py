@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import decimal
@@ -26,11 +27,9 @@ from staircase_tableaux import checks, cli, counting
 from staircase_tableaux.checks import CHECK_NAMES, verify_suite
 from staircase_tableaux.cli import (
     SEED_ENV,
-    _ROW_BLOCK,
-    _TRIPLE_ROW,
+    _IOV_MAX,
     _count_table,
     _pmf_rows,
-    _row_blocks,
     _write_json,
     build_parser,
     main,
@@ -442,10 +441,13 @@ def test_count_table_repeats_print_the_first_bytes(capsys, request):
 
 
 def test_count_table_answers_a_repeat_from_the_cache(request, monkeypatch):
-    # A hit does no arithmetic; another format is rendered afresh.
+    # A hit does no arithmetic; another format is rendered afresh.  The table
+    # is the bytes that follow the CSV header.
     _count_table.cache_clear()
     request.addfinalizer(_count_table.cache_clear)
     text = _count_table(120, "csv")
+    assert isinstance(text, bytes)
+    assert text.startswith(b"0,0,1\n0,1,1\n") and text.endswith(b"\n")
 
     def refuse(n):
         raise AssertionError("total_count ran")
@@ -470,17 +472,25 @@ def test_count_table_json_is_pinned_under_optimize_flag():
     assert hashlib.sha256(proc.stdout).hexdigest() == _PINNED[argv]
 
 
-def test_dist_json_is_pinned_under_optimize_flag():
-    # The exactness guards of the reduction must not depend on `assert`.
+def test_dist_json_is_pinned_under_optimize_flag(tmp_path):
+    # The exactness guards of the reduction, and the short-write guard of
+    # the gathered write into stdout and into an --out file, must not depend
+    # on `assert`.
     src = Path(staircase_tableaux.__file__).resolve().parents[1]
     argv = "dist --stat a --n 300 --format json"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "staircase_tableaux", *argv.split(),
-         "--no-timestamp"],
-        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == _PINNED[argv]
+    target = tmp_path / "out.json"
+    printed = []
+    for out in ((), ("--out", str(target))):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "staircase_tableaux", *argv.split(),
+             "--no-timestamp", *out],
+            capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[1] == b""
+    for payload in (printed[0], target.read_bytes()):
+        assert hashlib.sha256(payload).hexdigest() == _PINNED[argv]
 
 
 # Every request whose JSON payload goes through the streamed row writer, at
@@ -505,28 +515,61 @@ def test_row_writer_prints_what_json_dump_prints(capsys, tmp_path, argv):
     assert target.read_bytes() == out.encode()
 
 
-def test_row_writer_prints_an_empty_row_list_as_json_does():
-    buf = io.StringIO()
-    rows = ("rows", _row_blocks(_TRIPLE_ROW, [], ","))
-    _write_json(buf, {"schema": "s"}, {"total": "0"}, rows)
+def test_row_writer_prints_an_empty_row_list_as_json_does(tmp_path):
+    # Into a stream with no file descriptor, and gathered into a file.
     doc = {"schema": "s", "total": "0", "rows": []}
-    assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
+    want = json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    _write_json(buf, {"schema": "s"}, {"total": "0"}, ("rows", []))
+    assert buf.getvalue() == want
+    target = tmp_path / "out.json"
+    with open(target, "w", encoding="utf-8") as handle:
+        _write_json(handle, {"schema": "s"}, {"total": "0"}, ("rows", []))
+    assert target.read_bytes() == want.encode()
 
 
-# `dist --stat r` at sizes whose row counts are a block less one, a block,
-# a block and one, and two blocks and one; and a triangle over three blocks.
-_BLOCK_EDGE_REQUESTS = [
+# A `dist` row is four pieces (lead with the value, numerator, middle,
+# denominator), and the rows end with one close piece; JSON adds the head
+# and the document's close.  `dist --stat r --n m` has m + 1 rows, so these
+# sizes put the text and CSV pieces one row short of a full writev chunk,
+# at a full chunk (the close alone in the next), one row over, and over two
+# chunks; the JSON pieces cross the edge inside a row.  The triangle is one
+# piece.
+_CHUNK_EDGE_REQUESTS = [
     *(f"dist --stat r --n {rows - 1}"
-      for rows in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1)),
+      for rows in (_IOV_MAX // 4 - 1, _IOV_MAX // 4, _IOV_MAX // 4 + 1,
+                   _IOV_MAX // 2 + 1)),
     "triangles --which V --n-max 20",
 ]
 
 
-@pytest.mark.parametrize("argv", _BLOCK_EDGE_REQUESTS)
-def test_row_blocks_print_every_row_once_across_block_edges(capsys, argv):
+@pytest.mark.parametrize("argv", _CHUNK_EDGE_REQUESTS)
+def test_row_pieces_print_every_row_once_across_chunk_edges(
+    capsys, tmp_path, monkeypatch, argv
+):
     # JSON is what `json.dump` prints; CSV rows are what `csv.writer` writes
-    # for them, and text rows hold the same fields.
+    # for them, and text rows hold the same fields.  Each format's --out file
+    # holds the stdout bytes, gathered at most `_IOV_MAX` pieces a call.
+    real, chunks = os.writev, []
+
+    def counted(fd, pieces):
+        chunks.append(len(pieces))
+        return real(fd, pieces)
+
+    monkeypatch.setattr(os, "writev", counted)
+    target = tmp_path / "out"
     common = "--no-timestamp --format"
+    for fmt in ("json", "csv", "text"):
+        args = [*argv.split(), *common.split(), fmt]
+        code, out = run(capsys, *args)
+        assert code == 0
+        chunks.clear()
+        assert main([*args, "--out", str(target)]) == 0
+        assert target.read_bytes() == out.encode(), fmt
+        assert chunks and max(chunks) <= _IOV_MAX
+        if argv.startswith("dist"):
+            values = int(argv.split()[-1]) + 1
+            assert sum(chunks) == 4 * values + (3 if fmt == "json" else 1)
     code, out = run(capsys, *argv.split(), *common.split(), "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -1153,6 +1196,83 @@ def test_out_into_a_missing_directory_is_a_one_line_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_into_a_full_device_is_a_one_line_error(capsys):
+    # The gathered write fails with ENOSPC, reported as any refused input.
+    code = main("dist --stat a --n 300 --out /dev/full".split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: [Errno 28] ")
+    assert captured.err.count("\n") == 1
+
+
+def test_stdout_in_another_encoding_gets_the_text(capsys):
+    # Pieces are UTF-8 bytes, so a stdout that encodes its text otherwise
+    # gets them as text, in its own encoding like the head before them.
+    argv = "dist --stat a --n 9 --format csv --no-timestamp".split()
+    code, out = run(capsys, *argv)
+    assert code == 0
+    src = Path(staircase_tableaux.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-16"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "staircase_tableaux", *argv],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode("utf-16") == out
+
+
+# One request a format, each gathered from many pieces or from one.
+_GATHERED_REQUESTS = [
+    "dist --stat a --n 300 --format json",
+    "count --n 120 --table --format csv",
+    "triangles --which V --n-max 20 --format text",
+]
+
+
+def _short_writev(fd, pieces):
+    """`os.writev` that writes at most 1,000 bytes a call."""
+    return os.write(fd, b"".join(pieces)[:1000])
+
+
+@pytest.mark.parametrize("writev", ["short", "absent"])
+@pytest.mark.parametrize("argv", _GATHERED_REQUESTS)
+def test_out_file_holds_the_stdout_bytes_after_short_writes(
+    capsys, tmp_path, monkeypatch, argv, writev
+):
+    # `os.write` finishes each short write, and every chunk where
+    # `os.writev` does not exist.
+    if writev == "short":
+        monkeypatch.setattr(os, "writev", _short_writev)
+    else:
+        monkeypatch.delattr(os, "writev")
+    args = [*argv.split(), "--no-timestamp"]
+    code, out = run(capsys, *args)
+    assert code == 0
+    target = tmp_path / "out"
+    assert main([*args, "--out", str(target)]) == 0
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", _GATHERED_REQUESTS)
+def test_stdout_with_a_file_descriptor_gets_the_same_bytes(
+    capfd, tmp_path, argv
+):
+    # Under capfd stdout has a real file descriptor, so the pieces are
+    # gathered into it after the flushed head; an in-memory stdout gets
+    # the decoded text, and an --out file the gathered bytes.
+    args = [*argv.split(), "--no-timestamp"]
+    assert main(args) == 0
+    gathered = capfd.readouterr().out
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(args) == 0
+    target = tmp_path / "out"
+    assert main([*args, "--out", str(target)]) == 0
+    assert gathered == text.getvalue()
+    assert target.read_bytes() == gathered.encode()
+
+
 def test_env_variable_provides_the_default_seed(capsys, monkeypatch):
     monkeypatch.setenv("STAIRCASE_TABLEAUX_SEED", "77")
     _, out = run(
@@ -1225,16 +1345,16 @@ def test_seed_zero_is_still_accepted(capsys, monkeypatch):
 
 
 def test_pmf_rows_print_a_zero_weight_as_zero_over_one():
-    rows = _pmf_rows(ExactPMF(0, (0, 3, 1), 4), 2)
-    assert rows == (0, "0", "1", 1, "3", "4", 2, "1", "4")
+    rows, _ = _pmf_rows(ExactPMF(0, (0, 3, 1), 4), 2)
+    assert rows == (0, b"0", b"1", 1, b"3", b"4", 2, b"1", b"4")
 
 
 def _fraction_rows(law):
-    """`_pmf_rows`' flat fields, reduced by `Fraction`."""
+    """`_pmf_rows`' flat fields, reduced by `Fraction`, digits encoded."""
     return tuple(
         x
         for v, p in zip(law.support(), law.probs)
-        for x in (v, str(p.numerator), str(p.denominator))
+        for x in (v, str(p.numerator).encode(), str(p.denominator).encode())
     )
 
 
@@ -1243,13 +1363,13 @@ def test_pmf_rows_reduce_each_law_as_fraction_does(name):
     # From n = 1, where the law is over 2 and no odd prime is <= n.
     for n in range(1, 41):
         law = STATISTICS[name].law(n)
-        assert _pmf_rows(law, n) == _fraction_rows(law), n
+        assert _pmf_rows(law, n)[0] == _fraction_rows(law), n
 
 
 def test_pmf_rows_strip_a_factor_the_weight_holds_to_a_higher_power():
     # 27 = 3**3 against 48 = 2**4 * 3: only one factor 3 is common.
-    rows = _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
-    assert rows == (0, "9", "16", 1, "7", "16")
+    rows, _ = _pmf_rows(ExactPMF(0, (27, 21), 48), 3)
+    assert rows == (0, b"9", b"16", 1, b"7", b"16")
 
 
 def test_pmf_rows_raise_when_a_common_factor_does_not_divide(monkeypatch):
@@ -1307,7 +1427,7 @@ def test_pmf_rows_render_a_law_with_one_weight_moved_afresh(monkeypatch):
     weights[n] += 1
     moved = ExactPMF(0, tuple(weights), law.denominator)
     got = _pmf_rows(moved, n)
-    assert got == _fraction_rows(moved) != rows
+    assert got[0] == _fraction_rows(moved) != rows[0]
     assert _pmf_rows(law, n) is rows
     assert _pmf_rows(moved, n) is got
 
